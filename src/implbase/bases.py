@@ -22,8 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
-from .closure import _fixpoint_bits
+from .closure import (
+    _fixpoint_bits,
+    _slice_pairs,
+    _sliced_round,
+    _transpose_bits,
+    _unclosed_lanes,
+)
 from .context import Context, require_standard
 from .errors import UniverseMismatch
 from .sets import (
@@ -45,7 +52,16 @@ __all__ = [
     "check_equiv",
     "verify_direct",
     "direct_witness",
+    "EXHAUSTIVE_LIMIT",
+    "SAMPLES",
 ]
+
+#: Directness is checked over the whole powerset up to this many attributes,
+EXHAUSTIVE_LIMIT = 12
+#: and over this many seeded random sets beyond it.
+SAMPLES = 2048
+#: Candidate sets per bit-sliced chunk; one chunk holds the default policy.
+_LANES = 1 << 12
 
 
 # -- minimal generators -------------------------------------------------------
@@ -322,6 +338,29 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     ]
 
 
+def _entails(
+    pairs: tuple[tuple[int, int], ...],
+    other: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    n: int,
+) -> bool:
+    """Does each implication of ``pairs`` follow from the sliced ``other``?
+
+    Every lhs takes one lane; simultaneous rounds under ``other`` grow all of
+    them together until each rhs is contained or the columns stop changing.
+    """
+    if not pairs:
+        return True
+    cols = _transpose_bits([lhs for lhs, _ in pairs], n)
+    need = _transpose_bits([rhs for _, rhs in pairs], n)
+    while True:
+        if not any(w & ~c for w, c in zip(need, cols)):
+            return True
+        grown = _sliced_round(cols, other, ordered=False)
+        if grown == cols:
+            return False
+        cols = grown
+
+
 def check_equiv(b1: Basis, b2: Basis) -> bool:
     """Do both bases induce the same closure operator?
 
@@ -330,59 +369,46 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     """
     if b1.universe != b2.universe:
         raise UniverseMismatch("bases live in different universes")
+    n = b1.universe.size
     p1, p2 = b1.pairs(), b2.pairs()
-    for lhs, rhs in p1:
-        if rhs & ~_fixpoint_bits(lhs, p2):
-            return False
-    for lhs, rhs in p2:
-        if rhs & ~_fixpoint_bits(lhs, p1):
-            return False
-    return True
-
-
-def _single_round_bits(bits: int, pairs: tuple[tuple[int, int], ...], ordered: bool) -> int:
-    if ordered:
-        for lhs, rhs in pairs:
-            if lhs & bits == lhs:
-                bits |= rhs
-        return bits
-    acc = 0
-    for lhs, rhs in pairs:
-        if lhs & bits == lhs:
-            acc |= rhs
-    return bits | acc
+    return _entails(p1, _slice_pairs(p2), n) and _entails(p2, _slice_pairs(p1), n)
 
 
 def direct_witness(
     basis: Basis,
-    exhaustive_limit: int = 12,
-    samples: int = 2048,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
+    samples: int = SAMPLES,
     seed: int = 0,
 ) -> AttributeSet | None:
-    """A set whose closure one round misses, or ``None`` if none was found.
+    """The first candidate set whose closure one round misses, or ``None``.
 
     For a ``dbasis`` the round is the in-order sweep (ordered directness);
-    for every other kind it is the simultaneous round.  Exhaustive over the
-    powerset up to ``exhaustive_limit`` attributes, seeded sampling beyond.
+    for every other kind it is the simultaneous round.  The candidates are
+    the whole powerset, in counting order, up to ``exhaustive_limit``
+    attributes, and ``samples`` seeded random sets beyond.  They are checked
+    ``_LANES`` at a time, one per lane: one round reaches the closure iff
+    its result is closed, because the closure is the least closed superset.
     """
     n = basis.universe.size
-    pairs = basis.pairs()
+    sliced = _slice_pairs(basis.pairs())
     ordered = basis.kind is BasisKind.DBASIS
     if n <= exhaustive_limit:
-        candidates = range(1 << n)
+        candidates = iter(range(1 << n))
     else:
         rng = random.Random(seed)
         candidates = (rng.getrandbits(n) for _ in range(samples))
-    for bits in candidates:
-        if _single_round_bits(bits, pairs, ordered) != _fixpoint_bits(bits, pairs):
-            return AttributeSet(basis.universe, bits)
+    while chunk := list(islice(candidates, _LANES)):
+        once = _sliced_round(_transpose_bits(chunk, n), sliced, ordered)
+        bad = _unclosed_lanes(once, sliced)
+        if bad:
+            return AttributeSet(basis.universe, chunk[(bad & -bad).bit_length() - 1])
     return None
 
 
 def verify_direct(
     basis: Basis,
-    exhaustive_limit: int = 12,
-    samples: int = 2048,
+    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
+    samples: int = SAMPLES,
     seed: int = 0,
 ) -> bool:
     """Does one round always reach the closure?  See :func:`direct_witness`

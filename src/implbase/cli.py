@@ -22,7 +22,16 @@ import hashlib
 import sys
 from pathlib import Path
 
-from .bases import build_cdub, build_dbasis, build_dg, check_equiv, direct_witness
+from . import __version__
+from .bases import (
+    EXHAUSTIVE_LIMIT,
+    SAMPLES,
+    build_cdub,
+    build_dbasis,
+    build_dg,
+    check_equiv,
+    direct_witness,
+)
 from .bench import (
     ALGORITHMS,
     METRIC_NAMES,
@@ -36,15 +45,12 @@ from .bench import (
     size_ratio_report,
     write_reports_csv,
 )
-from .closure import oracle_closure
+from .closure import _DIRECT_KINDS, oracle_closure
 from .context import gen_synthetic, read_cxt, render_cxt, write_cxt
 from .errors import ImplbaseError, InvalidCombo, IoError
-from .sets import AttributeSet, BasisKind, read_basis, render_basis, write_basis
-
-__version__ = "0.1.0"
+from .sets import AttributeSet, read_basis, render_basis, write_basis
 
 _BUILDERS = {"cdub": build_cdub, "dbasis": build_dbasis, "dg": build_dg}
-_DIRECT_KINDS = (BasisKind.CDUB, BasisKind.DBASIS)
 
 
 def _source_hash() -> str:
@@ -155,13 +161,17 @@ def cmd_check(args: argparse.Namespace) -> int:
             n2, b2 = named[j]
             verdict = "yes" if check_equiv(b1, b2) else "NO"
             print(f"equivalent {n1}~{n2}: {verdict}")
+    if universe.size <= EXHAUSTIVE_LIMIT:
+        scope = f"exhaustive, {1 << universe.size} sets"
+    else:
+        scope = f"sampled, {SAMPLES} sets, seed 0"
     for kind, basis in named:
         word = "ordered-direct" if kind == "dbasis" else "direct"
         witness = direct_witness(basis)
         if witness is None:
-            print(f"{word} {kind}: yes")
+            print(f"{word} {kind}: yes ({scope})")
         else:
-            print(f"{word} {kind}: no (witness: {witness})")
+            print(f"{word} {kind}: no (witness: {witness}; {scope})")
     return 0
 
 
@@ -262,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo",
         dest="algorithm",
         required=True,
-        choices=["classic", "lin", "wild", "classic-direct", "lin-direct", "wild-direct", "oracle"],
+        choices=[*ALGORITHMS, "oracle"],
     )
     p.add_argument(
         "--metrics", action="store_true", help="print the counters after the closure"

@@ -30,6 +30,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
+from typing import Sequence
 
 from .errors import UniverseMismatch, WrongBasisKind
 from .sets import AttributeSet, Basis, BasisKind, Implication
@@ -119,6 +122,76 @@ def _fixpoint_bits(bits: int, pairs: tuple[tuple[int, int], ...]) -> int:
         if nxt == bits:
             return bits
         bits = nxt
+
+
+# -- bit-sliced kernels ---------------------------------------------------------
+#
+# Many attribute sets are processed at once by storing them column-wise: one
+# int per attribute, whose bit ``q`` (lane ``q``) is set iff set ``q`` holds
+# that attribute.  An implication then fires in every lane at once: its fire
+# mask is the AND of its lhs columns, and that mask is ORed into its rhs
+# columns.  Sliced pairs list attribute indices instead of bits; left-hand
+# sides are never empty, so every AND has a first operand.
+
+
+def _slice_pairs(
+    pairs: tuple[tuple[int, int], ...],
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Implications as ``(lhs indices, rhs indices)`` for the sliced kernels."""
+    return [(_bit_indices(lhs), _bit_indices(rhs)) for lhs, rhs in pairs]
+
+
+def _bit_indices(bits: int) -> tuple[int, ...]:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def _transpose_bits(sets: Sequence[int], n: int) -> list[int]:
+    """Columns of a non-empty list of ``n``-attribute sets, set ``q`` in lane ``q``.
+
+    One binary string per set, written last set first, so that the strided
+    slice of attribute ``a`` reads as an int with set 0 in its lowest bit.
+    """
+    spec = f"0{n}b"
+    text = "".join([format(bits, spec) for bits in reversed(sets)])
+    return [int(text[n - 1 - a :: n], 2) for a in range(n)]
+
+
+def _sliced_round(
+    cols: list[int],
+    sliced: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    ordered: bool,
+) -> list[int]:
+    """One round in every lane.  Simultaneous: every lhs is tested against the
+    input columns.  Ordered: against the columns grown so far, as in one
+    in-order sweep."""
+    out = list(cols)
+    src = out if ordered else cols
+    get = src.__getitem__
+    for lhs, rhs in sliced:
+        fire = reduce(and_, map(get, lhs))
+        if fire:
+            for b in rhs:
+                out[b] |= fire
+    return out
+
+
+def _unclosed_lanes(
+    cols: list[int], sliced: list[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> int:
+    """Lanes where some implication fires but misses part of its rhs."""
+    bad = 0
+    get = cols.__getitem__
+    for lhs, rhs in sliced:
+        fire = reduce(and_, map(get, lhs))
+        if fire:
+            for b in rhs:
+                bad |= fire & ~cols[b]
+    return bad
 
 
 def oracle_closure(x: AttributeSet, basis: Basis) -> AttributeSet:

@@ -28,6 +28,10 @@ class ImplicationSyntaxError(ImplbaseError):
     """An implication or basis file line could not be parsed."""
 
 
+class UnrenderableName(ImplbaseError):
+    """An attribute name the implication text format cannot hold."""
+
+
 class InvalidBasis(ImplbaseError):
     """A basis violates the structural rules of its declared kind."""
 

@@ -24,6 +24,7 @@ from .errors import (
     InvalidBasis,
     UniverseMismatch,
     UnknownAttribute,
+    UnrenderableName,
 )
 
 #: Hard cap on universe width; keeps bit masks and file formats sane.
@@ -499,9 +500,30 @@ def format_implication(impl: Implication) -> str:
     return f"{impl.lhs} {ARROW} {impl.rhs}".rstrip()
 
 
+def _unrenderable_reason(name: str) -> str | None:
+    """Why :func:`parse_basis` would not read ``name`` back, if it would not."""
+    if not name or any(ch.isspace() for ch in name):
+        return "it is empty or holds whitespace, which separates tokens"
+    if ARROW in name:
+        return f"it contains {ARROW!r}"
+    if name.startswith("#"):
+        return "a line starting with it reads as a comment"
+    if name.lower().startswith("universe:"):
+        return "a line starting with it reads as the universe line"
+    return None
+
+
 def render_basis(basis: Basis) -> str:
     """Canonical text form: kind header, prefix length for a dbasis, the
-    universe line, then one implication per line."""
+    universe line, then one implication per line.
+
+    Raises :class:`UnrenderableName` for an attribute name the text form
+    cannot hold, rather than writing a file that reads back differently.
+    """
+    for name in basis.universe.names or ():
+        reason = _unrenderable_reason(name)
+        if reason is not None:
+            raise UnrenderableName(f"cannot write attribute {name!r}: {reason}")
     lines = [f"# kind: {basis.kind.value}"]
     if basis.kind is BasisKind.DBASIS:
         lines.append(f"# sigma0_len: {basis.sigma0_len}")

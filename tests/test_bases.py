@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     EX51_IMP,
@@ -24,13 +26,14 @@ from implbase.bases import (
     is_pseudo_closed,
     verify_direct,
 )
-from implbase.closure import oracle_closure
+from implbase.closure import _fixpoint_bits, oracle_closure
 from implbase.context import Context, context_closure
 from implbase.errors import NotStandardContext, UniverseMismatch
 from implbase.sets import (
     AttributeSet,
     Basis,
     BasisKind,
+    Implication,
     Universe,
     merge_same_lhs,
     read_basis,
@@ -347,3 +350,111 @@ def test_bases_induce_the_same_closed_family():
                 if oracle_closure(AttributeSet(u, bits), basis).bits == bits
             )
             assert got == expected
+
+
+# -- bit-sliced verification against the scalar reference loops ------------------------
+#
+# direct_witness and check_equiv close all their candidate sets at once, one
+# per bit lane.  The loops below close one set at a time and serve as the
+# reference: the same witness set (not only the same yes/no answer) and the
+# same verdict are required.
+
+
+def scalar_round(bits: int, pairs, ordered: bool) -> int:
+    if ordered:
+        for lhs, rhs in pairs:
+            if lhs & bits == lhs:
+                bits |= rhs
+        return bits
+    acc = 0
+    for lhs, rhs in pairs:
+        if lhs & bits == lhs:
+            acc |= rhs
+    return bits | acc
+
+
+def scalar_direct_witness(basis: Basis, exhaustive_limit: int, samples: int, seed: int):
+    n = basis.universe.size
+    pairs = basis.pairs()
+    ordered = basis.kind is BasisKind.DBASIS
+    if n <= exhaustive_limit:
+        candidates = range(1 << n)
+    else:
+        rng = random.Random(seed)
+        candidates = (rng.getrandbits(n) for _ in range(samples))
+    for bits in candidates:
+        if scalar_round(bits, pairs, ordered) != _fixpoint_bits(bits, pairs):
+            return bits
+    return None
+
+
+def scalar_check_equiv(b1: Basis, b2: Basis) -> bool:
+    p1, p2 = b1.pairs(), b2.pairs()
+    return all(not rhs & ~_fixpoint_bits(lhs, p2) for lhs, rhs in p1) and all(
+        not rhs & ~_fixpoint_bits(lhs, p1) for lhs, rhs in p2
+    )
+
+
+def witness_bits(witness: AttributeSet | None) -> int | None:
+    return None if witness is None else witness.bits
+
+
+def retagged_raw(basis: Basis) -> Basis:
+    return Basis(basis.implications, kind=BasisKind.RAW, universe=basis.universe)
+
+
+def without(basis: Basis, drop: int) -> Basis:
+    impls = [impl for i, impl in enumerate(basis) if i != drop]
+    return Basis(impls, kind=BasisKind.RAW, universe=basis.universe)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 8),
+    exhaustive_limit=st.sampled_from([0, 4, 12]),
+    samples=st.sampled_from([0, 1, 300, 2048]),
+    seed=st.integers(0, 2**16),
+    drop=st.integers(0, 2**16),
+)
+def test_sliced_direct_witness_matches_the_scalar_scan(
+    ctx_seed, attributes, exhaustive_limit, samples, seed, drop
+):
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    built = [build(ctx) for build in BUILDERS]
+    bases = built + [retagged_raw(b) for b in built]
+    bases += [without(b, drop % len(b)) for b in built if len(b)]
+    for basis in bases:
+        got = direct_witness(basis, exhaustive_limit, samples, seed)
+        want = scalar_direct_witness(basis, exhaustive_limit, samples, seed)
+        assert witness_bits(got) == want
+
+
+def test_direct_witness_on_the_second_chunk_of_candidates():
+    # the first set one round misses is {m12} = 4096, the first candidate
+    # beyond one full chunk of the exhaustive scan
+    u = Universe(names=[f"m{j}" for j in range(13)])
+    basis = Basis(
+        [
+            Implication(u.subset(["m12"]), u.subset(["m11"])),
+            Implication(u.subset(["m11"]), u.subset(["m10"])),
+        ],
+        universe=u,
+    )
+    assert scalar_direct_witness(basis, 13, 0, 0) == 1 << 12
+    assert witness_bits(direct_witness(basis, 13, 0, 0)) == 1 << 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 8),
+    drop=st.integers(0, 2**16),
+)
+def test_sliced_check_equiv_matches_the_scalar_closures(ctx_seed, attributes, drop):
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    built = [build(ctx) for build in BUILDERS]
+    bases = built + [without(b, drop % len(b)) for b in built if len(b)]
+    for b1 in bases:
+        for b2 in bases:
+            assert check_equiv(b1, b2) == scalar_check_equiv(b1, b2)

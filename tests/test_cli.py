@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import pytest
 
+import implbase
 from conftest import EX51_CXT, EX51_IMP
+from implbase.bases import EXHAUSTIVE_LIMIT, SAMPLES
 from implbase.cli import main
 from implbase.context import parse_cxt, read_cxt
 from implbase.sets import BasisKind, parse_basis, read_basis
@@ -25,6 +28,13 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert re.fullmatch(r"implbase 0\.1\.0\+[0-9a-f]{8}\n", out)
+
+
+def test_package_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    declared = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert declared is not None
+    assert declared.group(1) == implbase.__version__
 
 
 def test_usage_errors_exit_2(capsys):
@@ -128,6 +138,17 @@ def test_bases_malformed_file_reports_class_name(capsys, tmp_path):
     assert err.startswith("error: MalformedCxt:")
 
 
+def test_bases_refuses_names_the_imp_format_cannot_hold(capsys, tmp_path):
+    # ex51 with two attributes renamed; .cxt holds the names, .imp cannot
+    text = EX51_CXT.read_text(encoding="utf-8").replace("\nb\n", "\nhas wings\n")
+    cxt = tmp_path / "names.cxt"
+    cxt.write_text(text.replace("\nc\n", "\nx->y\n"), encoding="utf-8")
+    assert read_cxt(cxt).universe.names == ("a", "has wings", "x->y", "d")
+    code, _, err = run(capsys, "bases", "--in", str(cxt), "--kind", "dbasis")
+    assert code == 1
+    assert err.startswith("error: UnrenderableName:")
+
+
 # -- closure ------------------------------------------------------------------------
 
 
@@ -206,6 +227,20 @@ def test_check_reports_sizes_equivalence_and_directness(capsys):
     assert "direct cdub: yes" in out
     assert "ordered-direct dbasis: yes" in out
     assert "direct dg: no (witness:" in out
+    assert "direct cdub: yes (exhaustive, 16 sets)" in out
+    assert "ordered-direct dbasis: yes (exhaustive, 16 sets)" in out
+    assert "direct dg: no (witness: a d; exhaustive, 16 sets)" in out
+
+
+def test_check_says_when_directness_was_sampled(capsys, tmp_path):
+    target = tmp_path / "wide.cxt"
+    run(capsys, "gen", "--objects", "15", "--attributes", "19", "--seed", "3", "-o", str(target))
+    assert read_cxt(target).universe.size > EXHAUSTIVE_LIMIT
+    code, out, _ = run(capsys, "check", "--in", str(target))
+    assert code == 0
+    scope = f"(sampled, {SAMPLES} sets, seed 0)"
+    assert f"direct cdub: yes {scope}" in out
+    assert f"ordered-direct dbasis: yes {scope}" in out
 
 
 # -- bench and report ----------------------------------------------------------------

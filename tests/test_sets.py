@@ -17,6 +17,7 @@ from implbase.errors import (
     InvalidBasis,
     UniverseMismatch,
     UnknownAttribute,
+    UnrenderableName,
 )
 from implbase.sets import (
     MAX_UNIVERSE_SIZE,
@@ -330,6 +331,53 @@ def test_render_parse_round_trip_for_each_kind():
     for basis in (raw, cdub, dbasis, dg):
         again = parse_basis(render_basis(basis))
         assert again == basis
+
+
+def test_render_refuses_names_the_text_form_cannot_hold():
+    for bad in ("has wings", "x->y", "#tag", "", "tab\there", "Universe:x"):
+        u = Universe(names=["a", bad, "c"])
+        basis = Basis([Implication(u.subset([0]), u.subset([1]))], universe=u)
+        with pytest.raises(UnrenderableName):
+            render_basis(basis)
+
+
+def _basis_over(names: list[str], draw) -> Basis:
+    u = Universe(names=names)
+    full = u.mask
+    impls = [
+        Implication(
+            AttributeSet(u, draw(st.integers(1, full))),
+            AttributeSet(u, draw(st.integers(0, full))),
+        )
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    return Basis(impls, universe=u)
+
+
+@given(st.lists(st.text(max_size=6), min_size=1, max_size=5, unique=True), st.data())
+def test_render_round_trips_or_refuses_any_names(names, data):
+    basis = _basis_over(names, data.draw)
+    try:
+        text = render_basis(basis)
+    except UnrenderableName:
+        return
+    assert parse_basis(text) == basis
+
+
+@given(
+    st.lists(
+        st.text(alphabet="ab#:->_xy", min_size=1, max_size=4).filter(
+            lambda name: "->" not in name and not name.startswith("#")
+        ),
+        min_size=1,
+        max_size=5,
+        unique=True,
+    ),
+    st.data(),
+)
+def test_render_keeps_names_the_text_form_can_hold(names, data):
+    basis = _basis_over(names, data.draw)
+    assert parse_basis(render_basis(basis)) == basis
 
 
 def test_parse_basis_headers_and_universe_line():
