@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from operator import or_
 
 from .closure import (
     _fixpoint_bits,
@@ -71,38 +73,36 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     """All inclusion-minimal bit sets hitting every edge.
 
     An empty edge admits no transversal; an empty family is hit by the empty
-    set.  Classic incremental construction: extend the running antichain one
-    edge at a time and keep only minimal elements.
+    set.  The antichain ``trans`` of minimal transversals takes one edge at a
+    time, smallest first: an empty edge empties it at once, and an edge that
+    contains an earlier one is already hit by every set.  The sets that
+    ``hit`` the edge stay; each ``t`` that misses it yields ``t | low`` per
+    attribute ``low`` of the edge, unless some ``h`` in ``hit`` lies inside.
+    As ``t`` misses the edge, that needs ``low`` in ``h`` and reads
+    ``h ^ low <= t``: only the ``own`` sets test.
+
+    No minimality filter follows.  ``t1 | l1 <= t2 | l2`` gives ``t1 <= t2``
+    (``l2`` is in the edge, so not in ``t1``), hence ``t1 == t2`` in the
+    antichain and then ``l1 == l2``: the candidates are distinct and pairwise
+    incomparable.  Nor does a ``hit`` set contain one, since
+    ``t | low <= h`` would put ``t`` strictly inside ``h``.
     """
-    if any(edge == 0 for edge in edges):
-        return []
-    unique = sorted(set(edges), key=int.bit_count)
-    kept: list[int] = []
-    for edge in unique:
-        if not any(prev & edge == prev for prev in kept):
-            kept.append(edge)
     trans: list[int] = [0]
-    for edge in kept:
+    for edge in sorted(set(edges), key=int.bit_count):
         hit: list[int] = []
         miss: list[int] = []
         for t in trans:
             (hit if t & edge else miss).append(t)
         if not miss:
             continue
-        candidates: set[int] = set()
-        for t in miss:
-            rest = edge
-            while rest:
-                low = rest & -rest
-                candidates.add(t | low)
-                rest ^= low
-        fresh = [c for c in candidates if not any(h & c == h for h in hit)]
-        fresh.sort(key=int.bit_count)
-        minimal: list[int] = []
-        for c in fresh:
-            if not any(m & c == m for m in minimal):
-                minimal.append(c)
-        trans = hit + minimal
+        fresh: list[int] = []
+        rest = edge
+        while rest:
+            low = rest & -rest
+            own = [h ^ low for h in hit if h & low]
+            fresh.extend(t | low for t in miss if not any(o & t == o for o in own))
+            rest ^= low
+        trans = hit + fresh
     return trans
 
 
@@ -177,7 +177,13 @@ def build_dbasis(ctx: Context) -> Basis:
     tail_units: list[tuple[int, int]] = []
     for c in range(n):
         plist = premises[c]
-        for lhs in plist:
+        if not plist:
+            continue
+        # Bit i of a column says premise i holds that attribute, so the
+        # premises inside ``reach`` are those that no outside column marks.
+        columns = [(1 << a, col) for a, col in enumerate(_transpose_bits(plist, n))]
+        everyone = (1 << len(plist)) - 1
+        for i, lhs in enumerate(plist):
             if lhs.bit_count() < 2:
                 continue
             reach = 0
@@ -188,7 +194,8 @@ def build_dbasis(ctx: Context) -> Basis:
                 rest ^= low
             if reach >> c & 1:
                 continue
-            if any(other != lhs and other & reach == other for other in plist):
+            outside = reduce(or_, [col for bit, col in columns if not reach & bit], 0)
+            if everyone & ~outside & ~(1 << i):
                 continue
             tail_units.append((lhs, c))
     tail_units.sort(key=lambda unit: (lectic_key(unit[0], n), unit[1]))
@@ -206,18 +213,6 @@ def build_dbasis(ctx: Context) -> Basis:
     )
 
 
-def _list_close(bits: int, impls: list[tuple[int, int]]) -> int:
-    """Smallest superset closed under the given implication list."""
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in impls:
-            if lhs & bits == lhs and rhs & ~bits:
-                bits |= rhs
-                changed = True
-    return bits
-
-
 def _next_list_closed(bits: int, n: int, impls: list[tuple[int, int]]) -> int:
     """Lectically next set closed under the implication list."""
     for i in range(n - 1, -1, -1):
@@ -226,7 +221,7 @@ def _next_list_closed(bits: int, n: int, impls: list[tuple[int, int]]) -> int:
             bits &= ~bit
         else:
             prefix = bit - 1
-            candidate = _list_close((bits & prefix) | bit, impls)
+            candidate = _fixpoint_bits((bits & prefix) | bit, impls)
             if candidate & prefix == bits & prefix:
                 return candidate
     raise RuntimeError("no lectic successor; the full set should have ended the walk")

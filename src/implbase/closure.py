@@ -111,7 +111,7 @@ def pass_once(x: AttributeSet, basis: Basis) -> AttributeSet:
     return AttributeSet(x.universe, bits | acc)
 
 
-def _fixpoint_bits(bits: int, pairs: tuple[tuple[int, int], ...]) -> int:
+def _fixpoint_bits(bits: int, pairs: Sequence[tuple[int, int]]) -> int:
     """Iterate simultaneous rounds until nothing changes."""
     while True:
         acc = 0

@@ -515,22 +515,33 @@ def _unrenderable_reason(name: str) -> str | None:
 
 def render_basis(basis: Basis) -> str:
     """Canonical text form: kind header, prefix length for a dbasis, the
-    universe line, then one implication per line.
+    universe line (``# size: n`` for an unnamed universe, whose attributes
+    are written as decimal positions), then one implication per line.
 
     Raises :class:`UnrenderableName` for an attribute name the text form
     cannot hold, rather than writing a file that reads back differently.
     """
-    for name in basis.universe.names or ():
+    universe = basis.universe
+    for name in universe.names or ():
         reason = _unrenderable_reason(name)
         if reason is not None:
             raise UnrenderableName(f"cannot write attribute {name!r}: {reason}")
     lines = [f"# kind: {basis.kind.value}"]
     if basis.kind is BasisKind.DBASIS:
         lines.append(f"# sigma0_len: {basis.sigma0_len}")
-    labels = " ".join(basis.universe.label(i) for i in range(basis.universe.size))
-    lines.append(f"universe: {labels}")
+    if universe.names is None:
+        lines.append(f"# size: {universe.size}")
+    else:
+        lines.append(f"universe: {' '.join(universe.names)}")
     lines.extend(format_implication(impl) for impl in basis.implications)
     return "\n".join(lines) + "\n"
+
+
+def _declare(declared: Universe, expected: Universe | None) -> Universe:
+    """The universe a header declares, if it agrees with the expected one."""
+    if expected is not None and expected != declared:
+        raise UniverseMismatch("declared universe differs from the expected one")
+    return declared
 
 
 def parse_basis(text: str, universe: Universe | None = None) -> Basis:
@@ -538,9 +549,10 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
 
     ``# kind:`` and ``# sigma0_len:`` comments are honoured; other comments
     and blank lines are ignored.  A leading ``universe:`` line fixes the
-    alphabet; without one (and without an explicit ``universe`` argument) the
-    alphabet is inferred from the tokens in order of first appearance, and
-    every token is then treated as a name.
+    alphabet, and a ``# size: n`` comment fixes the unnamed universe of
+    ``n`` positions; without either (and without an explicit ``universe``
+    argument) the alphabet is inferred from the tokens in order of first
+    appearance, and every token is then treated as a name.
     """
     kind = BasisKind.RAW
     sigma0_len = 0
@@ -563,15 +575,18 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
                 if not value.isdigit():
                     raise ImplicationSyntaxError(f"bad sigma0_len {value!r}")
                 sigma0_len = int(value)
+            elif key == "size" and value:
+                try:
+                    declared = Universe(size=int(value))
+                except ValueError as exc:
+                    raise ImplicationSyntaxError(f"bad size {value!r}") from exc
+                universe = _declare(declared, universe)
             continue
         if line.lower().startswith("universe:"):
             names = line.partition(":")[2].split()
             if not names:
                 raise ImplicationSyntaxError("empty universe line")
-            declared = Universe(names=names)
-            if universe is not None and universe != declared:
-                raise UniverseMismatch("declared universe differs from the expected one")
-            universe = declared
+            universe = _declare(Universe(names=names), universe)
             continue
         body.append(line)
     if universe is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     random_standard_context,
 )
 from implbase.bases import (
+    _minimal_transversals,
     build_cdub,
     build_dbasis,
     build_dg,
@@ -458,3 +459,44 @@ def test_sliced_check_equiv_matches_the_scalar_closures(ctx_seed, attributes, dr
     for b1 in bases:
         for b2 in bases:
             assert check_equiv(b1, b2) == scalar_check_equiv(b1, b2)
+
+
+# -- minimal transversals against brute force ---------------------------------------
+
+
+def brute_minimal_transversals(edges: list[int], n: int) -> set[int]:
+    """Every set over ``n`` attributes that hits each edge and stops doing so
+    when any one of its attributes is removed."""
+
+    def hits(s: int) -> bool:
+        return all(s & edge for edge in edges)
+
+    return {
+        s
+        for s in range(1 << n)
+        if hits(s) and not any(hits(s & ~(1 << a)) for a in range(n) if s >> a & 1)
+    }
+
+
+@st.composite
+def edge_families(draw) -> list[int]:
+    """Up to 8 edges over 8 attributes, then up to 3 duplicates or supersets
+    of them inserted at drawn positions."""
+    edges = draw(st.lists(st.integers(0, 255), max_size=8))
+    for _ in range(draw(st.integers(0, 3)) if edges else 0):
+        edge = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), edge | draw(st.integers(0, 255)))
+    return edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_families())
+@example([])
+@example([0])
+@example([0b0110, 0])
+@example([0b0011, 0b0011, 0b0111, 0b1000])
+def test_minimal_transversals_match_brute_force(edges):
+    got = _minimal_transversals(edges)
+    assert set(got) == brute_minimal_transversals(edges, 8)
+    assert len(got) == len(set(got))
+    assert not any(a != b and a & b == a for a in got for b in got)

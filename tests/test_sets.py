@@ -380,6 +380,37 @@ def test_render_keeps_names_the_text_form_can_hold(names, data):
     assert parse_basis(render_basis(basis)) == basis
 
 
+@given(st.integers(1, 12), st.data())
+def test_render_round_trips_an_unnamed_universe(size, data):
+    u = Universe(size=size)
+    impls = [
+        Implication(
+            AttributeSet(u, data.draw(st.integers(1, u.mask))),
+            AttributeSet(u, data.draw(st.integers(0, u.mask))),
+        )
+        for _ in range(data.draw(st.integers(0, 4)))
+    ]
+    units = [impl for impl in impls if len(impl.lhs) == 1]
+    wide = [impl for impl in impls if len(impl.lhs) > 1]
+    bases = [
+        Basis(impls, universe=u),
+        Basis(units + wide, kind=BasisKind.DBASIS, sigma0_len=len(units), universe=u),
+    ]
+    if len({impl.lhs.bits for impl in impls}) == len(impls):
+        bases += [Basis(impls, kind=kind, universe=u) for kind in (BasisKind.CDUB, BasisKind.DG)]
+    for basis in bases:
+        assert parse_basis(render_basis(basis)) == basis
+
+
+def test_unnamed_universe_is_written_as_its_size():
+    u = Universe(size=3)
+    text = render_basis(Basis([Implication(u.subset([0]), u.subset([1, 2]))], universe=u))
+    assert text == "# kind: raw\n# size: 3\n0 -> 1 2\n"
+    assert parse_basis(text, universe=u).universe == u
+    with pytest.raises(UniverseMismatch):
+        parse_basis(text, universe=Universe(size=4))
+
+
 def test_parse_basis_headers_and_universe_line():
     text = "# kind: dbasis\n# sigma0_len: 1\nuniverse: a b c d\nd -> c\nb c -> a d\n"
     basis = parse_basis(text)
@@ -410,6 +441,9 @@ def test_parse_basis_errors():
         parse_basis("# sigma0_len: soon\nuniverse: a b\na -> b\n")
     with pytest.raises(ImplicationSyntaxError):
         parse_basis("universe:\na -> b\n")
+    for size in ("zero", "0", str(MAX_UNIVERSE_SIZE + 1)):
+        with pytest.raises(ImplicationSyntaxError):
+            parse_basis(f"# size: {size}\n0 -> 1\n")
     with pytest.raises(ImplicationSyntaxError):
         parse_basis("")
 
