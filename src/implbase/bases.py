@@ -25,27 +25,25 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import or_
+from typing import Callable
 
-from .closure import (
-    _fixpoint_bits,
-    _slice_pairs,
-    _sliced_round,
-    _transpose_bits,
-    _unclosed_lanes,
+from .bits import (
+    Sliced,
+    bit_indices,
+    fixpoint_bits,
+    slice_pairs,
+    sliced_round,
+    spread,
+    transpose_bits,
+    unclosed_lanes,
 )
 from .context import Context, require_standard
 from .errors import UniverseMismatch
-from .sets import (
-    AttributeSet,
-    Basis,
-    BasisKind,
-    Implication,
-    _merge_pairs,
-    lectic_key,
-)
+from .sets import AttributeSet, Basis, BasisKind, _implications, _merge_pairs, lectic_key
 
 __all__ = [
     "PseudoClosedWitness",
+    "BUILDERS",
     "build_cdub",
     "build_dbasis",
     "build_dg",
@@ -137,13 +135,15 @@ def build_cdub(ctx: Context) -> Basis:
     """
     require_standard(ctx)
     universe = ctx.universe
+    n = universe.size
     premises = _proper_premises(ctx)
-    units: list[Implication] = []
-    for m in range(universe.size):
-        target = AttributeSet(universe, 1 << m)
-        for lhs_bits in sorted(premises[m], key=lambda b: lectic_key(b, universe.size)):
-            units.append(Implication(AttributeSet(universe, lhs_bits), target))
-    return Basis(_merge_pairs(units), kind=BasisKind.CDUB, universe=universe)
+    units = [
+        (lhs, 1 << m)
+        for m in range(n)
+        for lhs in sorted(premises[m], key=lambda b: lectic_key(b, n))
+    ]
+    merged = _implications(universe, _merge_pairs(units))
+    return Basis(merged, kind=BasisKind.CDUB, universe=universe)
 
 
 def build_dbasis(ctx: Context) -> Basis:
@@ -161,37 +161,23 @@ def build_dbasis(ctx: Context) -> Basis:
     universe = ctx.universe
     n = universe.size
     single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
-    prefix: list[Implication] = []
-    for a in range(n):
-        implied = single_closures[a] & ~(1 << a)
-        while implied:
-            low = implied & -implied
-            prefix.append(
-                Implication(
-                    AttributeSet(universe, 1 << a),
-                    AttributeSet(universe, low),
-                )
-            )
-            implied ^= low
+    prefix = [
+        (1 << a, 1 << c)
+        for a in range(n)
+        for c in bit_indices(single_closures[a] & ~(1 << a))
+    ]
     premises = _proper_premises(ctx)
     tail_units: list[tuple[int, int]] = []
     for c in range(n):
         plist = premises[c]
-        if not plist:
-            continue
         # Bit i of a column says premise i holds that attribute, so the
         # premises inside ``reach`` are those that no outside column marks.
-        columns = [(1 << a, col) for a, col in enumerate(_transpose_bits(plist, n))]
+        columns = [(1 << a, col) for a, col in enumerate(transpose_bits(plist, n))]
         everyone = (1 << len(plist)) - 1
         for i, lhs in enumerate(plist):
             if lhs.bit_count() < 2:
                 continue
-            reach = 0
-            rest = lhs
-            while rest:
-                low = rest & -rest
-                reach |= single_closures[low.bit_length() - 1]
-                rest ^= low
+            reach = spread(lhs, single_closures)
             if reach >> c & 1:
                 continue
             outside = reduce(or_, [col for bit, col in columns if not reach & bit], 0)
@@ -199,14 +185,9 @@ def build_dbasis(ctx: Context) -> Basis:
                 continue
             tail_units.append((lhs, c))
     tail_units.sort(key=lambda unit: (lectic_key(unit[0], n), unit[1]))
-    tail = _merge_pairs(
-        [
-            Implication(AttributeSet(universe, lhs), AttributeSet(universe, 1 << c))
-            for lhs, c in tail_units
-        ]
-    )
+    tail = _merge_pairs([(lhs, 1 << c) for lhs, c in tail_units])
     return Basis(
-        prefix + tail,
+        _implications(universe, prefix + tail),
         kind=BasisKind.DBASIS,
         sigma0_len=len(prefix),
         universe=universe,
@@ -221,7 +202,7 @@ def _next_list_closed(bits: int, n: int, impls: list[tuple[int, int]]) -> int:
             bits &= ~bit
         else:
             prefix = bit - 1
-            candidate = _fixpoint_bits((bits & prefix) | bit, impls)
+            candidate = fixpoint_bits((bits & prefix) | bit, impls)
             if candidate & prefix == bits & prefix:
                 return candidate
     raise RuntimeError("no lectic successor; the full set should have ended the walk")
@@ -247,16 +228,18 @@ def build_dg(ctx: Context) -> Basis:
             found.append((bits, closed))
         bits = _next_list_closed(bits, universe.size, found)
     return Basis(
-        [
-            Implication(
-                AttributeSet(universe, p),
-                AttributeSet(universe, c & ~p),
-            )
-            for p, c in found
-        ],
+        _implications(universe, [(p, c & ~p) for p, c in found]),
         kind=BasisKind.DG,
         universe=universe,
     )
+
+
+#: Every builder by the kind it makes, in the order the command line lists them.
+BUILDERS: dict[BasisKind, Callable[[Context], Basis]] = {
+    BasisKind.CDUB: build_cdub,
+    BasisKind.DBASIS: build_dbasis,
+    BasisKind.DG: build_dg,
+}
 
 
 # -- predicates ---------------------------------------------------------------
@@ -289,7 +272,7 @@ def _pseudo_closed_family(
     submasks.sort(key=int.bit_count)
     family: list[tuple[int, int]] = []
     for s in submasks:
-        closed = _fixpoint_bits(s, pairs)
+        closed = fixpoint_bits(s, pairs)
         if closed == s:
             continue
         ok = True
@@ -312,7 +295,7 @@ def is_pseudo_closed(x: AttributeSet, basis: Basis) -> bool:
     if x.universe != basis.universe:
         raise UniverseMismatch("set universe differs from basis universe")
     pairs = basis.pairs()
-    if _fixpoint_bits(x.bits, pairs) == x.bits:
+    if fixpoint_bits(x.bits, pairs) == x.bits:
         return False
     family = _pseudo_closed_family(x.bits, pairs)
     return any(p == x.bits for p, _ in family)
@@ -335,7 +318,7 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
 
 def _entails(
     pairs: tuple[tuple[int, int], ...],
-    other: list[tuple[tuple[int, ...], tuple[int, ...]]],
+    other: Sliced,
     n: int,
 ) -> bool:
     """Does each implication of ``pairs`` follow from the sliced ``other``?
@@ -343,14 +326,12 @@ def _entails(
     Every lhs takes one lane; simultaneous rounds under ``other`` grow all of
     them together until each rhs is contained or the columns stop changing.
     """
-    if not pairs:
-        return True
-    cols = _transpose_bits([lhs for lhs, _ in pairs], n)
-    need = _transpose_bits([rhs for _, rhs in pairs], n)
+    cols = transpose_bits([lhs for lhs, _ in pairs], n)
+    need = transpose_bits([rhs for _, rhs in pairs], n)
     while True:
         if not any(w & ~c for w, c in zip(need, cols)):
             return True
-        grown = _sliced_round(cols, other, ordered=False)
+        grown = sliced_round(cols, other, ordered=False)
         if grown == cols:
             return False
         cols = grown
@@ -366,7 +347,7 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
         raise UniverseMismatch("bases live in different universes")
     n = b1.universe.size
     p1, p2 = b1.pairs(), b2.pairs()
-    return _entails(p1, _slice_pairs(p2), n) and _entails(p2, _slice_pairs(p1), n)
+    return _entails(p1, slice_pairs(p2), n) and _entails(p2, slice_pairs(p1), n)
 
 
 def direct_witness(
@@ -385,7 +366,7 @@ def direct_witness(
     its result is closed, because the closure is the least closed superset.
     """
     n = basis.universe.size
-    sliced = _slice_pairs(basis.pairs())
+    sliced = slice_pairs(basis.pairs())
     ordered = basis.kind is BasisKind.DBASIS
     if n <= exhaustive_limit:
         candidates = iter(range(1 << n))
@@ -393,8 +374,8 @@ def direct_witness(
         rng = random.Random(seed)
         candidates = (rng.getrandbits(n) for _ in range(samples))
     while chunk := list(islice(candidates, _LANES)):
-        once = _sliced_round(_transpose_bits(chunk, n), sliced, ordered)
-        bad = _unclosed_lanes(once, sliced)
+        once = sliced_round(transpose_bits(chunk, n), sliced, ordered)
+        bad = unclosed_lanes(once, sliced)
         if bad:
             return AttributeSet(basis.universe, chunk[(bad & -bad).bit_length() - 1])
     return None

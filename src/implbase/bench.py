@@ -23,7 +23,7 @@ from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
-from . import bases as bases_mod
+from .bases import BUILDERS
 from .closure import (
     ClosureResult,
     Metrics,
@@ -173,11 +173,7 @@ def _draw_queries(
 
 def _bases_from(source: Context | Mapping[BasisKind, Basis]) -> dict[BasisKind, Basis]:
     if isinstance(source, Context):
-        return {
-            BasisKind.CDUB: bases_mod.build_cdub(source),
-            BasisKind.DBASIS: bases_mod.build_dbasis(source),
-            BasisKind.DG: bases_mod.build_dg(source),
-        }
+        return {kind: build(source) for kind, build in BUILDERS.items()}
     return {BasisKind(kind): basis for kind, basis in source.items()}
 
 

@@ -1,0 +1,140 @@
+"""Raw-bit kernels shared by the rest of the package.
+
+An attribute set is a plain int whose bit ``i`` stands for attribute ``i``,
+and an implication is a ``(lhs, rhs)`` pair of such ints.  Everything here
+works on those raw values only and imports nothing from the package, so every
+other module can build on it without an import cycle.
+
+The bit-sliced kernels process many sets at once by storing them column-wise:
+one int per attribute, whose bit ``q`` (lane ``q``) is set iff set ``q``
+holds that attribute.  An implication then fires in every lane at once: its
+fire mask is the AND of its lhs columns, and that mask is ORed into its rhs
+columns.  Sliced pairs list attribute indices instead of bits; left-hand
+sides are never empty, so every AND has a first operand.
+"""
+
+from __future__ import annotations
+
+from functools import reduce, wraps
+from operator import and_
+from typing import Callable, Sequence, TypeVar
+
+__all__ = [
+    "Sliced",
+    "bit_indices",
+    "spread",
+    "round_bits",
+    "fixpoint_bits",
+    "transpose_bits",
+    "slice_pairs",
+    "sliced_round",
+    "unclosed_lanes",
+    "memo",
+]
+
+Pairs = Sequence[tuple[int, int]]
+#: Implications as ``(lhs indices, rhs indices)`` for the sliced kernels.
+Sliced = list[tuple[tuple[int, ...], tuple[int, ...]]]
+T = TypeVar("T")
+
+
+def bit_indices(bits: int) -> tuple[int, ...]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def spread(bits: int, table: Sequence[int]) -> int:
+    """OR of ``table[i]`` over the set bits ``i``; 0 for no bits."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc |= table[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
+def round_bits(bits: int, pairs: Pairs) -> int:
+    """One simultaneous round: add the rhs of every implication whose lhs is
+    contained in the *input*; additions never enable further firings within
+    the same round."""
+    acc = bits
+    for lhs, rhs in pairs:
+        if lhs & bits == lhs:
+            acc |= rhs
+    return acc
+
+
+def fixpoint_bits(bits: int, pairs: Pairs) -> int:
+    """Iterate simultaneous rounds until nothing changes."""
+    while True:
+        nxt = round_bits(bits, pairs)
+        if nxt == bits:
+            return bits
+        bits = nxt
+
+
+def transpose_bits(sets: Sequence[int], n: int) -> list[int]:
+    """Columns of a list of ``n``-attribute sets, set ``q`` in lane ``q``.
+
+    One binary string per set, written last set first, so that the strided
+    slice of attribute ``a`` reads as an int with set 0 in its lowest bit.
+    No sets give ``n`` empty columns.
+    """
+    if not sets:
+        return [0] * n
+    spec = f"0{n}b"
+    text = "".join([format(bits, spec) for bits in reversed(sets)])
+    return [int(text[n - 1 - a :: n], 2) for a in range(n)]
+
+
+def slice_pairs(pairs: Pairs) -> Sliced:
+    """Implications as ``(lhs indices, rhs indices)`` for the sliced kernels."""
+    return [(bit_indices(lhs), bit_indices(rhs)) for lhs, rhs in pairs]
+
+
+def sliced_round(cols: list[int], sliced: Sliced, ordered: bool) -> list[int]:
+    """One round in every lane.  Simultaneous: every lhs is tested against the
+    input columns.  Ordered: against the columns grown so far, as in one
+    in-order sweep."""
+    out = list(cols)
+    src = out if ordered else cols
+    get = src.__getitem__
+    for lhs, rhs in sliced:
+        fire = reduce(and_, map(get, lhs))
+        if fire:
+            for b in rhs:
+                out[b] |= fire
+    return out
+
+
+def unclosed_lanes(cols: list[int], sliced: Sliced) -> int:
+    """Lanes where some implication fires but misses part of its rhs."""
+    bad = 0
+    get = cols.__getitem__
+    for lhs, rhs in sliced:
+        fire = reduce(and_, map(get, lhs))
+        if fire:
+            for b in rhs:
+                bad |= fire & ~cols[b]
+    return bad
+
+
+def memo(method: Callable[[object], T]) -> Callable[[object], T]:
+    """Keep an argument-less method's result in the instance's ``_cache``
+    dict, under the method's name, from its first call on.  The result must
+    never be ``None``."""
+    key = method.__name__
+
+    @wraps(method)
+    def cached(self):
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = method(self)
+        return got
+
+    return cached

@@ -23,15 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bases import (
-    EXHAUSTIVE_LIMIT,
-    SAMPLES,
-    build_cdub,
-    build_dbasis,
-    build_dg,
-    check_equiv,
-    direct_witness,
-)
+from .bases import BUILDERS, EXHAUSTIVE_LIMIT, SAMPLES, check_equiv, direct_witness
 from .bench import (
     ALGORITHMS,
     METRIC_NAMES,
@@ -48,9 +40,7 @@ from .bench import (
 from .closure import _DIRECT_KINDS, oracle_closure
 from .context import gen_synthetic, read_cxt, render_cxt, write_cxt
 from .errors import ImplbaseError, InvalidCombo, IoError
-from .sets import AttributeSet, read_basis, render_basis, write_basis
-
-_BUILDERS = {"cdub": build_cdub, "dbasis": build_dbasis, "dg": build_dg}
+from .sets import AttributeSet, BasisKind, read_basis, render_basis, write_basis
 
 
 def _source_hash() -> str:
@@ -106,14 +96,14 @@ def cmd_bases(args: argparse.Namespace) -> int:
     if args.kind == "all":
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for kind, build in _BUILDERS.items():
+        for kind, build in BUILDERS.items():
             basis = build(ctx)
-            _note(args, f"{kind}: {len(basis)} implications")
-            target = outdir / f"{kind}.imp"
+            _note(args, f"{kind.value}: {len(basis)} implications")
+            target = outdir / f"{kind.value}.imp"
             write_basis(basis, target)
             print(f"wrote {target}")
         return 0
-    basis = _BUILDERS[args.kind](ctx)
+    basis = BUILDERS[BasisKind(args.kind)](ctx)
     _note(args, f"{args.kind}: {len(basis)} implications")
     if args.out is not None:
         write_basis(basis, args.out)
@@ -148,7 +138,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     ctx = read_cxt(args.context)
-    named = [(kind, build(ctx)) for kind, build in _BUILDERS.items()]
+    named = [(kind.value, build(ctx)) for kind, build in BUILDERS.items()]
     universe = ctx.universe
     labels = " ".join(universe.label(i) for i in range(universe.size))
     print(f"universe: {labels} ({universe.size} attributes)")
@@ -254,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bases", help="build implication bases from a context")
     p.add_argument("--in", dest="context", type=Path, required=True, help="a .cxt file")
-    p.add_argument("--kind", choices=["cdub", "dbasis", "dg", "all"], default="all")
+    kinds = [kind.value for kind in BUILDERS]
+    p.add_argument("--kind", choices=[*kinds, "all"], default="all")
     p.add_argument(
         "-o",
         "--out",

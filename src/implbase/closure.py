@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_
 from typing import Sequence
 
+from .bits import fixpoint_bits, round_bits, spread
 from .errors import UniverseMismatch, WrongBasisKind
 from .sets import AttributeSet, Basis, BasisKind, Implication
 
@@ -103,95 +102,7 @@ def pass_once(x: AttributeSet, basis: Basis) -> AttributeSet:
     contained in the *input*; additions never enable further firings within
     the same round."""
     _check(x, basis)
-    bits = x.bits
-    acc = 0
-    for lhs, rhs in basis.pairs():
-        if lhs & bits == lhs:
-            acc |= rhs
-    return AttributeSet(x.universe, bits | acc)
-
-
-def _fixpoint_bits(bits: int, pairs: Sequence[tuple[int, int]]) -> int:
-    """Iterate simultaneous rounds until nothing changes."""
-    while True:
-        acc = 0
-        for lhs, rhs in pairs:
-            if lhs & bits == lhs:
-                acc |= rhs
-        nxt = bits | acc
-        if nxt == bits:
-            return bits
-        bits = nxt
-
-
-# -- bit-sliced kernels ---------------------------------------------------------
-#
-# Many attribute sets are processed at once by storing them column-wise: one
-# int per attribute, whose bit ``q`` (lane ``q``) is set iff set ``q`` holds
-# that attribute.  An implication then fires in every lane at once: its fire
-# mask is the AND of its lhs columns, and that mask is ORed into its rhs
-# columns.  Sliced pairs list attribute indices instead of bits; left-hand
-# sides are never empty, so every AND has a first operand.
-
-
-def _slice_pairs(
-    pairs: tuple[tuple[int, int], ...],
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Implications as ``(lhs indices, rhs indices)`` for the sliced kernels."""
-    return [(_bit_indices(lhs), _bit_indices(rhs)) for lhs, rhs in pairs]
-
-
-def _bit_indices(bits: int) -> tuple[int, ...]:
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
-
-
-def _transpose_bits(sets: Sequence[int], n: int) -> list[int]:
-    """Columns of a non-empty list of ``n``-attribute sets, set ``q`` in lane ``q``.
-
-    One binary string per set, written last set first, so that the strided
-    slice of attribute ``a`` reads as an int with set 0 in its lowest bit.
-    """
-    spec = f"0{n}b"
-    text = "".join([format(bits, spec) for bits in reversed(sets)])
-    return [int(text[n - 1 - a :: n], 2) for a in range(n)]
-
-
-def _sliced_round(
-    cols: list[int],
-    sliced: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    ordered: bool,
-) -> list[int]:
-    """One round in every lane.  Simultaneous: every lhs is tested against the
-    input columns.  Ordered: against the columns grown so far, as in one
-    in-order sweep."""
-    out = list(cols)
-    src = out if ordered else cols
-    get = src.__getitem__
-    for lhs, rhs in sliced:
-        fire = reduce(and_, map(get, lhs))
-        if fire:
-            for b in rhs:
-                out[b] |= fire
-    return out
-
-
-def _unclosed_lanes(
-    cols: list[int], sliced: list[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> int:
-    """Lanes where some implication fires but misses part of its rhs."""
-    bad = 0
-    get = cols.__getitem__
-    for lhs, rhs in sliced:
-        fire = reduce(and_, map(get, lhs))
-        if fire:
-            for b in rhs:
-                bad |= fire & ~cols[b]
-    return bad
+    return AttributeSet(x.universe, round_bits(x.bits, basis.pairs()))
 
 
 def oracle_closure(x: AttributeSet, basis: Basis) -> AttributeSet:
@@ -200,7 +111,7 @@ def oracle_closure(x: AttributeSet, basis: Basis) -> AttributeSet:
     Terminates after at most ``|universe|`` growing rounds plus one check.
     """
     _check(x, basis)
-    return AttributeSet(x.universe, _fixpoint_bits(x.bits, basis.pairs()))
+    return AttributeSet(x.universe, fixpoint_bits(x.bits, basis.pairs()))
 
 
 def binary_closure(x: AttributeSet, basis: Basis) -> AttributeSet:
@@ -213,15 +124,7 @@ def binary_closure(x: AttributeSet, basis: Basis) -> AttributeSet:
     _check(x, basis)
     if basis.kind is not BasisKind.DBASIS:
         raise WrongBasisKind("the binary prefix is only defined for a dbasis")
-    reach = basis.binary_reach()
-    bits = x.bits
-    out = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        out |= reach[low.bit_length() - 1]
-        rest ^= low
-    return AttributeSet(x.universe, out | bits)
+    return AttributeSet(x.universe, spread(x.bits, basis.binary_reach()) | x.bits)
 
 
 def _seed_bits(x: AttributeSet, basis: Basis, pre_close: bool) -> int:
@@ -312,6 +215,25 @@ def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     )
 
 
+def _wild_round(
+    bits: int,
+    alive: int,
+    pairs: Sequence[tuple[int, int]],
+    masks: Sequence[int],
+    full: int,
+) -> tuple[int, int]:
+    """One Wild pass: every ``alive`` implication whose lhs avoids the
+    complement of ``bits`` fires.  Returns the grown bits and the fire mask;
+    the caller charges one difference plus one union per fired implication."""
+    fire = alive & ~spread(full & ~bits, masks)
+    rest = fire
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        bits |= pairs[low.bit_length() - 1][1]
+    return bits, fire
+
+
 def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     """Per pass, fire *every* implication whose lhs avoids the complement of
     the current set, then keep only the untouched implications for the next
@@ -324,29 +246,16 @@ def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     bits = x.bits
     start = time.perf_counter_ns()
     alive = (1 << len(pairs)) - 1
-    stable = False
-    while not stable:
+    while True:
         outer += 1
-        stable = True
-        missing = full & ~bits
-        ops += 1  # difference
-        untouched = 0
-        rest = missing
-        while rest:
-            low = rest & -rest
-            untouched |= masks[low.bit_length() - 1]
-            rest ^= low
-        fire = alive & ~untouched
-        rest = fire
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            inner += 1
-            deps += 1
-            bits |= pairs[low.bit_length() - 1][1]
-            ops += 1  # union
-            stable = False
-        alive &= untouched
+        bits, fire = _wild_round(bits, alive, pairs, masks, full)
+        fired = fire.bit_count()
+        deps += fired
+        inner += fired
+        ops += 1 + fired
+        if not fire:
+            break
+        alive ^= fire
     elapsed = time.perf_counter_ns() - start
     return ClosureResult(
         AttributeSet(x.universe, bits),
@@ -441,30 +350,13 @@ def wild_closure_direct(
     masks = basis.attr_masks()
     full = x.universe.mask
     seed = _seed_bits(x, basis, pre_close)
-    deps = ops = inner = 0
-    bits = seed
     start = time.perf_counter_ns()
-    missing = full & ~bits
-    ops += 1  # difference
-    untouched = 0
-    rest = missing
-    while rest:
-        low = rest & -rest
-        untouched |= masks[low.bit_length() - 1]
-        rest ^= low
-    fire = ((1 << len(pairs)) - 1) & ~untouched
-    rest = fire
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        inner += 1
-        deps += 1
-        bits |= pairs[low.bit_length() - 1][1]
-        ops += 1  # union
+    bits, fire = _wild_round(seed, (1 << len(pairs)) - 1, pairs, masks, full)
+    fired = fire.bit_count()
     elapsed = time.perf_counter_ns() - start
     return ClosureResult(
         AttributeSet(x.universe, bits),
-        Metrics(deps, ops, inner, 1, elapsed),
+        Metrics(fired, 1 + fired, fired, 1, elapsed),
     )
 
 

@@ -14,6 +14,7 @@ import random
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .bits import memo, transpose_bits
 from .errors import (
     DegenerateContext,
     MalformedCxt,
@@ -79,26 +80,14 @@ class Context:
             return self.object_names[index]
         return str(index)
 
+    @memo
     def row_bits(self) -> tuple[int, ...]:
-        got = self._cache.get("row_bits")
-        if got is None:
-            got = tuple(row.bits for row in self.rows)
-            self._cache["row_bits"] = got
-        return got  # type: ignore[return-value]
+        return tuple([row.bits for row in self.rows])
 
+    @memo
     def column_bits(self) -> tuple[int, ...]:
         """Per attribute: the extent as a bit mask over object positions."""
-        got = self._cache.get("column_bits")
-        if got is None:
-            cols = [0] * self.universe.size
-            for obj, bits in enumerate(self.row_bits()):
-                while bits:
-                    low = bits & -bits
-                    cols[low.bit_length() - 1] |= 1 << obj
-                    bits ^= low
-            got = tuple(cols)
-            self._cache["column_bits"] = got
-        return got  # type: ignore[return-value]
+        return tuple(transpose_bits(self.row_bits(), self.universe.size))
 
     def closure_bits(self, bits: int) -> int:
         """Closure as raw bits; the intersection of all rows containing them."""

@@ -18,6 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .bits import bit_indices, memo, spread, transpose_bits
 from .errors import (
     EmptyLhs,
     ImplicationSyntaxError,
@@ -155,11 +156,7 @@ class AttributeSet:
         return 0 <= index < self.universe.size and bool(self.bits >> index & 1)
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length() - 1
-            bits ^= low
+        return iter(bit_indices(self.bits))
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -168,7 +165,7 @@ class AttributeSet:
         return self.bits != 0
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(self)
+        return bit_indices(self.bits)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.universe.label(i) for i in self)
@@ -180,34 +177,6 @@ class AttributeSet:
         return f"AttributeSet([{self}])"
 
 
-class SetOp(Enum):
-    """The attribute-set operations that an instrumented run accounts for."""
-
-    UNION = "union"
-    INTERSECT = "intersect"
-    DIFF = "diff"
-    SUBSET_TEST = "subset-test"
-
-
-def set_ops_counted(a: AttributeSet, b: AttributeSet, op: SetOp, counter) -> AttributeSet | bool:
-    """Perform one set operation and charge exactly one tick to ``counter``.
-
-    ``counter`` is any object with an ``attribute_ops`` int field (usually a
-    ``Metrics``).  One call is one logical operation regardless of universe
-    width, which keeps the accounting hardware independent.
-    """
-    counter.attribute_ops += 1
-    if op is SetOp.UNION:
-        return a.union(b)
-    if op is SetOp.INTERSECT:
-        return a.intersection(b)
-    if op is SetOp.DIFF:
-        return a.difference(b)
-    if op is SetOp.SUBSET_TEST:
-        return a.issubset(b)
-    raise ValueError(f"unsupported operation {op!r}")
-
-
 def lectic_key(bits: int, size: int) -> int:
     """Sort key realising the lectic order on subsets.
 
@@ -215,11 +184,7 @@ def lectic_key(bits: int, size: int) -> int:
     sets exactly in ascending lectic order: of two distinct sets the smaller
     is the one missing the smallest attribute in which they differ.
     """
-    key = 0
-    for i in range(size):
-        if bits >> i & 1:
-            key |= 1 << (size - 1 - i)
-    return key
+    return int(format(bits, f"0{size}b")[::-1], 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,92 +309,60 @@ class Basis:
 
     # -- derived read-only structures ------------------------------------
 
+    @memo
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Implications as raw ``(lhs_bits, rhs_bits)`` pairs."""
-        got = self._cache.get("pairs")
-        if got is None:
-            got = tuple((i.lhs.bits, i.rhs.bits) for i in self.implications)
-            self._cache["pairs"] = got
-        return got  # type: ignore[return-value]
+        return tuple([(i.lhs.bits, i.rhs.bits) for i in self.implications])
 
+    @memo
     def attr_lists(self) -> tuple[tuple[int, ...], ...]:
         """Per attribute: indices of implications whose lhs contains it."""
-        got = self._cache.get("attr_lists")
-        if got is None:
-            lists: list[list[int]] = [[] for _ in range(self.universe.size)]
-            for idx, (lhs, _) in enumerate(self.pairs()):
-                while lhs:
-                    low = lhs & -lhs
-                    lists[low.bit_length() - 1].append(idx)
-                    lhs ^= low
-            got = tuple(tuple(entry) for entry in lists)
-            self._cache["attr_lists"] = got
-        return got  # type: ignore[return-value]
+        return tuple([bit_indices(mask) for mask in self.attr_masks()])
 
+    @memo
     def attr_masks(self) -> tuple[int, ...]:
         """Per attribute: bit mask over implication indices, same content as
         :meth:`attr_lists` but usable with int arithmetic."""
-        got = self._cache.get("attr_masks")
-        if got is None:
-            masks = [0] * self.universe.size
-            for idx, (lhs, _) in enumerate(self.pairs()):
-                while lhs:
-                    low = lhs & -lhs
-                    masks[low.bit_length() - 1] |= 1 << idx
-                    lhs ^= low
-            got = tuple(masks)
-            self._cache["attr_masks"] = got
-        return got  # type: ignore[return-value]
+        lhs_bits = [lhs for lhs, _ in self.pairs()]
+        return tuple(transpose_bits(lhs_bits, self.universe.size))
 
+    @memo
     def binary_reach(self) -> tuple[int, ...]:
         """Per attribute: everything reachable from it over the binary prefix.
 
         ``reach[a]`` always contains ``a`` itself.  Only meaningful for a
         ``dbasis``; callers guard the kind.
         """
-        got = self._cache.get("binary_reach")
-        if got is None:
-            n = self.universe.size
-            succ = [0] * n
-            for impl in self.implications[: self.sigma0_len]:
-                succ[next(iter(impl.lhs))] |= impl.rhs.bits
-            reach = [(1 << a) | succ[a] for a in range(n)]
-            changed = True
-            while changed:
-                changed = False
-                for a in range(n):
-                    acc = reach[a]
-                    rest = acc
-                    while rest:
-                        low = rest & -rest
-                        acc |= reach[low.bit_length() - 1]
-                        rest ^= low
-                    if acc != reach[a]:
-                        reach[a] = acc
-                        changed = True
-            got = tuple(reach)
-            self._cache["binary_reach"] = got
-        return got  # type: ignore[return-value]
+        n = self.universe.size
+        reach = [1 << a for a in range(n)]
+        for lhs, rhs in self.pairs()[: self.sigma0_len]:
+            reach[lhs.bit_length() - 1] |= rhs
+        changed = True
+        while changed:
+            changed = False
+            for a in range(n):
+                acc = spread(reach[a], reach)
+                if acc != reach[a]:
+                    reach[a] = acc
+                    changed = True
+        return tuple(reach)
 
 
-def _merge_pairs(
-    impls: Sequence[Implication],
-) -> list[Implication]:
-    """RHS-union implications that share a lhs, keeping first-seen order."""
-    order: list[int] = []
+def _merge_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """RHS-union raw pairs that share a lhs, keeping first-seen order."""
     merged: dict[int, int] = {}
-    universe = impls[0].universe if impls else None
-    for impl in impls:
-        key = impl.lhs.bits
-        if key in merged:
-            merged[key] |= impl.rhs.bits
-        else:
-            merged[key] = impl.rhs.bits
-            order.append(key)
-    assert universe is not None or not order
+    for lhs, rhs in pairs:
+        merged[lhs] = merged.get(lhs, 0) | rhs
+    return list(merged.items())
+
+
+def _implications(
+    universe: Universe, pairs: Iterable[tuple[int, int]]
+) -> list[Implication]:
+    """Raw ``(lhs, rhs)`` pairs as implications over ``universe``."""
     return [
-        Implication(AttributeSet(universe, lhs), AttributeSet(universe, merged[lhs]))
-        for lhs in order
+        Implication(AttributeSet(universe, lhs), AttributeSet(universe, rhs))
+        for lhs, rhs in pairs
     ]
 
 
@@ -441,17 +374,19 @@ def merge_same_lhs(basis: Basis) -> Basis:
     separately, so the prefix boundary stays meaningful.  Equivalence is
     preserved: a merged implication fires exactly when each of its parts did.
     """
+    pairs = basis.pairs()
+    universe = basis.universe
     if basis.kind is BasisKind.DBASIS:
-        prefix = _merge_pairs(basis.implications[: basis.sigma0_len])
-        tail = _merge_pairs(basis.implications[basis.sigma0_len :])
+        prefix = _merge_pairs(pairs[: basis.sigma0_len])
+        tail = _merge_pairs(pairs[basis.sigma0_len :])
         return Basis(
-            prefix + tail,
+            _implications(universe, prefix + tail),
             kind=BasisKind.DBASIS,
             sigma0_len=len(prefix),
-            universe=basis.universe,
+            universe=universe,
         )
-    merged = _merge_pairs(basis.implications)
-    return Basis(merged, kind=basis.kind, universe=basis.universe)
+    merged = _implications(universe, _merge_pairs(pairs))
+    return Basis(merged, kind=basis.kind, universe=universe)
 
 
 def unit_expand(basis: Basis) -> set[tuple[int, int]]:
@@ -460,14 +395,7 @@ def unit_expand(basis: Basis) -> set[tuple[int, int]]:
     Reflexive units (attribute already in the lhs) are kept out, so two bases
     compare equal here exactly when they state the same unit dependencies.
     """
-    units: set[tuple[int, int]] = set()
-    for lhs, rhs in basis.pairs():
-        rest = rhs & ~lhs
-        while rest:
-            low = rest & -rest
-            units.add((lhs, low.bit_length() - 1))
-            rest ^= low
-    return units
+    return {(lhs, a) for lhs, rhs in basis.pairs() for a in bit_indices(rhs & ~lhs)}
 
 
 # -- text format -----------------------------------------------------------

@@ -27,8 +27,9 @@ from implbase.bases import (
     is_pseudo_closed,
     verify_direct,
 )
-from implbase.closure import _fixpoint_bits, oracle_closure
-from implbase.context import Context, context_closure
+from implbase.bits import fixpoint_bits
+from implbase.closure import oracle_closure
+from implbase.context import context_closure
 from implbase.errors import NotStandardContext, UniverseMismatch
 from implbase.sets import (
     AttributeSet,
@@ -384,15 +385,15 @@ def scalar_direct_witness(basis: Basis, exhaustive_limit: int, samples: int, see
         rng = random.Random(seed)
         candidates = (rng.getrandbits(n) for _ in range(samples))
     for bits in candidates:
-        if scalar_round(bits, pairs, ordered) != _fixpoint_bits(bits, pairs):
+        if scalar_round(bits, pairs, ordered) != fixpoint_bits(bits, pairs):
             return bits
     return None
 
 
 def scalar_check_equiv(b1: Basis, b2: Basis) -> bool:
     p1, p2 = b1.pairs(), b2.pairs()
-    return all(not rhs & ~_fixpoint_bits(lhs, p2) for lhs, rhs in p1) and all(
-        not rhs & ~_fixpoint_bits(lhs, p1) for lhs, rhs in p2
+    return all(not rhs & ~fixpoint_bits(lhs, p2) for lhs, rhs in p1) and all(
+        not rhs & ~fixpoint_bits(lhs, p1) for lhs, rhs in p2
     )
 
 

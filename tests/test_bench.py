@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from conftest import aset, random_standard_context
+from conftest import random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
 from implbase.bench import (
     CSV_HEADER,

@@ -114,6 +114,10 @@ def test_clarify_is_idempotent_on_random_contexts():
 # -- reduction ---------------------------------------------------------------------
 
 
+def test_column_bits_of_a_context_without_objects():
+    assert Context(Universe(size=3), []).column_bits() == (0, 0, 0)
+
+
 def test_reduce_requires_clarified():
     ctx = ctx_from_rows(["p", "q"], ["p", "p"])
     with pytest.raises(NotClarified):

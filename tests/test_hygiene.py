@@ -1,0 +1,41 @@
+"""Source hygiene of the package, read from the syntax tree only."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import implbase
+
+MODULES = sorted(Path(implbase.__file__).parent.glob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """Names that the module's import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return names
+
+
+def exported_names(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__``, if there is one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_import_is_used_or_exported(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = imported_names(tree) - used - exported_names(tree)
+    assert not unused, f"{path.name} imports {sorted(unused)} without using them"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -25,7 +24,6 @@ from implbase.sets import (
     Basis,
     BasisKind,
     Implication,
-    SetOp,
     Universe,
     format_implication,
     lectic_key,
@@ -34,7 +32,6 @@ from implbase.sets import (
     parse_implication,
     read_basis,
     render_basis,
-    set_ops_counted,
     unit_expand,
     write_basis,
 )
@@ -137,20 +134,6 @@ def test_labels_and_str(ex51):
     assert x.labels() == ("b", "d")
     assert str(x) == "b d"
     assert str(ex51.universe.empty()) == ""
-
-
-def test_set_ops_counted_ticks_once_per_call():
-    u = Universe(size=4)
-    a = AttributeSet(u, 0b0011)
-    b = AttributeSet(u, 0b0110)
-    counter = SimpleNamespace(attribute_ops=0)
-    assert set_ops_counted(a, b, SetOp.UNION, counter).bits == 0b0111
-    assert set_ops_counted(a, b, SetOp.INTERSECT, counter).bits == 0b0010
-    assert set_ops_counted(a, b, SetOp.DIFF, counter).bits == 0b0001
-    assert set_ops_counted(a, b, SetOp.SUBSET_TEST, counter) is False
-    assert counter.attribute_ops == 4
-    with pytest.raises(ValueError):
-        set_ops_counted(a, b, "nope", counter)
 
 
 # -- lectic order ---------------------------------------------------------------
@@ -257,6 +240,9 @@ def test_basis_derived_structures():
     assert basis.pairs() == ((0b1010, 0b0001), (0b1000, 0b0100))
     assert basis.attr_lists() == ((), (0,), (), (0, 1))
     assert basis.attr_masks() == (0, 0b01, 0, 0b11)
+    empty = Basis([], universe=U4)
+    assert empty.attr_lists() == ((),) * 4
+    assert empty.attr_masks() == (0,) * 4
 
 
 def test_binary_reach_follows_prefix_chains():
