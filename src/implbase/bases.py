@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
 from operator import or_
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bits import (
     Sliced,
@@ -52,14 +52,17 @@ __all__ = [
     "check_equiv",
     "verify_direct",
     "direct_witness",
+    "direct_scope",
     "EXHAUSTIVE_LIMIT",
     "SAMPLES",
 ]
 
 #: Directness is checked over the whole powerset up to this many attributes,
 EXHAUSTIVE_LIMIT = 12
-#: and over this many seeded random sets beyond it.
+#: and over this many seeded random sets beyond it,
 SAMPLES = 2048
+#: drawn from this seed.
+_SEED = 0
 #: Candidate sets per bit-sliced chunk; one chunk holds the default policy.
 _LANES = 1 << 12
 
@@ -350,11 +353,25 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     return _entails(p1, slice_pairs(p2), n) and _entails(p2, slice_pairs(p1), n)
 
 
+def _candidates(n: int, limit: int, samples: int, seed: int) -> tuple[Iterator[int], str]:
+    """The candidate sets of the directness check, and their scope in words."""
+    if n <= limit:
+        return iter(range(1 << n)), f"exhaustive, {1 << n} sets"
+    rng = random.Random(seed)
+    sets = (rng.getrandbits(n) for _ in range(samples))
+    return sets, f"sampled, {samples} sets, seed {seed}"
+
+
+def direct_scope(size: int) -> str:
+    """The scope of the default :func:`direct_witness` over ``size`` attributes."""
+    return _candidates(size, EXHAUSTIVE_LIMIT, SAMPLES, _SEED)[1]
+
+
 def direct_witness(
     basis: Basis,
     exhaustive_limit: int = EXHAUSTIVE_LIMIT,
     samples: int = SAMPLES,
-    seed: int = 0,
+    seed: int = _SEED,
 ) -> AttributeSet | None:
     """The first candidate set whose closure one round misses, or ``None``.
 
@@ -368,11 +385,7 @@ def direct_witness(
     n = basis.universe.size
     sliced = slice_pairs(basis.pairs())
     ordered = basis.kind is BasisKind.DBASIS
-    if n <= exhaustive_limit:
-        candidates = iter(range(1 << n))
-    else:
-        rng = random.Random(seed)
-        candidates = (rng.getrandbits(n) for _ in range(samples))
+    candidates, _ = _candidates(n, exhaustive_limit, samples, seed)
     while chunk := list(islice(candidates, _LANES)):
         once = sliced_round(transpose_bits(chunk, n), sliced, ordered)
         bad = unclosed_lanes(once, sliced)
@@ -385,7 +398,7 @@ def verify_direct(
     basis: Basis,
     exhaustive_limit: int = EXHAUSTIVE_LIMIT,
     samples: int = SAMPLES,
-    seed: int = 0,
+    seed: int = _SEED,
 ) -> bool:
     """Does one round always reach the closure?  See :func:`direct_witness`
     for the round used per kind and the exhaustiveness policy."""

@@ -18,10 +18,11 @@ import csv
 import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from typing import Callable, ContextManager, Iterable, Mapping, Sequence, TextIO
 
 from .bases import BUILDERS
 from .closure import (
@@ -76,9 +77,13 @@ TABLE_COMBOS: dict[BasisKind, tuple[str, ...]] = {
     BasisKind.DG: ("classic", "lin", "wild"),
 }
 
+#: The four counters in ``Metrics.counters()`` order, then the wall time.
 METRIC_NAMES = ("deps", "attrib_ops", "inner", "outer", "time_ms")
 
-CSV_HEADER = "dataset,universe,basis_kind,basis_size,algorithm,queries,reps,deps,attrib_ops,inner,outer,time_ms"
+CSV_HEADER = ",".join(
+    ("dataset", "universe", "basis_kind", "basis_size", "algorithm", "queries", "reps")
+    + METRIC_NAMES
+)
 
 
 def valid_combo(kind: BasisKind, algorithm: str) -> bool:
@@ -86,7 +91,7 @@ def valid_combo(kind: BasisKind, algorithm: str) -> bool:
 
 
 def default_combos(
-    kinds: Iterable[BasisKind] = (BasisKind.CDUB, BasisKind.DBASIS, BasisKind.DG),
+    kinds: Iterable[BasisKind] = tuple(TABLE_COMBOS),
 ) -> tuple[tuple[BasisKind, str], ...]:
     return tuple((kind, algo) for kind in kinds for algo in TABLE_COMBOS[kind])
 
@@ -126,17 +131,9 @@ def combo_label(report: ComboReport) -> str:
 
 
 def metric_value(report: ComboReport, metric: str) -> float:
-    if metric == "deps":
-        return report.totals.deps
-    if metric == "attrib_ops":
-        return report.totals.attribute_ops
-    if metric == "inner":
-        return report.totals.inner_loops
-    if metric == "outer":
-        return report.totals.outer_loops
-    if metric == "time_ms":
-        return report.time_ms
-    raise ValueError(f"unknown metric {metric!r}")
+    if metric not in METRIC_NAMES:
+        raise ValueError(f"unknown metric {metric!r}")
+    return (*report.totals.counters(), report.time_ms)[METRIC_NAMES.index(metric)]
 
 
 def derive_seed(seed: int, dataset: str) -> int:
@@ -160,7 +157,7 @@ def _draw_queries(
     queries: list[AttributeSet] = []
     for _ in range(count):
         if density == 0.5:
-            bits = rng.getrandbits(n) if n else 0
+            bits = rng.getrandbits(n)
         else:
             bits = 0
             for j in range(n):
@@ -207,17 +204,18 @@ def run_workload(
             )
         if kind not in bases:
             raise InvalidCombo(f"no {kind.value} basis available in this workload")
-    universe = next(iter(universes)) if universes else None
-    if universe is None:
+    if not universes:
         raise InvalidCombo("a workload needs at least one basis")
+    (universe,) = universes
     queries, digest = _draw_queries(universe, spec.queries, spec.query_density, spec.seed)
+    reps = max(1, spec.repetitions)
     reports: list[ComboReport] = []
     for kind, algo in combos:
         basis = bases[kind]
         func = ALGORITHMS[algo]
         reference: tuple[int, int, int, int] | None = None
         elapsed_total = 0
-        for _ in range(max(1, spec.repetitions)):
+        for _ in range(reps):
             totals = Metrics()
             for query in queries:
                 totals.add(func(query, basis).metrics)
@@ -229,7 +227,6 @@ def run_workload(
                 )
             elapsed_total += totals.elapsed_ns
         assert reference is not None
-        reps = max(1, spec.repetitions)
         summed = Metrics(*reference, elapsed_ns=round(elapsed_total / reps))
         reports.append(
             ComboReport(
@@ -276,12 +273,17 @@ def run_bench(
 # -- CSV ----------------------------------------------------------------------
 
 
+def _opened(target: str | Path | TextIO, mode: str) -> ContextManager[TextIO]:
+    """The file at the path, closed on exit, or the handle itself, left open."""
+    if isinstance(target, (str, Path)):
+        return open(target, mode, encoding="utf-8", newline="")
+    return nullcontext(target)
+
+
 def write_reports_csv(reports: Iterable[ComboReport], target: str | Path | TextIO) -> None:
     """Fixed-header CSV; equal inputs and seed give byte-equal files except
     for the time column."""
-    own = isinstance(target, (str, Path))
-    handle = open(target, "w", encoding="utf-8", newline="") if own else target
-    try:
+    with _opened(target, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for r in reports:
@@ -294,49 +296,25 @@ def write_reports_csv(reports: Iterable[ComboReport], target: str | Path | TextI
                     r.algorithm,
                     r.queries,
                     r.repetitions,
-                    r.totals.deps,
-                    r.totals.attribute_ops,
-                    r.totals.inner_loops,
-                    r.totals.outer_loops,
+                    *r.totals.counters(),
                     f"{r.time_ms:.6f}",
                 ]
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
-    own = isinstance(source, (str, Path))
-    handle = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+    header = CSV_HEADER.split(",")
+    with _opened(source, "r") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != CSV_HEADER.split(","):
+        if next(reader, None) != header:
             raise ValueError("unexpected CSV header")
         reports = []
         for row in reader:
-            (
-                dataset,
-                universe_size,
-                kind,
-                basis_size,
-                algorithm,
-                queries,
-                reps,
-                deps,
-                attrib_ops,
-                inner,
-                outer,
-                time_ms,
-            ) = row
-            totals = Metrics(
-                deps=int(deps),
-                attribute_ops=int(attrib_ops),
-                inner_loops=int(inner),
-                outer_loops=int(outer),
-                elapsed_ns=round(float(time_ms) * 1e6),
-            )
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} CSV cells, found {len(row)}")
+            (dataset, universe_size, kind, basis_size, algorithm, queries, reps,
+             *counters, time_ms) = row
+            totals = Metrics(*map(int, counters), elapsed_ns=round(float(time_ms) * 1e6))
             reports.append(
                 ComboReport(
                     dataset=dataset,
@@ -351,9 +329,6 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
                 )
             )
         return reports
-    finally:
-        if own:
-            handle.close()
 
 
 # -- aggregation --------------------------------------------------------------
@@ -376,6 +351,13 @@ def normalize(reports: Sequence[ComboReport], metric: str) -> list[float]:
     return normalize_values([metric_value(r, metric) for r in reports])
 
 
+def _by_dataset(reports: Iterable[ComboReport]) -> dict[str, list[ComboReport]]:
+    groups: dict[str, list[ComboReport]] = {}
+    for report in reports:
+        groups.setdefault(report.dataset, []).append(report)
+    return groups
+
+
 def ranking(
     reports: Sequence[ComboReport],
     metrics: Sequence[str] = METRIC_NAMES,
@@ -385,19 +367,11 @@ def ranking(
     For every dataset and metric, each combination achieving the dataset
     minimum scores one win; ties credit every minimiser.
     """
-    by_dataset: dict[str, list[ComboReport]] = {}
-    for report in reports:
-        by_dataset.setdefault(report.dataset, []).append(report)
-    labels: list[str] = []
-    for report in reports:
-        label = combo_label(report)
-        if label not in labels:
-            labels.append(label)
-    table: dict[str, dict[str, int]] = {
-        metric: {label: 0 for label in labels} for metric in metrics
-    }
+    labels = dict.fromkeys(combo_label(report) for report in reports)
+    table: dict[str, dict[str, int]] = {metric: dict.fromkeys(labels, 0) for metric in metrics}
+    groups = _by_dataset(reports)
     for metric in metrics:
-        for group in by_dataset.values():
+        for group in groups.values():
             best = min(metric_value(r, metric) for r in group)
             for r in group:
                 if metric_value(r, metric) == best:
@@ -437,17 +411,12 @@ def size_ratio_report(
     Ties credit both sides.  Datasets missing either combination or either
     size are skipped.
     """
-    by_dataset: dict[str, dict[tuple[BasisKind, str], ComboReport]] = {}
-    sizes: dict[str, dict[BasisKind, int]] = {}
-    for report in reports:
-        by_dataset.setdefault(report.dataset, {})[
-            (report.basis_kind, report.algorithm)
-        ] = report
-        sizes.setdefault(report.dataset, {})[report.basis_kind] = report.basis_size
     buckets: dict[int, list[int]] = {}
-    for dataset, combos in sorted(by_dataset.items()):
-        size_cdub = sizes[dataset].get(BasisKind.CDUB)
-        size_dg = sizes[dataset].get(BasisKind.DG)
+    for _, group in sorted(_by_dataset(reports).items()):
+        combos = {(r.basis_kind, r.algorithm): r for r in group}
+        sizes = {r.basis_kind: r.basis_size for r in group}
+        size_cdub = sizes.get(BasisKind.CDUB)
+        size_dg = sizes.get(BasisKind.DG)
         a = combos.get(combo_a)
         b = combos.get(combo_b)
         if not size_cdub or not size_dg or a is None or b is None:

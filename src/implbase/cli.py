@@ -20,13 +20,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .bases import BUILDERS, EXHAUSTIVE_LIMIT, SAMPLES, check_equiv, direct_witness
+from .bases import BUILDERS, check_equiv, direct_scope, direct_witness
 from .bench import (
     ALGORITHMS,
     METRIC_NAMES,
+    ComboReport,
     WorkloadSpec,
     combo_label,
     metric_value,
@@ -38,9 +40,9 @@ from .bench import (
     write_reports_csv,
 )
 from .closure import _DIRECT_KINDS, oracle_closure
-from .context import gen_synthetic, read_cxt, render_cxt, write_cxt
+from .context import gen_synthetic, read_cxt, render_cxt
 from .errors import ImplbaseError, InvalidCombo, IoError
-from .sets import AttributeSet, BasisKind, read_basis, render_basis, write_basis
+from .sets import BasisKind, read_basis, render_basis
 
 
 def _source_hash() -> str:
@@ -57,13 +59,6 @@ def version_string() -> str:
     return f"implbase {__version__}+{_source_hash()}"
 
 
-def _parse_set(text: str, universe) -> AttributeSet:
-    bits = 0
-    for token in text.split():
-        bits |= 1 << universe.resolve(token)
-    return AttributeSet(universe, bits)
-
-
 def _seed(args: argparse.Namespace) -> int:
     """Subcommand seed, falling back to the global one, then to 0."""
     if args.seed is not None:
@@ -78,14 +73,19 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _emit(text: str, target: Path | None) -> None:
+    """Write ``text`` to ``target`` and say so, or to stdout without one."""
+    if target is None:
+        sys.stdout.write(text)
+    else:
+        target.write_text(text, encoding="utf-8")
+        print(f"wrote {target}")
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     ctx = gen_synthetic(args.objects, args.attributes, args.density, _seed(args))
     _note(args, f"standard context: {ctx.objects} objects x {ctx.universe.size} attributes")
-    if args.out is not None:
-        write_cxt(ctx, args.out)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(render_cxt(ctx))
+    _emit(render_cxt(ctx), args.out)
     return 0
 
 
@@ -94,29 +94,21 @@ def cmd_bases(args: argparse.Namespace) -> int:
         args.parser.error("--kind all writes three files and needs --out DIRECTORY")
     ctx = read_cxt(args.context)
     if args.kind == "all":
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for kind, build in BUILDERS.items():
-            basis = build(ctx)
-            _note(args, f"{kind.value}: {len(basis)} implications")
-            target = outdir / f"{kind.value}.imp"
-            write_basis(basis, target)
-            print(f"wrote {target}")
-        return 0
-    basis = BUILDERS[BasisKind(args.kind)](ctx)
-    _note(args, f"{args.kind}: {len(basis)} implications")
-    if args.out is not None:
-        write_basis(basis, args.out)
-        print(f"wrote {args.out}")
+        args.out.mkdir(parents=True, exist_ok=True)
+        targets = {kind: args.out / f"{kind.value}.imp" for kind in BUILDERS}
     else:
-        sys.stdout.write(render_basis(basis))
+        targets = {BasisKind(args.kind): args.out}
+    for kind, target in targets.items():
+        basis = BUILDERS[kind](ctx)
+        _note(args, f"{kind.value}: {len(basis)} implications")
+        _emit(render_basis(basis), target)
     return 0
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
     basis = read_basis(args.basis)
     _note(args, f"basis kind {basis.kind.value}, {len(basis)} implications")
-    x = _parse_set(args.attrs, basis.universe)
+    x = basis.universe.subset(args.attrs.split())
     algorithm = args.algorithm
     if algorithm == "oracle":
         print(str(oracle_closure(x, basis)))
@@ -140,21 +132,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     ctx = read_cxt(args.context)
     named = [(kind.value, build(ctx)) for kind, build in BUILDERS.items()]
     universe = ctx.universe
-    labels = " ".join(universe.label(i) for i in range(universe.size))
-    print(f"universe: {labels} ({universe.size} attributes)")
+    print(f"universe: {universe.full()} ({universe.size} attributes)")
     for kind, basis in named:
         suffix = f" (sigma0 {basis.sigma0_len})" if kind == "dbasis" else ""
         print(f"{kind}: {len(basis)} implications{suffix}")
-    for i in range(len(named)):
-        for j in range(i + 1, len(named)):
-            n1, b1 = named[i]
-            n2, b2 = named[j]
-            verdict = "yes" if check_equiv(b1, b2) else "NO"
-            print(f"equivalent {n1}~{n2}: {verdict}")
-    if universe.size <= EXHAUSTIVE_LIMIT:
-        scope = f"exhaustive, {1 << universe.size} sets"
-    else:
-        scope = f"sampled, {SAMPLES} sets, seed 0"
+    for (n1, b1), (n2, b2) in combinations(named, 2):
+        verdict = "yes" if check_equiv(b1, b2) else "NO"
+        print(f"equivalent {n1}~{n2}: {verdict}")
+    scope = direct_scope(universe.size)
     for kind, basis in named:
         word = "ordered-direct" if kind == "dbasis" else "direct"
         witness = direct_witness(basis)
@@ -166,10 +151,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    root = Path(args.datasets)
-    files = sorted(root.glob("*.cxt"))
+    files = sorted(args.datasets.glob("*.cxt"))
     if not files:
-        raise IoError(f"no .cxt files under {root}")
+        raise IoError(f"no .cxt files under {args.datasets}")
     datasets = [(path.stem, read_cxt(path)) for path in files]
     _note(args, f"{len(datasets)} datasets, {args.jobs} jobs")
     spec = WorkloadSpec(
@@ -179,12 +163,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         query_density=args.query_density,
     )
     reports = run_bench(datasets, spec, jobs=args.jobs)
+    write_reports_csv(reports, sys.stdout if args.out is None else args.out)
     if args.out is not None:
-        write_reports_csv(reports, args.out)
         print(f"wrote {args.out} ({len(reports)} rows)")
-    else:
-        write_reports_csv(reports, sys.stdout)
     return 0
+
+
+def _total_cell(report: ComboReport, metric: str) -> str:
+    value = metric_value(report, metric)
+    return f"{value:.3f}" if metric == "time_ms" else f"{int(value)}"
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -192,17 +179,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.kind == "totals":
         print("dataset combo " + " ".join(METRIC_NAMES))
         if args.normalize:
-            columns = {m: normalize(reports, m) for m in METRIC_NAMES}
-            for i, r in enumerate(reports):
-                cells = " ".join(f"{columns[m][i]:.2f}" for m in METRIC_NAMES)
-                print(f"{r.dataset} {combo_label(r)} {cells}")
+            columns = [[f"{v:.2f}" for v in normalize(reports, m)] for m in METRIC_NAMES]
         else:
-            for r in reports:
-                cells = []
-                for m in METRIC_NAMES:
-                    value = metric_value(r, m)
-                    cells.append(f"{value:.3f}" if m == "time_ms" else f"{int(value)}")
-                print(f"{r.dataset} {combo_label(r)} {' '.join(cells)}")
+            columns = [[_total_cell(r, m) for r in reports] for m in METRIC_NAMES]
+        for r, cells in zip(reports, zip(*columns)):
+            print(f"{r.dataset} {combo_label(r)} {' '.join(cells)}")
         return 0
     if args.kind == "ranking":
         table = ranking(reports)

@@ -22,7 +22,7 @@ from .errors import (
     NotStandardContext,
     UniverseMismatch,
 )
-from .sets import AttributeSet, Universe
+from .sets import AttributeSet, Universe, _is_decimal
 
 __all__ = [
     "Context",
@@ -140,47 +140,42 @@ def clarify(ctx: Context) -> Context:
     The concept lattice is unchanged up to renaming: equal rows describe the
     same object intent and equal columns the same attribute extent.
     """
-    seen_rows: set[int] = set()
-    keep_rows: list[int] = []
-    for i, bits in enumerate(ctx.row_bits()):
-        if bits not in seen_rows:
-            seen_rows.add(bits)
-            keep_rows.append(i)
-    interim = _select(ctx, keep_rows, list(range(ctx.universe.size)))
-    seen_cols: set[int] = set()
-    keep_cols: list[int] = []
-    for j, bits in enumerate(interim.column_bits()):
-        if bits not in seen_cols:
-            seen_cols.add(bits)
-            keep_cols.append(j)
-    return _select(interim, list(range(interim.objects)), keep_cols)
+    interim = _select(ctx, _distinct(ctx.row_bits()), range(ctx.universe.size))
+    return _select(interim, range(interim.objects), _distinct(interim.column_bits()))
 
 
-def _meet_of_others(values: Sequence[int], skip: int, top: int) -> int:
-    """Intersection of all other family members containing ``values[skip]``.
+def _distinct(values: Sequence[int]) -> list[int]:
+    """Positions of the first occurrence of each value, in order."""
+    first: dict[int, int] = {}
+    for i, value in enumerate(values):
+        first.setdefault(value, i)
+    return list(first.values())
+
+
+def _irreducible(values: Sequence[int], top: int) -> list[int]:
+    """Positions of the members that are not the intersection of the other
+    members containing them.
 
     The empty family intersects to ``top``, which is what flags full rows and
     full columns as redundant.
     """
-    target = values[skip]
-    acc = top
-    for j, value in enumerate(values):
-        if j != skip and value & target == target:
-            acc &= value
-    return acc
+    keep = []
+    for i, target in enumerate(values):
+        acc = top
+        for j, value in enumerate(values):
+            if j != i and value & target == target:
+                acc &= value
+        if acc != target:
+            keep.append(i)
+    return keep
 
 
 def is_reduced(ctx: Context) -> bool:
     rows = ctx.row_bits()
-    for i in range(len(rows)):
-        if _meet_of_others(rows, i, ctx.universe.mask) == rows[i]:
-            return False
+    if len(_irreducible(rows, ctx.universe.mask)) != len(rows):
+        return False
     cols = ctx.column_bits()
-    objects_mask = (1 << ctx.objects) - 1
-    for j in range(len(cols)):
-        if _meet_of_others(cols, j, objects_mask) == cols[j]:
-            return False
-    return True
+    return len(_irreducible(cols, (1 << ctx.objects) - 1)) == len(cols)
 
 
 def reduce(ctx: Context) -> Context:
@@ -197,23 +192,14 @@ def reduce(ctx: Context) -> Context:
     current = ctx
     while True:
         rows = current.row_bits()
-        keep_rows = [
-            i
-            for i in range(len(rows))
-            if _meet_of_others(rows, i, current.universe.mask) != rows[i]
-        ]
+        keep_rows = _irreducible(rows, current.universe.mask)
         if len(keep_rows) != len(rows):
             current = _select(current, keep_rows, list(range(current.universe.size)))
             if current.objects == 0:
                 raise DegenerateContext("reduction removed every object")
             continue
         cols = current.column_bits()
-        objects_mask = (1 << current.objects) - 1
-        keep_cols = [
-            j
-            for j in range(len(cols))
-            if _meet_of_others(cols, j, objects_mask) != cols[j]
-        ]
+        keep_cols = _irreducible(cols, (1 << current.objects) - 1)
         if len(keep_cols) != len(cols):
             if not keep_cols:
                 raise DegenerateContext("reduction removed every attribute")
@@ -234,15 +220,9 @@ def _select(ctx: Context, row_idx: Sequence[int], col_idx: Sequence[int]) -> Con
             else None
         )
         universe = Universe(size=len(col_idx), names=names)
-        old_rows = ctx.row_bits()
-        rows = []
-        for i in row_idx:
-            bits = 0
-            source = old_rows[i]
-            for new_j, old_j in enumerate(col_idx):
-                if source >> old_j & 1:
-                    bits |= 1 << new_j
-            rows.append(AttributeSet(universe, bits))
+        cols = ctx.column_bits()
+        kept = transpose_bits([cols[j] for j in col_idx], ctx.objects)
+        rows = [AttributeSet(universe, kept[i]) for i in row_idx]
     object_names = (
         [ctx.object_label(i) for i in row_idx] if ctx.object_names is not None else None
     )
@@ -330,7 +310,7 @@ def parse_cxt(text: str) -> Context:
 
     def next_count(label: str) -> int:
         token = next_line().strip()
-        if not token.isdigit():
+        if not _is_decimal(token):
             raise MalformedCxt(f"expected {label} count, found {token!r}")
         value = int(token)
         if value < 1:

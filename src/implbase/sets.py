@@ -32,6 +32,11 @@ from .errors import (
 MAX_UNIVERSE_SIZE = 1024
 
 
+def _is_decimal(token: str) -> bool:
+    """ASCII digits only: ``str.isdigit`` alone also takes ``²`` and ``١``."""
+    return token.isascii() and token.isdigit()
+
+
 class Universe:
     """A fixed, ordered alphabet of at most ``MAX_UNIVERSE_SIZE`` attributes.
 
@@ -84,7 +89,7 @@ class Universe:
         """Map an attribute name or decimal position to its index."""
         if token in self._index:
             return self._index[token]
-        if token.isdigit():
+        if _is_decimal(token):
             index = int(token)
             if 0 <= index < self.size:
                 return index
@@ -500,10 +505,12 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
                 except ValueError as exc:
                     raise ImplicationSyntaxError(f"unknown basis kind {value!r}") from exc
             elif key == "sigma0_len" and value:
-                if not value.isdigit():
+                if not _is_decimal(value):
                     raise ImplicationSyntaxError(f"bad sigma0_len {value!r}")
                 sigma0_len = int(value)
             elif key == "size" and value:
+                if not _is_decimal(value):
+                    raise ImplicationSyntaxError(f"bad size {value!r}")
                 try:
                     declared = Universe(size=int(value))
                 except ValueError as exc:

@@ -22,6 +22,7 @@ from implbase.bases import (
     build_dbasis,
     build_dg,
     check_equiv,
+    direct_scope,
     direct_witness,
     enumerate_pseudo_closed,
     is_pseudo_closed,
@@ -213,6 +214,12 @@ def test_built_bases_directness(ex51):
     assert verify_direct(build_cdub(ex51))
     assert verify_direct(build_dbasis(ex51))
     assert not verify_direct(build_dg(ex51))
+
+
+def test_direct_scope_names_the_default_policy():
+    assert direct_scope(4) == "exhaustive, 16 sets"
+    assert direct_scope(12) == "exhaustive, 4096 sets"
+    assert direct_scope(13) == "sampled, 2048 sets, seed 0"
 
 
 def test_direct_witness_for_plain_rounds_on_the_ordered_basis(ex51):

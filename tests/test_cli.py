@@ -211,6 +211,17 @@ def test_closure_unknown_attribute(capsys):
     assert err.startswith("error: UnknownAttribute:")
 
 
+@pytest.mark.parametrize("token", ["\u00b2", "\u0661"])
+def test_closure_refuses_non_ascii_digit_positions(capsys, tmp_path, token):
+    basis = tmp_path / "abc.imp"
+    basis.write_text("universe: a b c\na -> b\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "closure", "--basis", str(basis), "--algo", "oracle", "--set", token
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: UnknownAttribute:")
+
+
 # -- check --------------------------------------------------------------------------
 
 
@@ -241,6 +252,31 @@ def test_check_says_when_directness_was_sampled(capsys, tmp_path):
     scope = f"(sampled, {SAMPLES} sets, seed 0)"
     assert f"direct cdub: yes {scope}" in out
     assert f"ordered-direct dbasis: yes {scope}" in out
+
+
+@pytest.mark.parametrize(
+    "attributes, seed, witness, scope",
+    [
+        (12, 0, "m1 m3", "exhaustive, 4096 sets"),
+        (13, 1, "m1 m7 m12 m13", "sampled, 2048 sets, seed 0"),
+    ],
+)
+def test_check_directness_verdicts_on_both_sides_of_the_limit(
+    capsys, tmp_path, attributes, seed, witness, scope
+):
+    target = tmp_path / "edge.cxt"
+    run(
+        capsys, "gen", "--objects", "16", "--attributes", str(attributes),
+        "--seed", str(seed), "-o", str(target),
+    )
+    assert read_cxt(target).universe.size == attributes
+    code, out, _ = run(capsys, "check", "--in", str(target))
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        f"direct cdub: yes ({scope})",
+        f"ordered-direct dbasis: yes ({scope})",
+        f"direct dg: no (witness: {witness}; {scope})",
+    ]
 
 
 # -- bench and report ----------------------------------------------------------------

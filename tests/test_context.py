@@ -306,6 +306,8 @@ def test_random_contexts_round_trip():
         lambda t: t.replace("B\n", "Q\n", 1),  # wrong magic
         lambda t: t.replace("\n4\n4\n", "\n0\n4\n", 1),  # zero objects
         lambda t: t.replace("\n4\n4\n", "\n4\nfour\n", 1),  # non-numeric count
+        lambda t: t.replace("\n4\n4\n", "\n\u00b2\n4\n", 1),  # superscript digit count
+        lambda t: t.replace("\n4\n4\n", "\n4\n\u0661\n", 1),  # Arabic-Indic digit count
         lambda t: t.replace("X.X.\n", "X.X\n", 1),  # short row
         lambda t: t.replace("X.X.\n", "X?X.\n", 1),  # bad cell
         lambda t: t + "leftover\n",  # trailing content

@@ -1,4 +1,4 @@
-"""Source hygiene of the package, read from the syntax tree only."""
+"""Source hygiene of the package and its tests, read from the syntax tree only."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import pytest
 
 import implbase
 
+#: The package modules, then the test modules.
 MODULES = sorted(Path(implbase.__file__).parent.glob("*.py"))
+MODULES += sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:

@@ -38,6 +38,9 @@ from implbase.sets import (
 
 U4 = Universe(names=["a", "b", "c", "d"])
 
+#: Unicode digits that ``str.isdigit`` accepts: a superscript and an Arabic-Indic one.
+NON_ASCII_DIGITS = ("\u00b2", "\u0661")
+
 
 def imp(lhs: str, rhs: str, universe: Universe = U4) -> Implication:
     return Implication(aset(universe, lhs), aset(universe, rhs))
@@ -78,6 +81,11 @@ def test_unknown_attribute():
         u.resolve("z")
     with pytest.raises(UnknownAttribute):
         u.resolve("7")
+    for token in NON_ASCII_DIGITS:  # positions are ASCII digits only
+        with pytest.raises(UnknownAttribute):
+            u.resolve(token)
+        with pytest.raises(UnknownAttribute):
+            Universe(size=3).resolve(token)
     with pytest.raises(UnknownAttribute):
         u.subset([5])
 
@@ -423,11 +431,12 @@ def test_parse_basis_ignores_sigma0_for_other_kinds():
 def test_parse_basis_errors():
     with pytest.raises(ImplicationSyntaxError):
         parse_basis("# kind: fancy\nuniverse: a b\na -> b\n")
-    with pytest.raises(ImplicationSyntaxError):
-        parse_basis("# sigma0_len: soon\nuniverse: a b\na -> b\n")
+    for count in ("soon", *NON_ASCII_DIGITS):
+        with pytest.raises(ImplicationSyntaxError):
+            parse_basis(f"# sigma0_len: {count}\nuniverse: a b\na -> b\n")
     with pytest.raises(ImplicationSyntaxError):
         parse_basis("universe:\na -> b\n")
-    for size in ("zero", "0", str(MAX_UNIVERSE_SIZE + 1)):
+    for size in ("zero", "0", str(MAX_UNIVERSE_SIZE + 1), *NON_ASCII_DIGITS):
         with pytest.raises(ImplicationSyntaxError):
             parse_basis(f"# size: {size}\n0 -> 1\n")
     with pytest.raises(ImplicationSyntaxError):
