@@ -11,8 +11,8 @@ attribute is implied by the empty set:
   survive the redundancy filter against the binary prefix.  One in-order
   round computes any closure once the prefix comes first.
 * :func:`build_dg` - the minimum-cardinality basis: one implication per
-  pseudo-closed set, found in lectic order with closures taken under the
-  implication list discovered so far.
+  pseudo-closed set, found by the one lectic walk that also serves the
+  pseudo-closed predicates below.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import islice
 from operator import or_
 from typing import Callable, Iterator
 
 from .bits import (
+    Pairs,
     Sliced,
     bit_indices,
     fixpoint_bits,
@@ -197,39 +198,54 @@ def build_dbasis(ctx: Context) -> Basis:
     )
 
 
-def _next_list_closed(bits: int, n: int, impls: list[tuple[int, int]]) -> int:
-    """Lectically next set closed under the implication list."""
-    for i in range(n - 1, -1, -1):
-        bit = 1 << i
+def _next_list_closed(bits: int, spots: list[int], ground: int, impls: Pairs) -> int:
+    """Lectically next ``Y <= ground`` with ``L(Y) & ground == Y``, where ``L``
+    closes under the list; returns ``L(Y)``.  ``spots``: ground bits, last first."""
+    for bit in spots:
         if bits & bit:
             bits &= ~bit
         else:
             prefix = bit - 1
             candidate = fixpoint_bits((bits & prefix) | bit, impls)
-            if candidate & prefix == bits & prefix:
+            if candidate & ground & prefix == bits & prefix:
                 return candidate
-    raise RuntimeError("no lectic successor; the full set should have ended the walk")
+    raise RuntimeError("no lectic successor; the ground set should have ended the walk")
+
+
+def _pseudo_closed(close: Callable[[int], int], ground: int) -> list[tuple[int, int]]:
+    """Every pseudo-closed subset of ``ground`` under ``close``, with its
+    closure, in lectic order.
+
+    Ganter's walk, closing under the list ``L`` of the pairs found so far.  A
+    set is closed or pseudo-closed iff ``L`` leaves it unchanged once ``L``
+    holds its pseudo-closed proper subsets, and those all come earlier in
+    lectic order.  ``Y -> L(Y) & ground`` is a closure operator on the subsets
+    of ``ground``; the walk visits its closed sets, up to ``ground`` itself,
+    and tests those whose ``L`` closure stays inside ``ground``.
+    """
+    spots = [1 << i for i in reversed(bit_indices(ground))]
+    found: list[tuple[int, int]] = []
+    bits = lifted = 0
+    while True:
+        if lifted == lifted & ground:
+            closed = close(bits)
+            if closed != bits:
+                found.append((bits, closed))
+        if bits == ground:
+            return found
+        lifted = _next_list_closed(bits, spots, ground, found)
+        bits = lifted & ground
 
 
 def build_dg(ctx: Context) -> Basis:
     """Minimum-cardinality basis of a standard context.
 
-    Walks the sets closed under the implications found so far in lectic
-    order; each one that the context closure still enlarges is pseudo-closed
-    and contributes ``P -> closure(P) \\ P``.  The walk ends at the full
-    universe.  In a standard context the empty set is closed, so no
-    left-hand side is ever empty.
+    ``P -> closure(P) \\ P`` per pseudo-closed set ``P``, in lectic order.  In
+    a standard context the empty set is closed, so no left-hand side is empty.
     """
     require_standard(ctx)
     universe = ctx.universe
-    full = universe.mask
-    found: list[tuple[int, int]] = []
-    bits = 0
-    while bits != full:
-        closed = ctx.closure_bits(bits)
-        if closed != bits:
-            found.append((bits, closed))
-        bits = _next_list_closed(bits, universe.size, found)
+    found = _pseudo_closed(ctx.closure_bits, universe.mask)
     return Basis(
         _implications(universe, [(p, c & ~p) for p, c in found]),
         kind=BasisKind.DG,
@@ -256,66 +272,29 @@ class PseudoClosedWitness:
     closure: AttributeSet
 
 
-def _pseudo_closed_family(
-    target: int, pairs: tuple[tuple[int, int], ...]
-) -> list[tuple[int, int]]:
-    """All pseudo-closed subsets of ``target`` with their closures.
-
-    Bottom-up over the subset lattice: a candidate only needs the
-    pseudo-closed sets of strictly smaller cardinality, which are already
-    known.  Cost grows with ``2**popcount(target)``.
-    """
-    submasks = []
-    s = target
-    while True:
-        submasks.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & target
-    submasks.sort(key=int.bit_count)
-    family: list[tuple[int, int]] = []
-    for s in submasks:
-        closed = fixpoint_bits(s, pairs)
-        if closed == s:
-            continue
-        ok = True
-        for p, pc in family:
-            if p != s and p & s == p and pc & ~s:
-                ok = False
-                break
-        if ok:
-            family.append((s, closed))
-    return family
-
-
 def is_pseudo_closed(x: AttributeSet, basis: Basis) -> bool:
     """Is ``x`` pseudo-closed under the basis?
 
     ``x`` must not be closed, and the closure of every pseudo-closed proper
-    subset must stay inside ``x``.  Evaluated bottom-up over the subsets of
-    ``x``, so the cost grows with ``2**len(x)``.
+    subset must stay inside ``x``.  If ``x`` is not closed, the lectic walk
+    over its subsets finds at least one pseudo-closed set and ends with ``x``.
     """
     if x.universe != basis.universe:
         raise UniverseMismatch("set universe differs from basis universe")
-    pairs = basis.pairs()
-    if fixpoint_bits(x.bits, pairs) == x.bits:
+    close = partial(fixpoint_bits, pairs=basis.pairs())
+    if close(x.bits) == x.bits:
         return False
-    family = _pseudo_closed_family(x.bits, pairs)
-    return any(p == x.bits for p, _ in family)
+    return _pseudo_closed(close, x.bits)[-1][0] == x.bits
 
 
 def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
-    """Every pseudo-closed set of the basis, in lectic order.
-
-    Exhaustive over the powerset; intended for small universes in tests and
-    diagnostics.
-    """
+    """Every pseudo-closed set of the basis with its closure, in lectic order,
+    from the lectic walk of :func:`build_dg` closing under the basis."""
     universe = basis.universe
-    family = _pseudo_closed_family(universe.mask, basis.pairs())
-    family.sort(key=lambda pc: lectic_key(pc[0], universe.size))
+    found = _pseudo_closed(partial(fixpoint_bits, pairs=basis.pairs()), universe.mask)
     return [
         PseudoClosedWitness(AttributeSet(universe, p), AttributeSet(universe, c))
-        for p, c in family
+        for p, c in found
     ]
 
 

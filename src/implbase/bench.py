@@ -37,7 +37,7 @@ from .closure import (
 )
 from .context import Context
 from .errors import InvalidCombo, UniverseMismatch
-from .sets import AttributeSet, Basis, BasisKind, Universe
+from .sets import AttributeSet, Basis, BasisKind, Universe, _is_decimal
 
 __all__ = [
     "ALGORITHMS",
@@ -105,6 +105,12 @@ class WorkloadSpec:
     seed: int = 0
     combos: tuple[tuple[BasisKind, str], ...] | None = None
     query_density: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.queries < 0:
+            raise ValueError("the query count must not be negative")
+        if self.repetitions < 1:
+            raise ValueError("at least one repetition is required")
 
 
 @dataclass(frozen=True)
@@ -208,14 +214,13 @@ def run_workload(
         raise InvalidCombo("a workload needs at least one basis")
     (universe,) = universes
     queries, digest = _draw_queries(universe, spec.queries, spec.query_density, spec.seed)
-    reps = max(1, spec.repetitions)
     reports: list[ComboReport] = []
     for kind, algo in combos:
         basis = bases[kind]
         func = ALGORITHMS[algo]
         reference: tuple[int, int, int, int] | None = None
         elapsed_total = 0
-        for _ in range(reps):
+        for _ in range(spec.repetitions):
             totals = Metrics()
             for query in queries:
                 totals.add(func(query, basis).metrics)
@@ -227,7 +232,7 @@ def run_workload(
                 )
             elapsed_total += totals.elapsed_ns
         assert reference is not None
-        summed = Metrics(*reference, elapsed_ns=round(elapsed_total / reps))
+        summed = Metrics(*reference, elapsed_ns=round(elapsed_total / spec.repetitions))
         reports.append(
             ComboReport(
                 dataset=dataset_id,
@@ -236,7 +241,7 @@ def run_workload(
                 universe_size=universe.size,
                 basis_size=len(basis),
                 queries=spec.queries,
-                repetitions=reps,
+                repetitions=spec.repetitions,
                 totals=summed,
                 query_digest=digest,
             )
@@ -302,6 +307,10 @@ def write_reports_csv(reports: Iterable[ComboReport], target: str | Path | TextI
             )
 
 
+#: The CSV columns that do not hold a count in ASCII digits.
+_NON_COUNT_COLUMNS = ("dataset", "basis_kind", "algorithm", "time_ms")
+
+
 def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
     header = CSV_HEADER.split(",")
     with _opened(source, "r") as handle:
@@ -312,6 +321,9 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
         for row in reader:
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} CSV cells, found {len(row)}")
+            for name, cell in zip(header, row):
+                if name not in _NON_COUNT_COLUMNS and not _is_decimal(cell):
+                    raise ValueError(f"CSV cell {name} is not a decimal count: {cell!r}")
             (dataset, universe_size, kind, basis_size, algorithm, queries, reps,
              *counters, time_ms) = row
             totals = Metrics(*map(int, counters), elapsed_ns=round(float(time_ms) * 1e6))

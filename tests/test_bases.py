@@ -38,6 +38,7 @@ from implbase.sets import (
     BasisKind,
     Implication,
     Universe,
+    lectic_key,
     merge_same_lhs,
     read_basis,
     unit_expand,
@@ -467,6 +468,92 @@ def test_sliced_check_equiv_matches_the_scalar_closures(ctx_seed, attributes, dr
     for b1 in bases:
         for b2 in bases:
             assert check_equiv(b1, b2) == scalar_check_equiv(b1, b2)
+
+
+# -- the lectic pseudo-closed walk against the subset lattice ----------------------
+#
+# build_dg, enumerate_pseudo_closed and is_pseudo_closed share one lectic walk
+# that visits only the sets closed under the pseudo-closed sets found so far.
+# The loop below tries every subset instead and serves as the reference.
+
+
+def lattice_pseudo_closed(target: int, pairs) -> list[tuple[int, int]]:
+    """All pseudo-closed subsets of ``target`` with their closures, bottom-up
+    over the subset lattice: a candidate only needs the pseudo-closed sets of
+    strictly smaller cardinality, which are already known."""
+    submasks = []
+    s = target
+    while True:
+        submasks.append(s)
+        if s == 0:
+            break
+        s = (s - 1) & target
+    submasks.sort(key=int.bit_count)
+    family: list[tuple[int, int]] = []
+    for s in submasks:
+        closed = fixpoint_bits(s, pairs)
+        if closed == s:
+            continue
+        if not any(p != s and p & s == p and pc & ~s for p, pc in family):
+            family.append((s, closed))
+    return family
+
+
+@st.composite
+def raw_bases(draw) -> Basis:
+    """Up to 10 implications over up to 8 attributes: possibly none, with
+    repeated left-hand sides and right-hand sides inside their left-hand side."""
+    n = draw(st.integers(1, 8))
+    u = Universe(size=n)
+    mask = u.mask
+    impls = []
+    for _ in range(draw(st.integers(0, 10))):
+        lhs = draw(st.integers(1, mask))
+        if impls and draw(st.booleans()):
+            lhs = draw(st.sampled_from(impls)).lhs.bits
+        rhs = draw(st.integers(0, mask))
+        if draw(st.booleans()):
+            rhs &= lhs
+        impls.append(Implication(AttributeSet(u, lhs), AttributeSet(u, rhs)))
+    return Basis(impls, universe=u)
+
+
+def shuffled_raw(basis: Basis, seed: int) -> Basis:
+    impls = list(basis.implications)
+    random.Random(seed).shuffle(impls)
+    return Basis(impls, kind=BasisKind.RAW, universe=basis.universe)
+
+
+def assert_walk_matches_lattice(basis: Basis) -> None:
+    u = basis.universe
+    family = lattice_pseudo_closed(u.mask, basis.pairs())
+    family.sort(key=lambda pc: lectic_key(pc[0], u.size))
+    got = [(w.pseudo_closed.bits, w.closure.bits) for w in enumerate_pseudo_closed(basis)]
+    assert got == family
+    premises = {p for p, _ in family}
+    for bits in range(1 << u.size):
+        assert is_pseudo_closed(AttributeSet(u, bits), basis) == (bits in premises)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+)
+def test_pseudo_closed_walk_matches_the_lattice_on_built_bases(ctx_seed, attributes, seed):
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    for build in BUILDERS:
+        basis = build(ctx)
+        assert_walk_matches_lattice(basis)
+        assert_walk_matches_lattice(shuffled_raw(basis, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_bases())
+@example(Basis([], universe=Universe(size=3)))
+def test_pseudo_closed_walk_matches_the_lattice_on_raw_bases(basis):
+    assert_walk_matches_lattice(basis)
 
 
 # -- minimal transversals against brute force ---------------------------------------

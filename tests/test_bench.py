@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -203,6 +204,19 @@ def test_workload_spec_defaults():
     assert spec.query_density == 0.5
 
 
+@pytest.mark.parametrize("sizes", [{"queries": -5}, {"repetitions": 0}, {"repetitions": -2}])
+def test_workload_spec_refuses_negative_sizes(sizes):
+    with pytest.raises(ValueError):
+        WorkloadSpec(**sizes)
+    with pytest.raises(ValueError):
+        replace(SPEC, **sizes)
+
+
+def test_a_workload_of_no_queries_reports_zero_counters(ex51):
+    reports = run_workload(ex51, WorkloadSpec(queries=0, repetitions=1))
+    assert all(r.queries == 0 and r.totals.counters() == (0, 0, 0, 0) for r in reports)
+
+
 # -- CSV -----------------------------------------------------------------------------
 
 
@@ -241,6 +255,19 @@ def test_csv_is_stable_except_for_time(ex51, tmp_path):
 def test_csv_rejects_unknown_header():
     with pytest.raises(ValueError):
         read_reports_csv(io.StringIO("nope,nope\n1,2\n"))
+
+
+def test_csv_rejects_counts_that_are_not_ascii_digits(ex51):
+    buffer = io.StringIO()
+    write_reports_csv(run_workload(ex51, SPEC)[:1], buffer)
+    header, row = buffer.getvalue().splitlines()
+    cells = row.split(",")
+    for column in ("universe", "basis_size", "queries", "reps", *METRIC_NAMES[:4]):
+        index = header.split(",").index(column)
+        for bad in ("\u0663", "1_0", "+3", "-1", " 3", ""):
+            edited = ",".join(cells[:index] + [bad] + cells[index + 1 :])
+            with pytest.raises(ValueError, match=f"CSV cell {column} "):
+                read_reports_csv(io.StringIO(f"{header}\n{edited}\n"))
 
 
 # -- aggregation ------------------------------------------------------------------------

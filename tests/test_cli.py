@@ -316,6 +316,16 @@ def test_bench_writes_csv(capsys, bench_dir, tmp_path):
     assert len(lines) == 1 + 2 * 9
 
 
+@pytest.mark.parametrize("flags", [["--queries", "-5"], ["--reps", "-2"], ["--reps", "0"]])
+def test_bench_refuses_negative_sizes(capsys, bench_dir, tmp_path, flags):
+    target = tmp_path / "refused.csv"
+    code, out, err = run(capsys, "bench", "--in", str(bench_dir), *flags, "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValueError: ")
+    assert not target.exists()
+
+
 def test_bench_to_stdout_and_reports(capsys, bench_dir, tmp_path):
     code, out, _ = run(
         capsys, "bench", "--in", str(bench_dir), "--queries", "40", "--reps", "1"

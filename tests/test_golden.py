@@ -4,6 +4,10 @@ Each entry pins the first 16 hex digits of the sha256 of ``render_basis``
 for ``build_cdub``, ``build_dbasis`` and ``build_dg`` on one context.  Any
 change to a builder that alters an implication, its order, a right-hand
 side merge or the prefix length shows here as a changed digest.
+
+A second table pins the pseudo-closed sets of each context with their
+closures, in the order ``enumerate_pseudo_closed`` lists them.  They depend
+on the closure operator only, so all three bases of a context give one digest.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ import hashlib
 import pytest
 
 from conftest import EX51_CXT, ctx_from_rows
-from implbase.bases import build_cdub, build_dbasis, build_dg
+from implbase.bases import build_cdub, build_dbasis, build_dg, enumerate_pseudo_closed
 from implbase.context import Context, gen_synthetic, parse_cxt
-from implbase.sets import render_basis
+from implbase.sets import Basis, render_basis
 
 BUILDERS = (build_cdub, build_dbasis, build_dg)
 
@@ -51,6 +55,36 @@ GOLDEN = {
     "gen-25x16-0.3-s3": ("96cf94e530a8b786", "d8a4922dd1d6c2f3", "a66ff436628a0ff9"),
 }
 
+#: The pseudo-closed sets of each context: ``premise -> closure`` per line.
+PSEUDO_CLOSED = {
+    "ex51": "2a2a6593b46c5580",
+    "chain3": "9a61a6916242d0c8",
+    "gen-8x6-0.5-s0": "4b2772a78ce7d89a",
+    "gen-8x6-0.5-s1": "1941b068d78d310b",
+    "gen-8x6-0.5-s2": "dd4e069ec1afff7f",
+    "gen-8x6-0.5-s3": "37f73a45c607eb71",
+    "gen-12x9-0.6-s0": "515c90f4ae1c2fd4",
+    "gen-12x9-0.6-s1": "aebe06fa7aeec29a",
+    "gen-12x9-0.6-s2": "2c977d0a035e7f0c",
+    "gen-12x9-0.6-s3": "068dfe327f8ddfb2",
+    "gen-12x10-0.35-s0": "6017196df9a8b39d",
+    "gen-12x10-0.35-s1": "62d8d5258dc8a164",
+    "gen-12x10-0.35-s2": "fe632df4bbd7af81",
+    "gen-12x10-0.35-s3": "4f7b39a65c9184c2",
+    "gen-15x12-0.3-s0": "d662244dd498179d",
+    "gen-15x12-0.3-s1": "efcf660cbe75216d",
+    "gen-15x12-0.3-s2": "5a84ad802159a146",
+    "gen-15x12-0.3-s3": "a82c913cdddce20d",
+    "gen-20x14-0.3-s0": "3ea92d2786e61018",
+    "gen-20x14-0.3-s1": "727ffc45059668ba",
+    "gen-20x14-0.3-s2": "7ce2b0619a5e1dfa",
+    "gen-20x14-0.3-s3": "abcbddd390ca8e74",
+    "gen-25x16-0.3-s0": "5b9ba34e674ac20f",
+    "gen-25x16-0.3-s1": "8228a553fe893ce1",
+    "gen-25x16-0.3-s2": "8b0b198b9e80d37d",
+    "gen-25x16-0.3-s3": "0bce798b32b878f0",
+}
+
 
 def corpus() -> dict[str, Context]:
     out = {
@@ -72,7 +106,7 @@ def digest(text: str) -> str:
 
 
 def test_corpus_and_golden_table_agree():
-    assert list(CORPUS) == list(GOLDEN)
+    assert list(CORPUS) == list(GOLDEN) == list(PSEUDO_CLOSED)
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
@@ -84,3 +118,14 @@ def test_builders_render_the_golden_text(name):
 
 def test_corpus_exercises_the_binary_prefix():
     assert any(build_dbasis(ctx).sigma0_len > 0 for ctx in CORPUS.values())
+
+
+def pseudo_closed_text(basis: Basis) -> str:
+    return "".join(f"{w.pseudo_closed} -> {w.closure}\n" for w in enumerate_pseudo_closed(basis))
+
+
+@pytest.mark.parametrize("name", list(PSEUDO_CLOSED))
+def test_every_basis_gives_the_golden_pseudo_closed_sets(name):
+    ctx = CORPUS[name]
+    got = {build.__name__: digest(pseudo_closed_text(build(ctx))) for build in BUILDERS}
+    assert got == dict.fromkeys(got, PSEUDO_CLOSED[name])

@@ -9,9 +9,10 @@ import pytest
 
 import implbase
 
-#: The package modules, then the test modules.
-MODULES = sorted(Path(implbase.__file__).parent.glob("*.py"))
-MODULES += sorted(Path(__file__).parent.glob("*.py"))
+#: The package modules,
+PACKAGE = sorted(Path(implbase.__file__).parent.glob("*.py"))
+#: then the test modules.
+MODULES = PACKAGE + sorted(Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> set[str]:
@@ -41,3 +42,40 @@ def test_every_import_is_used_or_exported(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported_names(tree) - used - exported_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level names with one leading underscore that the module binds
+    by ``def``, ``class`` or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names the module reads, reads as attributes, or imports by name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_name_of_the_package_is_used_in_the_package():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    used = set().union(*map(referenced_names, trees.values()))
+    unused = {
+        f"{name}.{private}"
+        for name, tree in trees.items()
+        for private in private_definitions(tree) - used
+    }
+    assert not unused, f"private names that nothing in the package uses: {sorted(unused)}"
