@@ -11,8 +11,11 @@ attribute is implied by the empty set:
   survive the redundancy filter against the binary prefix.  One in-order
   round computes any closure once the prefix comes first.
 * :func:`build_dg` - the minimum-cardinality basis: one implication per
-  pseudo-closed set, found by the one lectic walk that also serves the
-  pseudo-closed predicates below.
+  pseudo-closed set, derived from the cdub in polynomial time by the same
+  derivation that serves the pseudo-closed predicates below.
+
+One premise search per context serves all three builders: the last context
+built keeps its premises and cdub pairs until another context is built.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -22,17 +25,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import islice
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Iterator
 
 from .bits import (
     Pairs,
     Sliced,
     bit_indices,
-    fixpoint_bits,
     slice_pairs,
+    sliced_fixpoint,
     sliced_round,
     spread,
     transpose_bits,
@@ -129,6 +132,26 @@ def _proper_premises(ctx: Context) -> list[list[int]]:
 
 # -- builders -----------------------------------------------------------------
 
+#: The last context searched, with its premises per attribute in lectic order
+#: and its cdub pairs.  Matched by identity, so it keeps one context alive at
+#: most, and the three builders of one context share one premise search.
+_searched: tuple[Context, list[list[int]], list[tuple[int, int]]] | None = None
+
+
+def _search(ctx: Context) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """The premises and the merged cdub pairs of ``ctx``, searched once while
+    ``ctx`` stays the last context a builder was called on."""
+    global _searched
+    last = _searched
+    if last is None or last[0] is not ctx:
+        n = ctx.universe.size
+        premises = [
+            sorted(found, key=lambda b: lectic_key(b, n)) for found in _proper_premises(ctx)
+        ]
+        units = [(lhs, 1 << m) for m in range(n) for lhs in premises[m]]
+        last = _searched = (ctx, premises, _merge_pairs(units))
+    return last[1], last[2]
+
 
 def build_cdub(ctx: Context) -> Basis:
     """Canonical direct unit basis of a standard context.
@@ -139,15 +162,37 @@ def build_cdub(ctx: Context) -> Basis:
     """
     require_standard(ctx)
     universe = ctx.universe
-    n = universe.size
-    premises = _proper_premises(ctx)
-    units = [
-        (lhs, 1 << m)
-        for m in range(n)
-        for lhs in sorted(premises[m], key=lambda b: lectic_key(b, n))
-    ]
-    merged = _implications(universe, _merge_pairs(units))
-    return Basis(merged, kind=BasisKind.CDUB, universe=universe)
+    _, pairs = _search(ctx)
+    return Basis(_implications(universe, pairs), kind=BasisKind.CDUB, universe=universe)
+
+
+def _dbasis_tail(
+    premises: list[list[int]], single_closures: list[int], n: int
+) -> list[tuple[int, int]]:
+    """The dbasis tail, right-hand sides merged, in lectic order of the lhs:
+    each minimal generator ``A`` of ``c`` whose prefix reach, the union of
+    the closures of its attributes, neither holds ``c`` nor contains another
+    minimal generator of ``c`` yields ``A -> c``.
+
+    Per attribute ``c`` the premises go in lanes, one lane each.  ``inv[a]``
+    lists the attributes whose closure holds ``a``, so ``rc[a]``, the OR of
+    their premise columns, marks the lanes whose reach holds ``a``; the AND
+    of ``rc`` over premise ``j`` marks the lanes whose reach contains it.  A
+    single-attribute premise ``a`` of ``c`` has ``c`` in the closure of ``a``,
+    so ``rc[c]`` drops it.
+    """
+    inv = transpose_bits(single_closures, n)
+    tail: dict[int, int] = {}
+    for c, plist in enumerate(premises):
+        pc = transpose_bits(plist, n)
+        rc = [spread(col, pc) for col in inv]
+        get = rc.__getitem__
+        dropped = rc[c]
+        for j, lhs in enumerate(plist):
+            dropped |= reduce(and_, map(get, bit_indices(lhs))) & ~(1 << j)
+        for j in bit_indices(((1 << len(plist)) - 1) & ~dropped):
+            tail[plist[j]] = tail.get(plist[j], 0) | 1 << c
+    return sorted(tail.items(), key=lambda pair: lectic_key(pair[0], n))
 
 
 def build_dbasis(ctx: Context) -> Basis:
@@ -170,26 +215,8 @@ def build_dbasis(ctx: Context) -> Basis:
         for a in range(n)
         for c in bit_indices(single_closures[a] & ~(1 << a))
     ]
-    premises = _proper_premises(ctx)
-    tail_units: list[tuple[int, int]] = []
-    for c in range(n):
-        plist = premises[c]
-        # Bit i of a column says premise i holds that attribute, so the
-        # premises inside ``reach`` are those that no outside column marks.
-        columns = [(1 << a, col) for a, col in enumerate(transpose_bits(plist, n))]
-        everyone = (1 << len(plist)) - 1
-        for i, lhs in enumerate(plist):
-            if lhs.bit_count() < 2:
-                continue
-            reach = spread(lhs, single_closures)
-            if reach >> c & 1:
-                continue
-            outside = reduce(or_, [col for bit, col in columns if not reach & bit], 0)
-            if everyone & ~outside & ~(1 << i):
-                continue
-            tail_units.append((lhs, c))
-    tail_units.sort(key=lambda unit: (lectic_key(unit[0], n), unit[1]))
-    tail = _merge_pairs([(lhs, 1 << c) for lhs, c in tail_units])
+    premises, _ = _search(ctx)
+    tail = _dbasis_tail(premises, single_closures, n)
     return Basis(
         _implications(universe, prefix + tail),
         kind=BasisKind.DBASIS,
@@ -198,54 +225,78 @@ def build_dbasis(ctx: Context) -> Basis:
     )
 
 
-def _next_list_closed(bits: int, spots: list[int], ground: int, impls: Pairs) -> int:
-    """Lectically next ``Y <= ground`` with ``L(Y) & ground == Y``, where ``L``
-    closes under the list; returns ``L(Y)``.  ``spots``: ground bits, last first."""
-    for bit in spots:
-        if bits & bit:
-            bits &= ~bit
-        else:
-            prefix = bit - 1
-            candidate = fixpoint_bits((bits & prefix) | bit, impls)
-            if candidate & ground & prefix == bits & prefix:
-                return candidate
-    raise RuntimeError("no lectic successor; the ground set should have ended the walk")
+def _pseudo_closed(pairs: Pairs, n: int) -> list[tuple[int, int]]:
+    """Every pseudo-closed set of the closure operator of ``pairs``, with its
+    closure, in lectic order; derived from the pairs in polynomial time
+    (Ganter & Obiedkov 2016).
 
+    Implication ``j``, ``A_j -> B_j``, takes lane ``j``:
 
-def _pseudo_closed(close: Callable[[int], int], ground: int) -> list[tuple[int, int]]:
-    """Every pseudo-closed subset of ``ground`` under ``close``, with its
-    closure, in lectic order.
+    1. ``K_j``, the closure of ``A_j``, in all lanes at once.
+    2. ``allowed_j``: the lanes ``q`` with ``K_j`` strictly inside ``K_q``.
+    3. ``X_q``: the closure of ``A_q`` under every ``A_j -> K_j``, where
+       ``j`` fires only in the lanes of ``allowed_j``.  The allowed lanes sit
+       in one extra column per distinct ``K_j``, added to the lhs of ``j``.
+    4. Per closure ``K``, the inclusion-minimal ``X_q != K`` with ``K_q == K``.
 
-    Ganter's walk, closing under the list ``L`` of the pairs found so far.  A
-    set is closed or pseudo-closed iff ``L`` leaves it unchanged once ``L``
-    holds its pseudo-closed proper subsets, and those all come earlier in
-    lectic order.  ``Y -> L(Y) & ground`` is a closure operator on the subsets
-    of ``ground``; the walk visits its closed sets, up to ``ground`` itself,
-    and tests those whose ``L`` closure stays inside ``ground``.
+    In step 3 ``X_q`` stays inside ``K_q``, and ``j`` fires only once
+    ``A_j`` lies inside ``X_q``, which puts ``K_j`` inside ``K_q``.  So the
+    column of ``allowed_j`` need only mark the lanes whose ``K_q`` has an
+    attribute outside ``K_j``.
+
+    Each ``X_q`` is quasi-closed: the closure of a subset, if strictly inside
+    ``K_q``, is reached by allowed implications only, so it stays inside
+    ``X_q``.  A pseudo-closed ``P`` is not closed, so some ``A_q`` inside
+    ``P`` has ``B_q`` outside it; ``P`` being quasi-closed, ``K_q`` is then
+    the closure of ``P``, and every allowed firing from inside ``P`` stays
+    inside ``P``, so ``X_q <= P``.  The pseudo-closed sets are exactly the
+    minimal quasi-closed sets of their closure class that are not closed, so
+    ``X_q == P`` and step 4 lists exactly them.  Left-hand sides are never
+    empty, so the empty set is closed and never listed.
     """
-    spots = [1 << i for i in reversed(bit_indices(ground))]
+    if not pairs:
+        return []
+    lanes = len(pairs)
+    sliced = slice_pairs(pairs)
+    cols = transpose_bits([lhs for lhs, _ in pairs], n)
+    k_cols = sliced_fixpoint(cols, sliced)
+    ks = transpose_bits(k_cols, lanes)
+    mask = (1 << n) - 1
+    # per distinct closure: its fence column and its attributes
+    fence: dict[int, tuple[int, tuple[int, ...]]] = {}
+    fences: list[int] = []
+    for k in ks:
+        if k not in fence:
+            fence[k] = (n + len(fences), bit_indices(k))
+            fences.append(reduce(or_, [k_cols[a] for a in bit_indices(mask & ~k)], 0))
+    fenced = [(lhs + (fence[k][0],), fence[k][1]) for (lhs, _), k in zip(sliced, ks)]
+    xs = transpose_bits(sliced_fixpoint(cols + fences, fenced)[:n], lanes)
+    classes: dict[int, set[int]] = {}
+    for x, k in zip(xs, ks):
+        if x != k:
+            classes.setdefault(k, set()).add(x)
     found: list[tuple[int, int]] = []
-    bits = lifted = 0
-    while True:
-        if lifted == lifted & ground:
-            closed = close(bits)
-            if closed != bits:
-                found.append((bits, closed))
-        if bits == ground:
-            return found
-        lifted = _next_list_closed(bits, spots, ground, found)
-        bits = lifted & ground
+    for k, quasi in classes.items():
+        least: list[int] = []
+        for x in sorted(quasi, key=int.bit_count):
+            if not any(p & x == p for p in least):
+                least.append(x)
+        found.extend((p, k) for p in least)
+    found.sort(key=lambda pk: lectic_key(pk[0], n))
+    return found
 
 
 def build_dg(ctx: Context) -> Basis:
     """Minimum-cardinality basis of a standard context.
 
-    ``P -> closure(P) \\ P`` per pseudo-closed set ``P``, in lectic order.  In
-    a standard context the empty set is closed, so no left-hand side is empty.
+    ``P -> closure(P) \\ P`` per pseudo-closed set ``P``, in lectic order,
+    derived from the cdub pairs of the shared premise search.  In a standard
+    context the empty set is closed, so no left-hand side is empty.
     """
     require_standard(ctx)
     universe = ctx.universe
-    found = _pseudo_closed(ctx.closure_bits, universe.mask)
+    _, cdub = _search(ctx)
+    found = _pseudo_closed(cdub, universe.size)
     return Basis(
         _implications(universe, [(p, c & ~p) for p, c in found]),
         kind=BasisKind.DG,
@@ -275,26 +326,29 @@ class PseudoClosedWitness:
 def is_pseudo_closed(x: AttributeSet, basis: Basis) -> bool:
     """Is ``x`` pseudo-closed under the basis?
 
-    ``x`` must not be closed, and the closure of every pseudo-closed proper
-    subset must stay inside ``x``.  If ``x`` is not closed, the lectic walk
-    over its subsets finds at least one pseudo-closed set and ends with ``x``.
+    Derived from the implications whose lhs lies inside ``x`` alone, ``L_x``.
+    For a set ``R`` inside ``x``, the closures under ``L_x`` and under the
+    basis agree whenever one of them stays inside ``x``: the basis fires
+    nothing but ``L_x`` there, so that closure is closed under both.  Whether
+    a subset ``P`` of ``x`` is pseudo-closed depends on whether ``P`` is
+    closed and on whether the closures of its pseudo-closed proper subsets lie
+    inside ``P``; each of those tests asks whether a closure stays inside
+    ``x``, and so answers alike under both.  By induction on ``|P|``, the
+    subsets of ``x``, ``x`` among them, have the same pseudo-closed sets.
     """
     if x.universe != basis.universe:
         raise UniverseMismatch("set universe differs from basis universe")
-    close = partial(fixpoint_bits, pairs=basis.pairs())
-    if close(x.bits) == x.bits:
-        return False
-    return _pseudo_closed(close, x.bits)[-1][0] == x.bits
+    inside = [(lhs, rhs) for lhs, rhs in basis.pairs() if lhs & x.bits == lhs]
+    return any(p == x.bits for p, _ in _pseudo_closed(inside, x.universe.size))
 
 
 def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     """Every pseudo-closed set of the basis with its closure, in lectic order,
-    from the lectic walk of :func:`build_dg` closing under the basis."""
+    derived from the basis as :func:`build_dg` derives them from the cdub."""
     universe = basis.universe
-    found = _pseudo_closed(partial(fixpoint_bits, pairs=basis.pairs()), universe.mask)
     return [
         PseudoClosedWitness(AttributeSet(universe, p), AttributeSet(universe, c))
-        for p, c in found
+        for p, c in _pseudo_closed(basis.pairs(), universe.size)
     ]
 
 

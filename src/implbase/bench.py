@@ -311,6 +311,18 @@ def write_reports_csv(reports: Iterable[ComboReport], target: str | Path | TextI
 _NON_COUNT_COLUMNS = ("dataset", "basis_kind", "algorithm", "time_ms")
 
 
+def _time_ns(cell: str) -> int:
+    """A ``time_ms`` cell as whole nanoseconds.  It must be ASCII digits with
+    an optional ASCII fraction: the writer's ``digits.digits``, or a bare
+    count put in its place; anything else raises ``ValueError``."""
+    whole, dot, frac = cell.partition(".")
+    if _is_decimal(whole) and (not dot or _is_decimal(frac)):
+        ns = float(cell) * 1e6
+        if math.isfinite(ns):
+            return round(ns)
+    raise ValueError(f"CSV cell time_ms is not a decimal time: {cell!r}")
+
+
 def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
     header = CSV_HEADER.split(",")
     with _opened(source, "r") as handle:
@@ -326,7 +338,7 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
                     raise ValueError(f"CSV cell {name} is not a decimal count: {cell!r}")
             (dataset, universe_size, kind, basis_size, algorithm, queries, reps,
              *counters, time_ms) = row
-            totals = Metrics(*map(int, counters), elapsed_ns=round(float(time_ms) * 1e6))
+            totals = Metrics(*map(int, counters), elapsed_ns=_time_ns(time_ms))
             reports.append(
                 ComboReport(
                     dataset=dataset,

@@ -28,6 +28,7 @@ __all__ = [
     "transpose_bits",
     "slice_pairs",
     "sliced_round",
+    "sliced_fixpoint",
     "unclosed_lanes",
     "memo",
 ]
@@ -110,6 +111,16 @@ def sliced_round(cols: list[int], sliced: Sliced, ordered: bool) -> list[int]:
             for b in rhs:
                 out[b] |= fire
     return out
+
+
+def sliced_fixpoint(cols: list[int], sliced: Sliced) -> list[int]:
+    """In-order rounds in every lane until no column changes; each lane ends
+    at the closure of its set, as :func:`fixpoint_bits` gives it."""
+    while True:
+        grown = sliced_round(cols, sliced, ordered=True)
+        if grown == cols:
+            return cols
+        cols = grown
 
 
 def unclosed_lanes(cols: list[int], sliced: Sliced) -> int:

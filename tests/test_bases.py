@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import implbase.bases
 from conftest import (
     EX51_IMP,
     aset,
@@ -17,7 +18,9 @@ from conftest import (
     random_standard_context,
 )
 from implbase.bases import (
+    _dbasis_tail,
     _minimal_transversals,
+    _proper_premises,
     build_cdub,
     build_dbasis,
     build_dg,
@@ -30,14 +33,15 @@ from implbase.bases import (
 )
 from implbase.bits import fixpoint_bits
 from implbase.closure import oracle_closure
-from implbase.context import context_closure
-from implbase.errors import NotStandardContext, UniverseMismatch
+from implbase.context import Context, clarify, context_closure, reduce
+from implbase.errors import DegenerateContext, NotStandardContext, UniverseMismatch
 from implbase.sets import (
     AttributeSet,
     Basis,
     BasisKind,
     Implication,
     Universe,
+    _merge_pairs,
     lectic_key,
     merge_same_lhs,
     read_basis,
@@ -470,11 +474,150 @@ def test_sliced_check_equiv_matches_the_scalar_closures(ctx_seed, attributes, dr
             assert check_equiv(b1, b2) == scalar_check_equiv(b1, b2)
 
 
-# -- the lectic pseudo-closed walk against the subset lattice ----------------------
+# -- the sliced dbasis tail against the per-premise filter ---------------------------
 #
-# build_dg, enumerate_pseudo_closed and is_pseudo_closed share one lectic walk
-# that visits only the sets closed under the pseudo-closed sets found so far.
-# The loop below tries every subset instead and serves as the reference.
+# _dbasis_tail filters every premise of one attribute at once, one bit lane
+# per premise.  The loop below takes one premise at a time: it spreads the
+# premise over the single-attribute closures and ORs the premise columns of
+# the attributes outside that reach.
+
+
+def scalar_dbasis_tail(premises, single_closures, n):
+    tail_units = []
+    for c in range(n):
+        plist = premises[c]
+        columns = [0] * n
+        for i, lhs in enumerate(plist):
+            for a in range(n):
+                if lhs >> a & 1:
+                    columns[a] |= 1 << i
+        everyone = (1 << len(plist)) - 1
+        for i, lhs in enumerate(plist):
+            if lhs.bit_count() < 2:
+                continue
+            reach = 0
+            for a in range(n):
+                if lhs >> a & 1:
+                    reach |= single_closures[a]
+            if reach >> c & 1:
+                continue
+            outside = 0
+            for a in range(n):
+                if not reach >> a & 1:
+                    outside |= columns[a]
+            if everyone & ~outside & ~(1 << i):
+                continue
+            tail_units.append((lhs, c))
+    tail_units.sort(key=lambda unit: (lectic_key(unit[0], n), unit[1]))
+    return _merge_pairs([(lhs, 1 << c) for lhs, c in tail_units])
+
+
+def hierarchy_context(rng: random.Random, attributes: int) -> Context:
+    """A standard context whose objects hold the parent of each attribute
+    they hold, so that binary implications survive standardisation."""
+    universe = Universe(names=[f"m{j}" for j in range(attributes)])
+    up = [1 << j for j in range(attributes)]
+    for j in range(1, attributes):
+        if rng.random() < 0.7:
+            up[j] |= up[rng.randrange(j)]
+    while True:
+        rows = []
+        for _ in range(2 * attributes):
+            bits = 0
+            for j in range(attributes):
+                if rng.random() < 0.35:
+                    bits |= up[j]
+            rows.append(AttributeSet(universe, bits))
+        try:
+            return reduce(clarify(Context(universe, rows)))
+        except DegenerateContext:
+            continue
+
+
+@settings(max_examples=80, deadline=None)
+@given(ctx_seed=st.integers(0, 2**32 - 1), attributes=st.integers(2, 10))
+def test_sliced_dbasis_tail_matches_the_per_premise_filter(ctx_seed, attributes):
+    ctx = hierarchy_context(random.Random(ctx_seed), attributes)
+    n = ctx.universe.size
+    single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
+    assume(any(closed != 1 << a for a, closed in enumerate(single_closures)))
+    premises = _proper_premises(ctx)
+    want = scalar_dbasis_tail(premises, single_closures, n)
+    assert _dbasis_tail(premises, single_closures, n) == want
+    dbasis = build_dbasis(ctx)
+    assert dbasis.sigma0_len > 0
+    assert list(dbasis.pairs()[dbasis.sigma0_len :]) == want
+
+
+# -- one premise search per context -------------------------------------------------
+#
+# The builders share the premises and cdub pairs of the last context they
+# were called on, matched by identity.  Interleaved calls over two contexts,
+# and over two equal but distinct ones, must each give what a build on a
+# context no builder has seen gives.
+
+
+def unseen(ctx: Context) -> Context:
+    """An equal context that no builder has seen."""
+    return Context(ctx.universe, ctx.rows, ctx.object_names)
+
+
+@pytest.fixture
+def searches(monkeypatch) -> list[Context]:
+    """The contexts the premise search runs on, in call order."""
+    seen: list[Context] = []
+    search = implbase.bases._proper_premises
+
+    def counted(ctx: Context) -> list[list[int]]:
+        seen.append(ctx)
+        return search(ctx)
+
+    monkeypatch.setattr(implbase.bases, "_proper_premises", counted)
+    return seen
+
+
+def test_interleaved_builders_match_builds_on_unseen_contexts(searches):
+    rng = random.Random(71)
+    a = random_standard_context(rng, 7)
+    b = hierarchy_context(rng, 8)
+    twin = unseen(a)
+    assert twin == a and twin is not a
+    expected = {
+        (build, id(ctx)): build(unseen(ctx)) for build in BUILDERS for ctx in (a, b, twin)
+    }
+    searches.clear()
+    calls = [
+        (build_cdub, a), (build_dbasis, b), (build_dg, a), (build_dg, a), (build_dbasis, twin),
+        (build_cdub, twin), (build_dg, b), (build_cdub, a), (build_dbasis, a), (build_dg, twin),
+        (build_cdub, b),
+    ]
+    for build, ctx in calls:
+        assert build(ctx) == expected[build, id(ctx)]
+    # one search per change of context, by identity: the twin searches anew
+    assert list(map(id, searches)) == list(map(id, [a, b, a, twin, b, a, twin, b]))
+
+
+def test_three_builders_search_the_premises_once(searches, ex51):
+    ctx = unseen(ex51)
+    for build in BUILDERS:
+        build(ctx)
+    assert len(searches) == 1 and searches[0] is ctx
+
+
+def test_cold_dg_equals_warm_dg():
+    rng = random.Random(72)
+    for _ in range(10):
+        ctx = hierarchy_context(rng, rng.randint(2, 9))
+        cold = build_dg(unseen(ctx))
+        build_cdub(ctx)
+        assert build_dg(ctx) == cold
+
+
+# -- the pseudo-closed derivation against the subset lattice ------------------------
+#
+# build_dg, enumerate_pseudo_closed and is_pseudo_closed share one derivation
+# of the pseudo-closed sets from a list of implications.  The loop below
+# tries every subset instead and serves as the reference.
 
 
 def lattice_pseudo_closed(target: int, pairs) -> list[tuple[int, int]]:

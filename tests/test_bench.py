@@ -270,6 +270,22 @@ def test_csv_rejects_counts_that_are_not_ascii_digits(ex51):
                 read_reports_csv(io.StringIO(f"{header}\n{edited}\n"))
 
 
+def test_csv_rejects_times_not_in_the_written_form(ex51):
+    buffer = io.StringIO()
+    write_reports_csv(run_workload(ex51, SPEC)[:1], buffer)
+    header, row = buffer.getvalue().splitlines()
+    stem = row.rsplit(",", 1)[0]
+    for bad in (
+        "inf", "1e400", "nan", "9" * 400 + ".0", "-5", "-5.0", "1_0", "1_0.0",
+        "\u0663", "\u0663.0", "1.\u0663", ".5", "5.", "+1.0", " 1.0", "",
+    ):
+        with pytest.raises(ValueError, match="CSV cell time_ms "):
+            read_reports_csv(io.StringIO(f"{header}\n{stem},{bad}\n"))
+    for good, ns in (("1500", 1_500_000_000), ("0.000001", 1), ("2.5", 2_500_000)):
+        (report,) = read_reports_csv(io.StringIO(f"{header}\n{stem},{good}\n"))
+        assert report.totals.elapsed_ns == ns
+
+
 # -- aggregation ------------------------------------------------------------------------
 
 

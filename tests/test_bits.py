@@ -5,7 +5,15 @@ from __future__ import annotations
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from implbase.bits import bit_indices, memo, spread, transpose_bits
+from implbase.bits import (
+    bit_indices,
+    fixpoint_bits,
+    memo,
+    slice_pairs,
+    sliced_fixpoint,
+    spread,
+    transpose_bits,
+)
 
 N = 9
 SETS = st.integers(min_value=0, max_value=(1 << N) - 1)
@@ -35,6 +43,16 @@ def test_transpose_bits_matches_a_per_bit_loop(sets, n):
             if bits >> a & 1:
                 expected[a] |= 1 << q
     assert transpose_bits(sets, n) == expected
+
+
+@given(
+    st.lists(st.tuples(SETS.filter(bool), SETS), max_size=12),
+    st.lists(SETS, max_size=40),
+)
+@example([(0b1, 0b10), (0b10, 0b100), (0b100, 0b1000)], [0b1, 0])
+def test_sliced_fixpoint_closes_every_lane_as_fixpoint_bits(pairs, sets):
+    cols = sliced_fixpoint(transpose_bits(sets, N), slice_pairs(pairs))
+    assert cols == transpose_bits([fixpoint_bits(bits, pairs) for bits in sets], N)
 
 
 def test_memo_computes_once_per_instance():

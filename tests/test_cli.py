@@ -326,6 +326,18 @@ def test_bench_refuses_negative_sizes(capsys, bench_dir, tmp_path, flags):
     assert not target.exists()
 
 
+def test_report_refuses_a_time_the_writer_cannot_write(capsys, bench_dir, tmp_path):
+    code, out, _ = run(capsys, "bench", "--in", str(bench_dir), "--queries", "5", "--reps", "1")
+    assert code == 0
+    header, row = out.splitlines()[:2]
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text(f"{header}\n{row.rsplit(',', 1)[0]},inf\n")
+    code, out, err = run(capsys, "report", "--in", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValueError: CSV cell time_ms ")
+
+
 def test_bench_to_stdout_and_reports(capsys, bench_dir, tmp_path):
     code, out, _ = run(
         capsys, "bench", "--in", str(bench_dir), "--queries", "40", "--reps", "1"
