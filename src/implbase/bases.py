@@ -75,40 +75,68 @@ _LANES = 1 << 12
 
 
 def _minimal_transversals(edges: list[int]) -> list[int]:
-    """All inclusion-minimal bit sets hitting every edge.
+    """All inclusion-minimal bit sets hitting every edge, each once and in no
+    fixed order, found by MMCS (Murakami & Uno 2014).
 
-    An empty edge admits no transversal; an empty family is hit by the empty
-    set.  The antichain ``trans`` of minimal transversals takes one edge at a
-    time, smallest first: an empty edge empties it at once, and an edge that
-    contains an earlier one is already hit by every set.  The sets that
-    ``hit`` the edge stay; each ``t`` that misses it yields ``t | low`` per
-    attribute ``low`` of the edge, unless some ``h`` in ``hit`` lies inside.
-    As ``t`` misses the edge, that needs ``low`` in ``h`` and reads
-    ``h ^ low <= t``: only the ``own`` sets test.
+    Duplicate edges are dropped first.  An empty family is hit by the empty set; an
+    empty edge admits no transversal.  ``occ[v]`` marks the edges holding
+    ``v``.  The search runs depth-first on an explicit stack, as its depth
+    can pass the recursion limit.  A frame holds a set ``S``, the edges
+    ``crit`` that each member of ``S`` alone hits (one mask per member, in
+    order of entry), the edges ``uncov`` that ``S`` misses, and the
+    candidates ``cand`` that may still join ``S``.  Invariant: no ``crit``
+    mask is empty, so no member of ``S`` can go.
 
-    No minimality filter follows.  ``t1 | l1 <= t2 | l2`` gives ``t1 <= t2``
-    (``l2`` is in the edge, so not in ``t1``), hence ``t1 == t2`` in the
-    antichain and then ``l1 == l2``: the candidates are distinct and pairwise
-    incomparable.  Nor does a ``hit`` set contain one, since
-    ``t | low <= h`` would put ``t`` strictly inside ``h``.
+    A frame takes the uncovered edge with the fewest candidates, ``F``.  One
+    of them must join, so it branches on each ``v`` of ``F`` in turn, with
+    the rest of ``F`` out of ``cand`` and the ``v`` already tried back in.
+    ``v`` takes ``occ[v]`` from every ``crit``; if one empties, no superset
+    of ``S | v`` is minimal and the branch dies.  Otherwise ``S | v`` gets
+    ``crit[v] = uncov & occ[v]`` and misses ``uncov & ~occ[v]``; once that
+    is empty, ``S | v`` is a transversal with a critical edge per member,
+    so minimal.
+
+    Complete, and each set once: a minimal transversal ``T`` that contains
+    ``S`` and lies inside ``S | cand`` meets ``F``; only the branch on its
+    last member in ``F`` keeps its other members of ``F`` in ``cand``, and
+    no ``crit`` mask empties on the way to ``T``, as a subset of ``T``
+    keeps every edge that one member of ``T`` alone hits.
     """
-    trans: list[int] = [0]
-    for edge in sorted(set(edges), key=int.bit_count):
-        hit: list[int] = []
-        miss: list[int] = []
-        for t in trans:
-            (hit if t & edge else miss).append(t)
-        if not miss:
-            continue
-        fresh: list[int] = []
-        rest = edge
+    edges = list(dict.fromkeys(edges))
+    if not edges:
+        return [0]
+    if 0 in edges:
+        return []
+    cand = reduce(or_, edges)
+    occ = transpose_bits(edges, cand.bit_length())
+    found: list[int] = []
+    stack: list[tuple[int, list[int], int, int]] = [(0, [], (1 << len(edges)) - 1, cand)]
+    while stack:
+        s, crit, uncov, cand = stack.pop()
+        f, fewest = 0, len(occ) + 1
+        rest = uncov
         while rest:
             low = rest & -rest
-            own = [h ^ low for h in hit if h & low]
-            fresh.extend(t | low for t in miss if not any(o & t == o for o in own))
+            here = edges[low.bit_length() - 1] & cand
+            count = here.bit_count()
+            if count < fewest:
+                f, fewest = here, count
+                if count <= 1:  # one branch at most: take it, or die now
+                    break
             rest ^= low
-        trans = hit + fresh
-    return trans
+        cand &= ~f
+        for v in bit_indices(f):
+            o = occ[v]
+            kept = [c & ~o for c in crit]
+            if all(kept):
+                left = uncov & ~o
+                if left:
+                    kept.append(uncov & o)
+                    stack.append((s | 1 << v, kept, left, cand))
+                else:
+                    found.append(s | 1 << v)
+            cand |= 1 << v
+    return found
 
 
 def _proper_premises(ctx: Context) -> list[list[int]]:
@@ -117,7 +145,9 @@ def _proper_premises(ctx: Context) -> list[list[int]]:
 
     A set implies ``m`` exactly when it clashes with every object row missing
     ``m``, so the premises are the minimal transversals of those row
-    complements (with ``m`` itself excluded from play).
+    complements (with ``m`` itself excluded from play), one MMCS search per
+    attribute (see :func:`_minimal_transversals`; Ryssel, Distel & Borchmann
+    2014).  They come in search order; :func:`_search` sorts them.
     """
     n = ctx.universe.size
     mask = ctx.universe.mask
@@ -387,7 +417,12 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
 
 
 def _candidates(n: int, limit: int, samples: int, seed: int) -> tuple[Iterator[int], str]:
-    """The candidate sets of the directness check, and their scope in words."""
+    """The candidate sets of the directness check, and their scope in words.
+
+    A negative ``samples`` is refused: it would check no set and pass.
+    """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     if n <= limit:
         return iter(range(1 << n)), f"exhaustive, {1 << n} sets"
     rng = random.Random(seed)
@@ -414,6 +449,7 @@ def direct_witness(
     attributes, and ``samples`` seeded random sets beyond.  They are checked
     ``_LANES`` at a time, one per lane: one round reaches the closure iff
     its result is closed, because the closure is the least closed superset.
+    A negative ``samples`` raises :class:`ValueError`.
     """
     n = basis.universe.size
     sliced = slice_pairs(basis.pairs())

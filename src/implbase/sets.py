@@ -182,14 +182,23 @@ class AttributeSet:
         return f"AttributeSet([{self}])"
 
 
+#: Each byte with its eight bits in reverse order.
+_MIRROR = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
 def lectic_key(bits: int, size: int) -> int:
     """Sort key realising the lectic order on subsets.
 
     Earlier attribute positions weigh more, so ``sorted(..., key=...)`` lists
     sets exactly in ascending lectic order: of two distinct sets the smaller
-    is the one missing the smallest attribute in which they differ.
+    is the one missing the smallest attribute in which they differ.  The
+    key is ``bits`` mirrored over ``size`` positions: each little-endian
+    byte mirrored through ``_MIRROR``, read big-endian, shifted past the
+    padding.
     """
-    return int(format(bits, f"0{size}b")[::-1], 2)
+    nb = (size + 7) >> 3
+    mirrored = bits.to_bytes(nb, "little").translate(_MIRROR)
+    return int.from_bytes(mirrored, "big") >> (8 * nb - size)
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,7 +34,7 @@ from implbase.bases import (
 )
 from implbase.bits import fixpoint_bits
 from implbase.closure import oracle_closure
-from implbase.context import Context, clarify, context_closure, reduce
+from implbase.context import Context, clarify, context_closure, gen_synthetic, reduce
 from implbase.errors import DegenerateContext, NotStandardContext, UniverseMismatch
 from implbase.sets import (
     AttributeSet,
@@ -266,6 +267,16 @@ def test_direct_witness_sampling_path():
     ctx = random_standard_context(rng, 8, objects=20)
     basis = build_cdub(ctx)
     assert direct_witness(basis, exhaustive_limit=4, samples=512) is None
+
+
+def test_direct_check_refuses_negative_samples():
+    # with no sets to check a negative count would pass a basis that is not direct
+    basis = build_dg(gen_synthetic(20, 14, 0.3, 3))
+    assert not verify_direct(basis)
+    with pytest.raises(ValueError):
+        verify_direct(basis, samples=-3)
+    with pytest.raises(ValueError):
+        direct_witness(basis, samples=-1)
 
 
 # -- pseudo-closed sets -----------------------------------------------------------------
@@ -699,7 +710,7 @@ def test_pseudo_closed_walk_matches_the_lattice_on_raw_bases(basis):
     assert_walk_matches_lattice(basis)
 
 
-# -- minimal transversals against brute force ---------------------------------------
+# -- minimal transversals against brute force and Berge ---------------------------
 
 
 def brute_minimal_transversals(edges: list[int], n: int) -> set[int]:
@@ -714,6 +725,37 @@ def brute_minimal_transversals(edges: list[int], n: int) -> set[int]:
         for s in range(1 << n)
         if hits(s) and not any(hits(s & ~(1 << a)) for a in range(n) if s >> a & 1)
     }
+
+
+def berge_minimal_transversals(edges: list[int]) -> list[int]:
+    """Berge's antichain rebuild: one edge at a time, smallest first, the
+    minimal transversals of the edges so far.
+
+    An empty edge empties the antichain at once, and an edge that contains an
+    earlier one is already hit by every set.  The sets that ``hit`` the edge
+    stay; each ``t`` that misses it yields ``t | low`` per attribute ``low``
+    of the edge, unless some ``h`` in ``hit`` lies inside.  As ``t`` misses
+    the edge, that needs ``low`` in ``h`` and reads ``h ^ low <= t``.  The
+    candidates are distinct and pairwise incomparable: ``t1 | l1 <= t2 | l2``
+    gives ``t1 <= t2``, hence ``t1 == t2`` and ``l1 == l2``.
+    """
+    trans: list[int] = [0]
+    for edge in sorted(set(edges), key=int.bit_count):
+        hit: list[int] = []
+        miss: list[int] = []
+        for t in trans:
+            (hit if t & edge else miss).append(t)
+        if not miss:
+            continue
+        fresh: list[int] = []
+        rest = edge
+        while rest:
+            low = rest & -rest
+            own = [h ^ low for h in hit if h & low]
+            fresh.extend(t | low for t in miss if not any(o & t == o for o in own))
+            rest ^= low
+        trans = hit + fresh
+    return trans
 
 
 @st.composite
@@ -738,3 +780,34 @@ def test_minimal_transversals_match_brute_force(edges):
     assert set(got) == brute_minimal_transversals(edges, 8)
     assert len(got) == len(set(got))
     assert not any(a != b and a & b == a for a in got for b in got)
+
+
+@st.composite
+def wide_edge_families(draw) -> list[int]:
+    """Up to 24 edges over up to 24 attributes, empty edges among them, then
+    up to 6 duplicates or supersets of them inserted at drawn positions."""
+    full = (1 << draw(st.integers(1, 24))) - 1
+    count = draw(st.integers(0, 24))
+    edges = draw(st.lists(st.integers(0, full), min_size=count, max_size=count))
+    for _ in range(draw(st.integers(0, 6)) if edges else 0):
+        edge = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), edge | draw(st.integers(0, full)))
+    return edges
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_edge_families())
+@example([0b11 << (2 * i) for i in range(12)])
+@example([((1 << 24) - 1) & ~(1 << i) for i in range(15)] * 2)
+@example([0b1010, 0, 0b1010, 0b1110])
+def test_minimal_transversals_match_berge_on_wide_families(edges):
+    got = _minimal_transversals(edges)
+    assert len(got) == len(set(got))
+    assert set(got) == set(berge_minimal_transversals(edges))
+
+
+def test_minimal_transversals_search_deeper_than_the_recursion_limit():
+    # the one transversal of 1500 singleton edges takes a branch 1500 deep
+    n = 1500
+    assert n > sys.getrecursionlimit()
+    assert _minimal_transversals([1 << i for i in range(n)]) == [(1 << n) - 1]

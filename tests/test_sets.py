@@ -172,6 +172,14 @@ def test_lectic_key_is_injective():
     assert len(keys) == 1 << n
 
 
+@given(st.data())
+def test_lectic_key_mirrors_the_bit_string(data):
+    # the string formula the byte-table key replaced, at every universe width
+    size = data.draw(st.integers(1, MAX_UNIVERSE_SIZE))
+    bits = data.draw(st.integers(0, (1 << size) - 1))
+    assert lectic_key(bits, size) == int(format(bits, f"0{size}b")[::-1], 2)
+
+
 # -- implications ---------------------------------------------------------------
 
 
