@@ -43,7 +43,7 @@ from .bits import (
 )
 from .context import Context, require_standard
 from .errors import UniverseMismatch
-from .sets import AttributeSet, Basis, BasisKind, _implications, _merge_pairs, lectic_key
+from .sets import AttributeSet, Basis, BasisKind, _merge_pairs, lectic_key
 
 __all__ = [
     "PseudoClosedWitness",
@@ -191,9 +191,8 @@ def build_cdub(ctx: Context) -> Basis:
     side.  The result is direct: one simultaneous round reaches any closure.
     """
     require_standard(ctx)
-    universe = ctx.universe
     _, pairs = _search(ctx)
-    return Basis(_implications(universe, pairs), kind=BasisKind.CDUB, universe=universe)
+    return Basis._from_pairs(pairs, BasisKind.CDUB, universe=ctx.universe)
 
 
 def _dbasis_tail(
@@ -247,12 +246,7 @@ def build_dbasis(ctx: Context) -> Basis:
     ]
     premises, _ = _search(ctx)
     tail = _dbasis_tail(premises, single_closures, n)
-    return Basis(
-        _implications(universe, prefix + tail),
-        kind=BasisKind.DBASIS,
-        sigma0_len=len(prefix),
-        universe=universe,
-    )
+    return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
 
 def _pseudo_closed(pairs: Pairs, n: int) -> list[tuple[int, int]]:
@@ -327,11 +321,7 @@ def build_dg(ctx: Context) -> Basis:
     universe = ctx.universe
     _, cdub = _search(ctx)
     found = _pseudo_closed(cdub, universe.size)
-    return Basis(
-        _implications(universe, [(p, c & ~p) for p, c in found]),
-        kind=BasisKind.DG,
-        universe=universe,
-    )
+    return Basis._from_pairs([(p, c & ~p) for p, c in found], BasisKind.DG, universe=universe)
 
 
 #: Every builder by the kind it makes, in the order the command line lists them.

@@ -7,6 +7,11 @@ dependency ``lhs -> rhs`` with a non-empty left-hand side, and a
 :class:`Basis` is an ordered sequence of implications tagged with the
 construction that produced it.
 
+A basis stores its implications as raw ``(lhs_bits, rhs_bits)`` int pairs,
+the form every algorithm and kernel reads; the builders and
+:func:`parse_basis` produce pairs and check them in int arithmetic, and the
+:class:`Implication` objects are a lazy view built only when read.
+
 All values are immutable after construction, so they can be shared freely
 across threads and processes.
 """
@@ -15,6 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from itertools import chain
+from operator import or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -242,6 +250,10 @@ class BasisKind(str, Enum):
 class Basis:
     """An ordered, immutable sequence of implications with a kind tag.
 
+    The stored form is the raw ``(lhs_bits, rhs_bits)`` pairs that every
+    algorithm reads through :meth:`pairs`; :attr:`implications` is a lazy
+    view that builds the :class:`Implication` objects on first read.
+
     ``sigma0_len`` is meaningful for :attr:`BasisKind.DBASIS` only: the first
     ``sigma0_len`` implications form the binary prefix (single-attribute
     left-hand sides) that the direct algorithms pre-close against.  Structural
@@ -252,12 +264,12 @@ class Basis:
     * a ``dbasis`` prefix has unit left-hand sides and its tail has
       left-hand sides of at least two attributes.
 
-    Derived read-only structures (bit pairs, per-attribute occurrence lists,
-    reachability over the binary prefix) are built lazily once and then
-    shared; they never mutate the logical value.
+    Derived read-only structures (the implications, per-attribute occurrence
+    lists, reachability over the binary prefix) are built lazily once and
+    then shared; they never mutate the logical value.
     """
 
-    __slots__ = ("implications", "kind", "sigma0_len", "universe", "_cache")
+    __slots__ = ("_pairs", "kind", "sigma0_len", "universe", "_cache")
 
     def __init__(
         self,
@@ -274,33 +286,73 @@ class Basis:
         for impl in impls:
             if impl.universe != universe:
                 raise UniverseMismatch("implication universe differs from basis universe")
+        pairs = tuple([(impl.lhs.bits, impl.rhs.bits) for impl in impls])
+        self._store(pairs, kind, sigma0_len, universe)
+        self._cache["implications"] = impls
+
+    @classmethod
+    def _from_pairs(
+        cls,
+        pairs: Iterable[tuple[int, int]],
+        kind: BasisKind,
+        sigma0_len: int = 0,
+        *,
+        universe: Universe,
+    ) -> Basis:
+        """A basis straight from raw pairs, checked as the public constructor
+        and :class:`Implication` check theirs, without building any object."""
+        pairs = tuple(pairs)
+        size = universe.size
+        # The smallest lhs and the OR of every side catch any fault in two
+        # passes; the loop only finds the first faulty pair and names it.
+        if pairs and (min(pairs)[0] < 1 or reduce(or_, chain.from_iterable(pairs)) >> size):
+            for lhs, rhs in pairs:
+                if (lhs | rhs) >> size:
+                    high = (lhs if lhs >> size else rhs) >> size
+                    index = size + (high & -high).bit_length() - 1
+                    raise UnknownAttribute(f"attribute index {index} out of range")
+                if not lhs:
+                    raise EmptyLhs("implication left-hand side must be non-empty")
+        basis = cls.__new__(cls)
+        basis._store(pairs, kind, sigma0_len, universe)
+        return basis
+
+    def _store(
+        self,
+        pairs: tuple[tuple[int, int], ...],
+        kind: BasisKind,
+        sigma0_len: int,
+        universe: Universe,
+    ) -> None:
+        """Check the structural rules on the pairs and store them."""
         kind = BasisKind(kind)
         if kind is BasisKind.DBASIS:
-            if not 0 <= sigma0_len <= len(impls):
+            if not 0 <= sigma0_len <= len(pairs):
                 raise InvalidBasis("sigma0_len out of range")
-            for impl in impls[:sigma0_len]:
-                if len(impl.lhs) != 1:
-                    raise InvalidBasis("binary prefix requires unit left-hand sides")
-            for impl in impls[sigma0_len:]:
-                if len(impl.lhs) < 2:
-                    raise InvalidBasis("dbasis tail requires left-hand sides of size >= 2")
-        else:
-            if sigma0_len != 0:
-                raise InvalidBasis("sigma0_len is only meaningful for a dbasis")
-            if kind in (BasisKind.CDUB, BasisKind.DG):
+            sizes = [lhs.bit_count() for lhs, _ in pairs]
+            if max(sizes[:sigma0_len], default=1) != 1:
+                raise InvalidBasis("binary prefix requires unit left-hand sides")
+            if min(sizes[sigma0_len:], default=2) < 2:
+                raise InvalidBasis("dbasis tail requires left-hand sides of size >= 2")
+        elif sigma0_len != 0:
+            raise InvalidBasis("sigma0_len is only meaningful for a dbasis")
+        elif kind in (BasisKind.CDUB, BasisKind.DG):
+            lhs_all = [lhs for lhs, _ in pairs]
+            if len(set(lhs_all)) < len(lhs_all):
                 seen: set[int] = set()
-                for impl in impls:
-                    if impl.lhs.bits in seen:
-                        raise InvalidBasis(f"duplicate left-hand side {{{impl.lhs}}}")
-                    seen.add(impl.lhs.bits)
-        self.implications = impls
+                for lhs in lhs_all:
+                    if lhs in seen:
+                        shown = AttributeSet(universe, lhs)
+                        raise InvalidBasis(f"duplicate left-hand side {{{shown}}}")
+                    seen.add(lhs)
+        self._pairs = pairs
         self.kind = kind
         self.sigma0_len = sigma0_len
         self.universe = universe
         self._cache: dict[str, object] = {}
 
     def __len__(self) -> int:
-        return len(self.implications)
+        return len(self._pairs)
 
     def __iter__(self) -> Iterator[Implication]:
         return iter(self.implications)
@@ -312,21 +364,29 @@ class Basis:
             self.kind == other.kind
             and self.sigma0_len == other.sigma0_len
             and self.universe == other.universe
-            and self.implications == other.implications
+            and self._pairs == other._pairs
         )
 
     def __hash__(self) -> int:
-        return hash((self.kind, self.sigma0_len, self.implications))
+        return hash((self.kind, self.sigma0_len, self._pairs))
 
     def __repr__(self) -> str:
-        return f"Basis({self.kind.value}, {len(self.implications)} implications)"
+        return f"Basis({self.kind.value}, {len(self._pairs)} implications)"
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Implications as raw ``(lhs_bits, rhs_bits)`` pairs: the stored form."""
+        return self._pairs
+
+    @property
+    @memo
+    def implications(self) -> tuple[Implication, ...]:
+        """The pairs as :class:`Implication` objects, built on first read."""
+        u = self.universe
+        return tuple(
+            [Implication(AttributeSet(u, lhs), AttributeSet(u, rhs)) for lhs, rhs in self._pairs]
+        )
 
     # -- derived read-only structures ------------------------------------
-
-    @memo
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Implications as raw ``(lhs_bits, rhs_bits)`` pairs."""
-        return tuple([(i.lhs.bits, i.rhs.bits) for i in self.implications])
 
     @memo
     def attr_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -370,16 +430,6 @@ def _merge_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return list(merged.items())
 
 
-def _implications(
-    universe: Universe, pairs: Iterable[tuple[int, int]]
-) -> list[Implication]:
-    """Raw ``(lhs, rhs)`` pairs as implications over ``universe``."""
-    return [
-        Implication(AttributeSet(universe, lhs), AttributeSet(universe, rhs))
-        for lhs, rhs in pairs
-    ]
-
-
 def merge_same_lhs(basis: Basis) -> Basis:
     """Collapse implications sharing a left-hand side into one.
 
@@ -393,14 +443,10 @@ def merge_same_lhs(basis: Basis) -> Basis:
     if basis.kind is BasisKind.DBASIS:
         prefix = _merge_pairs(pairs[: basis.sigma0_len])
         tail = _merge_pairs(pairs[basis.sigma0_len :])
-        return Basis(
-            _implications(universe, prefix + tail),
-            kind=BasisKind.DBASIS,
-            sigma0_len=len(prefix),
-            universe=universe,
+        return Basis._from_pairs(
+            prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe
         )
-    merged = _implications(universe, _merge_pairs(pairs))
-    return Basis(merged, kind=basis.kind, universe=universe)
+    return Basis._from_pairs(_merge_pairs(pairs), basis.kind, universe=universe)
 
 
 def unit_expand(basis: Basis) -> set[tuple[int, int]]:
@@ -425,21 +471,31 @@ def parse_implication(text: str, universe: Universe) -> Implication:
     :class:`EmptyLhs` for an empty left side, and
     :class:`UnknownAttribute` for an unresolvable token.
     """
+    lhs_tokens, rhs_tokens = _split(text)
+    return Implication(universe.subset(lhs_tokens), universe.subset(rhs_tokens))
+
+
+def _split(text: str) -> tuple[list[str], list[str]]:
+    """The lhs and rhs tokens of one implication line, syntax checked."""
     head, sep, tail = text.partition(ARROW)
     if not sep:
         raise ImplicationSyntaxError(f"missing {ARROW!r} in {text!r}")
     if ARROW in tail:
         raise ImplicationSyntaxError(f"more than one {ARROW!r} in {text!r}")
     lhs_tokens = head.split()
-    rhs_tokens = tail.split()
     if not lhs_tokens:
         raise EmptyLhs(f"empty left-hand side in {text!r}")
-    return Implication(universe.subset(lhs_tokens), universe.subset(rhs_tokens))
+    return lhs_tokens, tail.split()
 
 
 def format_implication(impl: Implication) -> str:
     """Render an implication in the same shape :func:`parse_implication` reads."""
-    return f"{impl.lhs} {ARROW} {impl.rhs}".rstrip()
+    return _line(str(impl.lhs), str(impl.rhs))
+
+
+def _line(lhs: str, rhs: str) -> str:
+    """One implication line from the two rendered sides."""
+    return f"{lhs} {ARROW} {rhs}".rstrip()
 
 
 def _unrenderable_reason(name: str) -> str | None:
@@ -475,7 +531,12 @@ def render_basis(basis: Basis) -> str:
         lines.append(f"# size: {universe.size}")
     else:
         lines.append(f"universe: {' '.join(universe.names)}")
-    lines.extend(format_implication(impl) for impl in basis.implications)
+    labels = [universe.label(i) for i in range(universe.size)]
+    get = labels.__getitem__
+    for lhs, rhs in basis.pairs():
+        lines.append(
+            _line(" ".join(map(get, bit_indices(lhs))), " ".join(map(get, bit_indices(rhs))))
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -495,6 +556,10 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     ``n`` positions; without either (and without an explicit ``universe``
     argument) the alphabet is inferred from the tokens in order of first
     appearance, and every token is then treated as a name.
+
+    Each side is ORed straight into an int through one label-to-bit table;
+    a side with a token the table lacks (a position such as ``007``, or an
+    unknown name) resolves through :meth:`Universe.subset` instead.
     """
     kind = BasisKind.RAW
     sigma0_len = 0
@@ -534,18 +599,29 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             continue
         body.append(line)
     if universe is None:
-        seen: list[str] = []
-        for line in body:
-            for token in line.replace(ARROW, " ").split():
-                if token not in seen:
-                    seen.append(token)
+        seen = dict.fromkeys(
+            token for line in body for token in line.replace(ARROW, " ").split()
+        )
         if not seen:
             raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
         universe = Universe(names=seen)
-    impls = [parse_implication(line, universe) for line in body]
+    bit = {universe.label(i): 1 << i for i in range(universe.size)}
+    pairs = []
+    for line in body:
+        lhs_tokens, rhs_tokens = _split(line)
+        try:
+            lhs = rhs = 0
+            for token in lhs_tokens:
+                lhs |= bit[token]
+            for token in rhs_tokens:
+                rhs |= bit[token]
+        except KeyError:
+            lhs = universe.subset(lhs_tokens).bits
+            rhs = universe.subset(rhs_tokens).bits
+        pairs.append((lhs, rhs))
     if kind is not BasisKind.DBASIS:
         sigma0_len = 0
-    return Basis(impls, kind=kind, sigma0_len=sigma0_len, universe=universe)
+    return Basis._from_pairs(pairs, kind, sigma0_len, universe=universe)
 
 
 def read_basis(path: str | Path, universe: Universe | None = None) -> Basis:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX51_IMP, aset
-from implbase.closure import oracle_closure
+from conftest import EX51_IMP, aset, random_standard_context
+from implbase.bases import BUILDERS
+from implbase.bench import ALGORITHMS, TABLE_COMBOS
+from implbase.closure import implies, oracle_closure
 from implbase.errors import (
     EmptyLhs,
+    ImplbaseError,
     ImplicationSyntaxError,
     InvalidBasis,
     UniverseMismatch,
@@ -470,3 +473,270 @@ def test_ex51_fixture_is_canonical():
     assert basis.sigma0_len == 1
     assert len(basis) == 4
     assert render_basis(basis) == text
+
+
+# -- raw pairs, the stored form ----------------------------------------------------
+
+
+def outcome(make):
+    """What ``make()`` gives: its value, or the class and message it raises."""
+    try:
+        return make()
+    except (ImplbaseError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def objects_basis(pairs, kind, sigma0_len, universe) -> Basis:
+    """The pairs as implication objects through the public constructor."""
+    impls = [
+        Implication(AttributeSet(universe, lhs), AttributeSet(universe, rhs))
+        for lhs, rhs in pairs
+    ]
+    return Basis(impls, kind, sigma0_len, universe)
+
+
+def reference_parse_basis(text: str, universe: Universe | None = None) -> Basis:
+    """The per-line parse: every line through :func:`parse_implication`, the
+    objects through the public constructor, the universe inferred by a scan
+    of a list."""
+    kind = BasisKind.RAW
+    sigma0_len = 0
+    body: list[str] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            key, _, value = line[1:].strip().partition(":")
+            key = key.strip().lower()
+            value = value.strip()
+            decimal = value.isascii() and value.isdigit()
+            if key == "kind" and value:
+                try:
+                    kind = BasisKind(value.lower())
+                except ValueError as exc:
+                    raise ImplicationSyntaxError(f"unknown basis kind {value!r}") from exc
+            elif key == "sigma0_len" and value:
+                if not decimal:
+                    raise ImplicationSyntaxError(f"bad sigma0_len {value!r}")
+                sigma0_len = int(value)
+            elif key == "size" and value:
+                if not decimal:
+                    raise ImplicationSyntaxError(f"bad size {value!r}")
+                try:
+                    declared = Universe(size=int(value))
+                except ValueError as exc:
+                    raise ImplicationSyntaxError(f"bad size {value!r}") from exc
+                if universe is not None and universe != declared:
+                    raise UniverseMismatch("declared universe differs from the expected one")
+                universe = declared
+            continue
+        if line.lower().startswith("universe:"):
+            names = line.partition(":")[2].split()
+            if not names:
+                raise ImplicationSyntaxError("empty universe line")
+            declared = Universe(names=names)
+            if universe is not None and universe != declared:
+                raise UniverseMismatch("declared universe differs from the expected one")
+            universe = declared
+            continue
+        body.append(line)
+    if universe is None:
+        seen: list[str] = []
+        for line in body:
+            for token in line.replace("->", " ").split():
+                if token not in seen:
+                    seen.append(token)
+        if not seen:
+            raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
+        universe = Universe(names=seen)
+    impls = [parse_implication(line, universe) for line in body]
+    if kind is not BasisKind.DBASIS:
+        sigma0_len = 0
+    return Basis(impls, kind=kind, sigma0_len=sigma0_len, universe=universe)
+
+
+#: Tokens no universe drawn below resolves.
+UNKNOWN = ("9", "007", "zz")
+
+
+@st.composite
+def basis_texts(draw) -> tuple[str, Universe | None]:
+    """A ``.imp`` text with a named, unnamed or inferred universe, plus the
+    universe argument to parse it with; one in four is drawn broken, with
+    a bad header, an unknown token, an empty lhs or a line without one arrow."""
+    broken = draw(st.integers(0, 3)) == 0
+    form = draw(st.sampled_from(["named", "size", "inferred"]))
+    names = draw(st.lists(st.sampled_from("abcde1"), min_size=1, unique=True))
+    size = draw(st.integers(1, 8))
+    lines = []
+    kind = draw(st.sampled_from(["raw", "cdub", "dbasis", "DBasis", "dg", None, "fancy"][: 6 + broken]))
+    if kind is not None:
+        lines.append(f"# kind: {kind}")
+    if draw(st.booleans()):
+        lines.append(f"# sigma0_len: {draw(st.sampled_from('0123x'[: 4 + broken]))}")
+    if form == "named":
+        lines.append("universe: " + " ".join(names))
+    elif form == "size":
+        lines.append(f"# size: {size}")
+    labels = [str(i) for i in range(size)] if form == "size" else names
+    decimals = [f"00{j}" for j in range(len(labels))]  # non-canonical positions
+    token = st.sampled_from(labels * 4 + decimals + list(UNKNOWN * broken))
+    lhs = st.lists(token, min_size=1 - broken, max_size=3).map(" ".join)
+    rhs = st.lists(token, max_size=3).map(" ".join)
+    lines += draw(st.lists(st.builds(lambda a, b: f"{a} -> {b}", lhs, rhs), max_size=6))
+    if broken:
+        bad = draw(st.sampled_from(["a b", "a -> b -> c", " -> a", "# note -> a", ""]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    declared = Universe(size=size) if form == "size" else Universe(names=names)
+    universe = draw(st.sampled_from([None, None, declared, Universe(names="ab")]))
+    return "\n".join(lines) + "\n", universe
+
+
+@settings(max_examples=400, deadline=None)
+@given(basis_texts())
+@example(("# kind: dbasis\n# sigma0_len: 2\n# size: 8\n007 -> 0\n3 ->\n00 01 -> 2\n", None))
+def test_parse_basis_agrees_with_the_per_line_parse(case):
+    text, universe = case
+    got = outcome(lambda: parse_basis(text, universe))
+    want = outcome(lambda: reference_parse_basis(text, universe))
+    assert got == want
+    if isinstance(want, Basis):
+        assert got.pairs() == want.pairs()
+        assert got.implications == want.implications
+        assert outcome(lambda: render_basis(got)) == outcome(lambda: render_basis(want))
+
+
+def test_parse_basis_reads_non_canonical_positions():
+    basis = parse_basis("# size: 8\n007 -> 00 1\n")
+    assert basis.pairs() == ((1 << 7, 0b11),)
+    assert render_basis(basis) == "# kind: raw\n# size: 8\n7 -> 0 1\n"
+    assert parse_basis("universe: a b\n01 -> a\n").pairs() == ((0b10, 0b01),)
+    with pytest.raises(UnknownAttribute, match="unknown attribute '8'"):
+        parse_basis("# size: 8\n0 -> 8\n")
+
+
+@st.composite
+def raw_pairs(draw) -> tuple[list[tuple[int, int]], BasisKind, int, Universe]:
+    """Pairs over a small unnamed universe, drawn to hit every structural
+    rule: repeated, empty, unit and wider left-hand sides, every kind, and
+    ``sigma0_len`` at, inside and outside its range."""
+    u = Universe(size=draw(st.integers(1, 5)))
+    pool = draw(st.lists(st.integers(1, u.mask), min_size=1, max_size=4))
+    if draw(st.integers(0, 4)) == 0:
+        pool.append(0)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(0, u.mask)), max_size=7))
+    kind = draw(st.sampled_from(list(BasisKind)))
+    if kind is not BasisKind.DBASIS:
+        sigma0_len = draw(st.sampled_from([0, 0, 0, 1]))
+    elif draw(st.booleans()):
+        pairs.sort(key=lambda pair: pair[0].bit_count() != 1)
+        units = sum(lhs.bit_count() == 1 for lhs, _ in pairs)
+        sigma0_len = units + draw(st.integers(-1, 1))
+    else:
+        sigma0_len = draw(st.integers(-1, len(pairs) + 1))
+    return pairs, kind, sigma0_len, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_pairs())
+def test_pairs_constructor_checks_as_the_public_one(case):
+    pairs, kind, sigma0_len, u = case
+    got = outcome(lambda: Basis._from_pairs(pairs, kind, sigma0_len, universe=u))
+    want = outcome(lambda: objects_basis(pairs, kind, sigma0_len, u))
+    assert got == want
+    if isinstance(want, Basis):
+        assert got.pairs() == want.pairs() == tuple(pairs)
+        assert got.implications == want.implications
+
+
+def test_pairs_constructor_refuses_bits_outside_the_universe():
+    u = Universe(size=3)
+    for pairs, index in (
+        ([(0b1000, 1)], 3),
+        ([(1, 1), (1, 0b110000)], 4),
+        ([(0, 0b1000)], 3),  # the range is checked before the empty lhs
+        ([(-1, 1)], 3),
+    ):
+        with pytest.raises(UnknownAttribute) as err:
+            Basis._from_pairs(pairs, BasisKind.RAW, universe=u)
+        assert str(err.value) == f"attribute index {index} out of range"
+    with pytest.raises(UnknownAttribute, match="attribute index 3 out of range"):
+        u.subset([3])
+
+
+def test_bases_of_equal_pairs_differ_by_universe_and_kind():
+    make = Basis._from_pairs
+    base = make([(1, 2)], BasisKind.RAW, universe=Universe(size=2))
+    assert base == make(((1, 2),), BasisKind.RAW, universe=Universe(size=2))
+    assert hash(base) == hash(make([(1, 2)], BasisKind.RAW, universe=Universe(size=2)))
+    assert base != make([(1, 2)], BasisKind.RAW, universe=Universe(size=3))
+    assert base != make([(1, 2)], BasisKind.RAW, universe=Universe(names="ab"))
+    assert base != make([(1, 2)], BasisKind.CDUB, universe=Universe(size=2))
+
+
+def reference_merge_same_lhs(basis: Basis) -> Basis:
+    """:func:`merge_same_lhs` on implication objects."""
+
+    def merged(impls):
+        rhs: dict[AttributeSet, AttributeSet] = {}
+        for impl in impls:
+            rhs[impl.lhs] = rhs[impl.lhs] | impl.rhs if impl.lhs in rhs else impl.rhs
+        return [Implication(lhs, more) for lhs, more in rhs.items()]
+
+    impls = basis.implications
+    if basis.kind is BasisKind.DBASIS:
+        prefix = merged(impls[: basis.sigma0_len])
+        tail = merged(impls[basis.sigma0_len :])
+        return Basis(prefix + tail, BasisKind.DBASIS, len(prefix), basis.universe)
+    return Basis(merged(impls), basis.kind, universe=basis.universe)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_pairs())
+def test_merge_same_lhs_agrees_with_merging_objects(case):
+    basis = outcome(lambda: Basis._from_pairs(*case[:3], universe=case[3]))
+    if isinstance(basis, Basis):
+        got = merge_same_lhs(basis)
+        want = reference_merge_same_lhs(basis)
+        assert got == want
+        assert got.pairs() == want.pairs()
+
+
+def test_pairs_path_builds_no_implication_objects(monkeypatch, ex51):
+    contexts = [ex51, random_standard_context(random.Random(29), 8)]
+    probes = [
+        Implication(AttributeSet(ctx.universe, 0b11), AttributeSet(ctx.universe, 0b100))
+        for ctx in contexts
+    ]
+    built: list[Implication] = []
+    post_init = Implication.__post_init__
+
+    def counted(self) -> None:
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Implication, "__post_init__", counted)
+    loaded = []
+    for ctx, probe in zip(contexts, probes):
+        for kind, build in BUILDERS.items():
+            text = render_basis(build(ctx))
+            basis = parse_basis(text)
+            basis.attr_lists()
+            basis.attr_masks()
+            basis.binary_reach()
+            for algo in TABLE_COMBOS[kind]:
+                for bits in (0, 0b1, 0b101, ctx.universe.mask):
+                    ALGORITHMS[algo](AttributeSet(ctx.universe, bits), basis)
+            implies(basis, probe)
+            again = parse_basis(text)
+            assert basis == again and hash(basis) == hash(again)
+            assert render_basis(basis) == text
+            assert len(merge_same_lhs(basis)) <= len(basis)
+            assert repr(basis) == f"Basis({kind.value}, {len(basis)} implications)"
+            loaded.append(basis)
+    assert built == []
+    for basis in loaded:
+        assert basis.implications is basis.implications
+        assert list(basis) == list(basis.implications)
+    assert len(built) == sum(map(len, loaded)) > 0
