@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import islice
-from operator import and_, or_
+from operator import and_, or_, xor
 from typing import Callable, Iterator
 
 from .bits import (
@@ -39,7 +39,6 @@ from .bits import (
     sliced_round,
     spread,
     transpose_bits,
-    unclosed_lanes,
 )
 from .context import Context, require_standard
 from .errors import UniverseMismatch
@@ -170,10 +169,12 @@ _searched: tuple[Context, list[list[int]], list[tuple[int, int]]] | None = None
 
 def _search(ctx: Context) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """The premises and the merged cdub pairs of ``ctx``, searched once while
-    ``ctx`` stays the last context a builder was called on."""
+    ``ctx`` stays the last context a builder was called on.  Standardness is
+    checked on each search, so a context that fails it is never kept."""
     global _searched
     last = _searched
     if last is None or last[0] is not ctx:
+        require_standard(ctx)
         n = ctx.universe.size
         premises = [
             sorted(found, key=lambda b: lectic_key(b, n)) for found in _proper_premises(ctx)
@@ -190,7 +191,6 @@ def build_cdub(ctx: Context) -> Basis:
     of every attribute ``m``, then merges right-hand sides per left-hand
     side.  The result is direct: one simultaneous round reaches any closure.
     """
-    require_standard(ctx)
     _, pairs = _search(ctx)
     return Basis._from_pairs(pairs, BasisKind.CDUB, universe=ctx.universe)
 
@@ -235,7 +235,7 @@ def build_dbasis(ctx: Context) -> Basis:
     tail in lectic order of the left-hand side, right-hand sides merged
     within the tail only, so the prefix stays in unit form.
     """
-    require_standard(ctx)
+    premises, _ = _search(ctx)
     universe = ctx.universe
     n = universe.size
     single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
@@ -244,7 +244,6 @@ def build_dbasis(ctx: Context) -> Basis:
         for a in range(n)
         for c in bit_indices(single_closures[a] & ~(1 << a))
     ]
-    premises, _ = _search(ctx)
     tail = _dbasis_tail(premises, single_closures, n)
     return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
@@ -317,7 +316,6 @@ def build_dg(ctx: Context) -> Basis:
     derived from the cdub pairs of the shared premise search.  In a standard
     context the empty set is closed, so no left-hand side is empty.
     """
-    require_standard(ctx)
     universe = ctx.universe
     _, cdub = _search(ctx)
     found = _pseudo_closed(cdub, universe.size)
@@ -438,7 +436,8 @@ def direct_witness(
     the whole powerset, in counting order, up to ``exhaustive_limit``
     attributes, and ``samples`` seeded random sets beyond.  They are checked
     ``_LANES`` at a time, one per lane: one round reaches the closure iff
-    its result is closed, because the closure is the least closed superset.
+    its result is closed, because the closure is the least closed superset,
+    and the lanes left unclosed are those a second simultaneous round grows.
     A negative ``samples`` raises :class:`ValueError`.
     """
     n = basis.universe.size
@@ -447,7 +446,7 @@ def direct_witness(
     candidates, _ = _candidates(n, exhaustive_limit, samples, seed)
     while chunk := list(islice(candidates, _LANES)):
         once = sliced_round(transpose_bits(chunk, n), sliced, ordered)
-        bad = unclosed_lanes(once, sliced)
+        bad = reduce(or_, map(xor, sliced_round(once, sliced, ordered=False), once))
         if bad:
             return AttributeSet(basis.universe, chunk[(bad & -bad).bit_length() - 1])
     return None

@@ -111,6 +111,8 @@ class WorkloadSpec:
             raise ValueError("the query count must not be negative")
         if self.repetitions < 1:
             raise ValueError("at least one repetition is required")
+        if not 0.0 <= self.query_density <= 1.0:
+            raise ValueError("the query density must lie between 0 and 1")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
     "slice_pairs",
     "sliced_round",
     "sliced_fixpoint",
-    "unclosed_lanes",
     "memo",
 ]
 
@@ -121,18 +120,6 @@ def sliced_fixpoint(cols: list[int], sliced: Sliced) -> list[int]:
         if grown == cols:
             return cols
         cols = grown
-
-
-def unclosed_lanes(cols: list[int], sliced: Sliced) -> int:
-    """Lanes where some implication fires but misses part of its rhs."""
-    bad = 0
-    get = cols.__getitem__
-    for lhs, rhs in sliced:
-        fire = reduce(and_, map(get, lhs))
-        if fire:
-            for b in rhs:
-                bad |= fire & ~cols[b]
-    return bad
 
 
 def memo(method: Callable[[object], T]) -> Callable[[object], T]:

@@ -59,6 +59,14 @@ def version_string() -> str:
     return f"implbase {__version__}+{_source_hash()}"
 
 
+class _VersionAction(argparse.Action):
+    """``--version`` that hashes the sources only when it is given."""
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        print(version_string())
+        parser.exit()
+
+
 def _seed(args: argparse.Namespace) -> int:
     """Subcommand seed, falling back to the global one, then to 0."""
     if args.seed is not None:
@@ -203,7 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
         prog="implbase",
         description="implication bases and instrumented closures over formal contexts",
     )
-    parser.add_argument("--version", action="version", version=version_string())
+    parser.add_argument(
+        "--version",
+        action=_VersionAction,
+        nargs=0,
+        dest=argparse.SUPPRESS,
+        default=argparse.SUPPRESS,
+        help="show program's version number and exit",
+    )
     parser.add_argument(
         "--seed",
         dest="global_seed",

@@ -124,7 +124,7 @@ def binary_closure(x: AttributeSet, basis: Basis) -> AttributeSet:
     _check(x, basis)
     if basis.kind is not BasisKind.DBASIS:
         raise WrongBasisKind("the binary prefix is only defined for a dbasis")
-    return AttributeSet(x.universe, spread(x.bits, basis.binary_reach()) | x.bits)
+    return AttributeSet(x.universe, _seed_bits(x, basis, True))
 
 
 def _seed_bits(x: AttributeSet, basis: Basis, pre_close: bool) -> int:
@@ -132,7 +132,7 @@ def _seed_bits(x: AttributeSet, basis: Basis, pre_close: bool) -> int:
     ``dbasis``.  The pre-closure is reusable precomputation and is charged to
     neither the counters nor the clock."""
     if pre_close and basis.kind is BasisKind.DBASIS:
-        return binary_closure(x, basis).bits
+        return spread(x.bits, basis.binary_reach()) | x.bits
     return x.bits
 
 

@@ -165,6 +165,27 @@ def test_builders_reject_nonstandard_contexts():
             build(unclarified)
 
 
+def test_one_standardness_check_per_context(monkeypatch):
+    calls = []
+    real = implbase.bases.require_standard
+    monkeypatch.setattr(
+        implbase.bases, "require_standard", lambda ctx: calls.append(ctx) or real(ctx)
+    )
+    ctx = gen_synthetic(12, 6, 0.4, seed=5)
+    for build in BUILDERS:
+        build(ctx)
+    assert calls == [ctx]
+
+
+def test_each_builder_refuses_a_nonstandard_context_cold(ex51):
+    unreduced = ctx_from_rows(["a", "b"], ["a", "a b"])
+    for build in BUILDERS:
+        build_cdub(ex51)  # the shared search now holds a standard context
+        for _ in range(2):  # a refused context is never kept
+            with pytest.raises(NotStandardContext):
+                build(unreduced)
+
+
 # -- soundness, completeness, minimality of premises -----------------------------------
 
 

@@ -204,7 +204,18 @@ def test_workload_spec_defaults():
     assert spec.query_density == 0.5
 
 
-@pytest.mark.parametrize("sizes", [{"queries": -5}, {"repetitions": 0}, {"repetitions": -2}])
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        {"queries": -5},
+        {"repetitions": 0},
+        {"repetitions": -2},
+        {"query_density": float("nan")},
+        {"query_density": 1.5},
+        {"query_density": float("inf")},
+        {"query_density": -0.2},
+    ],
+)
 def test_workload_spec_refuses_negative_sizes(sizes):
     with pytest.raises(ValueError):
         WorkloadSpec(**sizes)

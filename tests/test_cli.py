@@ -9,6 +9,7 @@ import pytest
 
 import implbase
 from conftest import EX51_CXT, EX51_IMP
+from implbase import cli
 from implbase.bases import EXHAUSTIVE_LIMIT, SAMPLES
 from implbase.cli import main
 from implbase.context import parse_cxt, read_cxt
@@ -28,6 +29,19 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert re.fullmatch(r"implbase 0\.1\.0\+[0-9a-f]{8}\n", out)
+
+
+def test_sources_are_hashed_only_for_the_version_flag(capsys, monkeypatch):
+    calls = []
+    real = cli._source_hash
+    monkeypatch.setattr(cli, "_source_hash", lambda: calls.append(1) or real())
+    code, _, _ = run(capsys, "closure", "--basis", str(EX51_IMP), "--set", "b d", "--algo", "lin")
+    assert code == 0
+    assert calls == []
+    code, out, _ = run(capsys, "--version")
+    assert code == 0
+    assert re.fullmatch(r"implbase 0\.1\.0\+[0-9a-f]{8}\n", out)
+    assert calls == [1]
 
 
 def test_package_version_matches_pyproject():
@@ -320,6 +334,20 @@ def test_bench_writes_csv(capsys, bench_dir, tmp_path):
 def test_bench_refuses_negative_sizes(capsys, bench_dir, tmp_path, flags):
     target = tmp_path / "refused.csv"
     code, out, err = run(capsys, "bench", "--in", str(bench_dir), *flags, "-o", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ValueError: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("density", ["nan", "1.5", "inf", "-0.2"])
+def test_bench_refuses_a_query_density_outside_the_unit_interval(
+    capsys, bench_dir, tmp_path, density
+):
+    target = tmp_path / "refused.csv"
+    code, out, err = run(
+        capsys, "bench", "--in", str(bench_dir), "--query-density", density, "-o", str(target)
+    )
     assert code == 1
     assert out == ""
     assert err.startswith("error: ValueError: ")

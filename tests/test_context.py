@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from conftest import EX51_CXT, aset, closed_family, contranominal, ctx_from_rows
 from implbase.context import (
     Context,
+    _distinct,
+    _irreducible,
+    _select,
     clarify,
     context_closure,
     gen_synthetic,
@@ -26,6 +29,7 @@ from implbase.context import (
 )
 from implbase.errors import (
     DegenerateContext,
+    ImplbaseError,
     MalformedCxt,
     NotClarified,
     NotStandardContext,
@@ -209,6 +213,72 @@ def test_standardisation_projects_the_closure_system():
         assert closed_family(std) == _projection(ctx, std)
 
 
+# clarify selects once and reduce runs in one step; the references below are
+# the two-select clarification and the reduction loop that re-scans after every
+# removal, and the one-step versions must match them exactly
+
+
+def reference_clarify(ctx: Context) -> Context:
+    interim = _select(ctx, _distinct(ctx.row_bits()), range(ctx.universe.size))
+    return _select(interim, range(interim.objects), _distinct(interim.column_bits()))
+
+
+def iterative_reduce(ctx: Context) -> Context:
+    if not is_clarified(ctx):
+        raise NotClarified("reduce requires a clarified context")
+    current = ctx
+    while True:
+        rows = current.row_bits()
+        keep_rows = _irreducible(rows, current.universe.mask)
+        if len(keep_rows) != len(rows):
+            current = _select(current, keep_rows, list(range(current.universe.size)))
+            if current.objects == 0:
+                raise DegenerateContext("reduction removed every object")
+            continue
+        cols = current.column_bits()
+        keep_cols = _irreducible(cols, (1 << current.objects) - 1)
+        if len(keep_cols) != len(cols):
+            if not keep_cols:
+                raise DegenerateContext("reduction removed every attribute")
+            current = _select(current, list(range(current.objects)), keep_cols)
+            continue
+        return current
+
+
+def outcome(step, ctx: Context) -> Context | tuple[type, str]:
+    """The step's context, or the class and message of its domain error."""
+    try:
+        return step(ctx)
+    except ImplbaseError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def labelled_contexts(draw) -> Context:
+    n = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    u = Universe(names=[f"m{j}" for j in range(n)])
+    names = [f"g{i}" for i in range(len(rows))]
+    return Context(u, [AttributeSet(u, bits) for bits in rows], names)
+
+
+@given(labelled_contexts())
+def test_one_step_clarify_and_reduce_match_the_references(ctx):
+    clarified = clarify(ctx)
+    assert clarified == reference_clarify(ctx)
+    assert outcome(reduce, clarified) == outcome(iterative_reduce, clarified)
+    assert outcome(reduce, ctx) == outcome(iterative_reduce, ctx)
+
+
+def test_one_step_reduce_matches_the_loop_on_degenerate_contexts():
+    for rows in (["a"], ["a", ""], []):
+        ctx = clarify(ctx_from_rows(["a"], rows))
+        assert outcome(reduce, ctx) == outcome(iterative_reduce, ctx)
+    full_row, no_row = ctx_from_rows(["a"], ["a"]), ctx_from_rows(["a"], [])
+    assert outcome(reduce, full_row) == (DegenerateContext, "reduction removed every object")
+    assert outcome(reduce, no_row) == (DegenerateContext, "reduction removed every attribute")
+
+
 def test_reduce_is_idempotent():
     rng = random.Random(405)
     for _ in range(100):
@@ -297,7 +367,10 @@ def test_random_contexts_round_trip():
             rows.append(AttributeSet(u, bits))
             seen.add(bits)
         ctx = Context(u, rows, [f"g{i}" for i in range(len(rows))])
-        assert parse_cxt(render_cxt(ctx)) == ctx
+        text = render_cxt(ctx)
+        assert parse_cxt(text) == ctx
+        assert parse_cxt(text.replace("\n", "\r\n")) == ctx
+        assert parse_cxt(text.replace("\n", "\n \t\n")) == ctx
 
 
 @pytest.mark.parametrize(

@@ -79,3 +79,14 @@ def test_every_private_name_of_the_package_is_used_in_the_package():
         for private in private_definitions(tree) - used
     }
     assert not unused, f"private names that nothing in the package uses: {sorted(unused)}"
+
+
+def test_every_shared_kernel_is_used_by_another_package_module():
+    # bits.py holds the kernels the other modules share, so each of its
+    # exports must be read somewhere else in the package
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    exported = exported_names(trees["bits.py"])
+    others = [tree for name, tree in trees.items() if name != "bits.py"]
+    used = set().union(*map(referenced_names, others))
+    assert exported, "bits.py exports nothing"
+    assert not exported - used, f"bits.py exports unused kernels: {sorted(exported - used)}"
