@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -266,13 +265,19 @@ def run_bench(
 
     Each dataset derives its own query seed from its name, so results do not
     depend on scheduling; parallel and serial runs produce identical
-    counters.
+    counters.  The pool has at most one worker per dataset, because a
+    forking pool starts all of its workers on the first task.
     """
+    if jobs < 1:
+        raise ValueError("at least one job is required")
     tasks = [(name, ctx, spec) for name, ctx in datasets]
-    if jobs <= 1 or len(tasks) <= 1:
+    if jobs == 1 or len(tasks) <= 1:
         nested = [_bench_dataset(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # imported here so that no other command pays for loading the pool
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             nested = list(pool.map(_bench_dataset, tasks))
     return [report for group in nested for report in group]
 

@@ -18,6 +18,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from itertools import combinations
@@ -206,7 +207,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process; every :func:`main` call
+    after the first parses with the same parser."""
     parser = argparse.ArgumentParser(
         prog="implbase",
         description="implication bases and instrumented closures over formal contexts",

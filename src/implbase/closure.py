@@ -24,13 +24,22 @@ Every algorithm fills a :class:`Metrics` record:
   Per-attribute occurrence lists and binary-prefix reachability are reusable
   precomputation and are excluded; the per-call counter initialisation of
   the counting variants is included.
+
+Each public algorithm is one call to a shared checked entry, which checks
+the universe, refuses a non-direct kind for the single-round three, runs
+the algorithm's private kernel on ``x.bits`` and wraps what it returns.  A
+kernel has the signature ``(bits, basis[, pre_close])`` and returns the
+tuple ``(closure_bits, deps, attribute_ops, inner_loops, outer_loops,
+elapsed_ns)``.  It reads the basis's pairs, occurrence lists or masks and
+the pre-closed seed before starting its clock, so the clock covers exactly
+what it covered when each algorithm did its own checks and wrapping.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bits import fixpoint_bits, round_bits, spread
 from .errors import UniverseMismatch, WrongBasisKind
@@ -52,6 +61,10 @@ __all__ = [
 ]
 
 _DIRECT_KINDS = (BasisKind.CDUB, BasisKind.DBASIS)
+
+#: What a kernel returns: the closure bits, the four counters in
+#: ``Metrics.counters()`` order, then the wall time.
+_Run = tuple[int, int, int, int, int, int]
 
 
 @dataclass
@@ -124,16 +137,31 @@ def binary_closure(x: AttributeSet, basis: Basis) -> AttributeSet:
     _check(x, basis)
     if basis.kind is not BasisKind.DBASIS:
         raise WrongBasisKind("the binary prefix is only defined for a dbasis")
-    return AttributeSet(x.universe, _seed_bits(x, basis, True))
+    return AttributeSet(x.universe, _seed_bits(x.bits, basis, True))
 
 
-def _seed_bits(x: AttributeSet, basis: Basis, pre_close: bool) -> int:
+def _seed_bits(bits: int, basis: Basis, pre_close: bool) -> int:
     """Input bits for a direct run; pre-closed over the binary prefix for a
     ``dbasis``.  The pre-closure is reusable precomputation and is charged to
     neither the counters nor the clock."""
     if pre_close and basis.kind is BasisKind.DBASIS:
-        return spread(x.bits, basis.binary_reach()) | x.bits
-    return x.bits
+        return spread(bits, basis.binary_reach()) | bits
+    return bits
+
+
+def _closed(
+    kernel: Callable[..., _Run], x: AttributeSet, basis: Basis, *args: bool, direct: bool = False
+) -> ClosureResult:
+    """The checked entry of all six algorithms: the universe check, the kind
+    check of a ``direct`` (single-round) algorithm, then the kernel on the
+    raw bits, its ``args`` passed on."""
+    _check(x, basis)
+    if direct:
+        _require_direct_kind(basis)
+    bits, deps, ops, inner, outer, elapsed = kernel(x.bits, basis, *args)
+    return ClosureResult(
+        AttributeSet(x.universe, bits), Metrics(deps, ops, inner, outer, elapsed)
+    )
 
 
 # -- iterate-until-stable algorithms ------------------------------------------
@@ -146,10 +174,12 @@ def closure_classic(x: AttributeSet, basis: Basis) -> ClosureResult:
     visible immediately, so later implications in the same pass see the grown
     set.
     """
-    _check(x, basis)
+    return _closed(_classic, x, basis)
+
+
+def _classic(bits: int, basis: Basis) -> _Run:
     pairs = basis.pairs()
     deps = ops = inner = outer = 0
-    bits = x.bits
     start = time.perf_counter_ns()
     remaining = list(range(len(pairs)))
     stable = False
@@ -169,11 +199,7 @@ def closure_classic(x: AttributeSet, basis: Basis) -> ClosureResult:
             else:
                 still.append(idx)
         remaining = still
-    elapsed = time.perf_counter_ns() - start
-    return ClosureResult(
-        AttributeSet(x.universe, bits),
-        Metrics(deps, ops, inner, outer, elapsed),
-    )
+    return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
 
 
 def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
@@ -184,14 +210,16 @@ def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     at most once.  The per-attribute occurrence lists are precomputed outside
     the measured phase; the per-call counters are initialised inside it.
     """
-    _check(x, basis)
+    return _closed(_lin, x, basis)
+
+
+def _lin(bits: int, basis: Basis) -> _Run:
     pairs = basis.pairs()
     lists = basis.attr_lists()
     deps = ops = inner = outer = 0
     start = time.perf_counter_ns()
     count = [lhs.bit_count() for lhs, _ in pairs]
-    bits = x.bits
-    update = x.bits
+    update = bits
     while update:
         outer += 1
         low = update & -update
@@ -208,11 +236,7 @@ def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
                 ops += 1  # union
                 update |= add
                 ops += 1  # union
-    elapsed = time.perf_counter_ns() - start
-    return ClosureResult(
-        AttributeSet(x.universe, bits),
-        Metrics(deps, ops, inner, outer, elapsed),
-    )
+    return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
 
 
 def _wild_round(
@@ -238,12 +262,14 @@ def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     """Per pass, fire *every* implication whose lhs avoids the complement of
     the current set, then keep only the untouched implications for the next
     pass.  Fired implications are never re-examined."""
-    _check(x, basis)
+    return _closed(_wild, x, basis)
+
+
+def _wild(bits: int, basis: Basis) -> _Run:
     pairs = basis.pairs()
     masks = basis.attr_masks()
-    full = x.universe.mask
+    full = basis.universe.mask
     deps = ops = inner = outer = 0
-    bits = x.bits
     start = time.perf_counter_ns()
     alive = (1 << len(pairs)) - 1
     while True:
@@ -256,11 +282,7 @@ def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
         if not fire:
             break
         alive ^= fire
-    elapsed = time.perf_counter_ns() - start
-    return ClosureResult(
-        AttributeSet(x.universe, bits),
-        Metrics(deps, ops, inner, outer, elapsed),
-    )
+    return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
 
 
 # -- single-round algorithms ---------------------------------------------------
@@ -272,11 +294,12 @@ def closure_direct(x: AttributeSet, basis: Basis) -> ClosureResult:
     Correct on a ``cdub`` (direct) and on a ``dbasis`` (ordered direct, the
     binary prefix comes first); no pre-closure is needed for either.
     """
-    _check(x, basis)
-    _require_direct_kind(basis)
+    return _closed(_sweep, x, basis, direct=True)
+
+
+def _sweep(bits: int, basis: Basis) -> _Run:
     pairs = basis.pairs()
     deps = ops = inner = 0
-    bits = x.bits
     start = time.perf_counter_ns()
     for lhs, rhs in pairs:
         inner += 1
@@ -285,11 +308,7 @@ def closure_direct(x: AttributeSet, basis: Basis) -> ClosureResult:
             deps += 1
             bits |= rhs
             ops += 1  # union
-    elapsed = time.perf_counter_ns() - start
-    return ClosureResult(
-        AttributeSet(x.universe, bits),
-        Metrics(deps, ops, inner, 1, elapsed),
-    )
+    return bits, deps, ops, inner, 1, time.perf_counter_ns() - start
 
 
 def lin_closure_direct(
@@ -304,11 +323,13 @@ def lin_closure_direct(
     whose tail actually matters the result is then too small, which is
     exactly the behaviour the seeding exists to repair.
     """
-    _check(x, basis)
-    _require_direct_kind(basis)
+    return _closed(_lin_once, x, basis, pre_close, direct=True)
+
+
+def _lin_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
     pairs = basis.pairs()
     lists = basis.attr_lists()
-    seed = _seed_bits(x, basis, pre_close)
+    seed = _seed_bits(bits, basis, pre_close)
     deps = ops = inner = outer = 0
     start = time.perf_counter_ns()
     count = [lhs.bit_count() for lhs, _ in pairs]
@@ -325,13 +346,9 @@ def lin_closure_direct(
                 deps += 1
                 add |= pairs[idx][1]
                 ops += 1  # union
-    bits = x.bits | add
+    bits |= add
     ops += 1  # final union
-    elapsed = time.perf_counter_ns() - start
-    return ClosureResult(
-        AttributeSet(x.universe, bits),
-        Metrics(deps, ops, inner, outer, elapsed),
-    )
+    return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
 
 
 def wild_closure_direct(
@@ -344,20 +361,18 @@ def wild_closure_direct(
     complement of that seed fires unconditionally; the selection is never
     re-evaluated against the grown set.
     """
-    _check(x, basis)
-    _require_direct_kind(basis)
+    return _closed(_wild_once, x, basis, pre_close, direct=True)
+
+
+def _wild_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
     pairs = basis.pairs()
     masks = basis.attr_masks()
-    full = x.universe.mask
-    seed = _seed_bits(x, basis, pre_close)
+    full = basis.universe.mask
+    seed = _seed_bits(bits, basis, pre_close)
     start = time.perf_counter_ns()
     bits, fire = _wild_round(seed, (1 << len(pairs)) - 1, pairs, masks, full)
     fired = fire.bit_count()
-    elapsed = time.perf_counter_ns() - start
-    return ClosureResult(
-        AttributeSet(x.universe, bits),
-        Metrics(fired, 1 + fired, fired, 1, elapsed),
-    )
+    return bits, fired, 1 + fired, fired, 1, time.perf_counter_ns() - start
 
 
 def implies(basis: Basis, query: Implication) -> bool:
@@ -366,8 +381,5 @@ def implies(basis: Basis, query: Implication) -> bool:
     valid for the basis kind."""
     if query.universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")
-    if basis.kind in _DIRECT_KINDS:
-        closed = closure_direct(query.lhs, basis).closure
-    else:
-        closed = closure_classic(query.lhs, basis).closure
-    return query.rhs.issubset(closed)
+    kernel = _sweep if basis.kind in _DIRECT_KINDS else _classic
+    return query.rhs.bits & ~kernel(query.lhs.bits, basis)[0] == 0

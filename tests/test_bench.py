@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import io
 import random
 from dataclasses import replace
@@ -179,6 +180,44 @@ def test_run_bench_parallel_matches_serial():
         assert (a.dataset, a.basis_kind, a.algorithm) == (b.dataset, b.basis_kind, b.algorithm)
         assert a.totals.counters() == b.totals.counters()
         assert a.query_digest == b.query_digest
+
+
+def test_run_bench_starts_no_more_workers_than_datasets(monkeypatch):
+    # a forking pool starts all of its workers on the first task, so the
+    # pool is never asked for more workers than there are datasets
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    rng = random.Random(7)
+    datasets = [(f"ctx{i}", random_standard_context(rng, 4, objects=8)) for i in range(3)]
+    spec = WorkloadSpec(queries=20, repetitions=1, seed=3)
+    pooled = run_bench(datasets, spec, jobs=8)
+    assert sizes == [3]
+    serial = run_bench(datasets, spec, jobs=1)
+    assert sizes == [3]
+    assert [r.totals.counters() for r in pooled] == [r.totals.counters() for r in serial]
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_bench_refuses_fewer_than_one_job(jobs):
+    # one dataset runs serially whatever the job count, so only the check
+    # itself can refuse it
+    ctx = random_standard_context(random.Random(8), 4, objects=8)
+    with pytest.raises(ValueError, match="at least one job"):
+        run_bench([("a", ctx)], WorkloadSpec(queries=5, repetitions=1), jobs=jobs)
 
 
 def test_per_dataset_seeds_are_order_independent():

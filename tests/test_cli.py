@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import re
 from pathlib import Path
 
@@ -29,6 +30,27 @@ def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0
     assert re.fullmatch(r"implbase 0\.1\.0\+[0-9a-f]{8}\n", out)
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0])
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    cli.build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run(
+                capsys, "closure", "--basis", str(EX51_IMP), "--set", "b d", "--algo", "lin"
+            )
+            assert (code, out) == (0, "a b c d\n")
+    finally:
+        cli.build_parser.cache_clear()
+    assert calls == ["gen", "bases", "closure", "check", "bench", "report"]
 
 
 def test_sources_are_hashed_only_for_the_version_flag(capsys, monkeypatch):
@@ -330,7 +352,10 @@ def test_bench_writes_csv(capsys, bench_dir, tmp_path):
     assert len(lines) == 1 + 2 * 9
 
 
-@pytest.mark.parametrize("flags", [["--queries", "-5"], ["--reps", "-2"], ["--reps", "0"]])
+@pytest.mark.parametrize(
+    "flags",
+    [["--queries", "-5"], ["--reps", "-2"], ["--reps", "0"], ["--jobs", "0"], ["--jobs", "-3"]],
+)
 def test_bench_refuses_negative_sizes(capsys, bench_dir, tmp_path, flags):
     target = tmp_path / "refused.csv"
     code, out, err = run(capsys, "bench", "--in", str(bench_dir), *flags, "-o", str(target))

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import time
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EX51_IMP, aset, random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
+from implbase.bits import spread
 from implbase.closure import (
+    ClosureResult,
     Metrics,
     binary_closure,
     closure_classic,
@@ -317,3 +324,321 @@ def test_implies_rejects_foreign_queries(ex51_dbasis):
     query = parse_implication("0 -> 1", Universe(size=4))
     with pytest.raises(UniverseMismatch):
         implies(ex51_dbasis, query)
+
+
+
+# -- each algorithm as its own checked function, the form the entry replaced ----
+
+
+def ref_check(x: AttributeSet, basis: Basis) -> None:
+    if x.universe != basis.universe:
+        raise UniverseMismatch("set universe differs from basis universe")
+
+
+def ref_require_direct_kind(basis: Basis) -> None:
+    if basis.kind not in (BasisKind.CDUB, BasisKind.DBASIS):
+        raise WrongBasisKind(
+            f"direct algorithms require a cdub or dbasis, not {basis.kind.value}"
+        )
+
+
+def ref_seed_bits(x: AttributeSet, basis: Basis, pre_close: bool) -> int:
+    if pre_close and basis.kind is BasisKind.DBASIS:
+        return spread(x.bits, basis.binary_reach()) | x.bits
+    return x.bits
+
+
+def ref_wild_round(
+    bits: int,
+    alive: int,
+    pairs: Sequence[tuple[int, int]],
+    masks: Sequence[int],
+    full: int,
+) -> tuple[int, int]:
+    fire = alive & ~spread(full & ~bits, masks)
+    rest = fire
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        bits |= pairs[low.bit_length() - 1][1]
+    return bits, fire
+
+
+def ref_closure_classic(x: AttributeSet, basis: Basis) -> ClosureResult:
+    """Scan the remaining implications until a full pass changes nothing.
+
+    An implication that fires is removed from further passes.  Additions are
+    visible immediately, so later implications in the same pass see the grown
+    set.
+    """
+    ref_check(x, basis)
+    pairs = basis.pairs()
+    deps = ops = inner = outer = 0
+    bits = x.bits
+    start = time.perf_counter_ns()
+    remaining = list(range(len(pairs)))
+    stable = False
+    while not stable:
+        outer += 1
+        stable = True
+        still: list[int] = []
+        for idx in remaining:
+            inner += 1
+            lhs, rhs = pairs[idx]
+            ops += 1  # subset test
+            if lhs & bits == lhs:
+                deps += 1
+                ops += 1  # union
+                bits |= rhs
+                stable = False
+            else:
+                still.append(idx)
+        remaining = still
+    elapsed = time.perf_counter_ns() - start
+    return ClosureResult(
+        AttributeSet(x.universe, bits),
+        Metrics(deps, ops, inner, outer, elapsed),
+    )
+
+
+def ref_lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
+    """Counting algorithm: each implication tracks how many of its lhs
+    attributes are still missing and fires exactly when the count hits zero.
+
+    A worklist holds attributes not yet propagated; each attribute enters it
+    at most once.  The per-attribute occurrence lists are precomputed outside
+    the measured phase; the per-call counters are initialised inside it.
+    """
+    ref_check(x, basis)
+    pairs = basis.pairs()
+    lists = basis.attr_lists()
+    deps = ops = inner = outer = 0
+    start = time.perf_counter_ns()
+    count = [lhs.bit_count() for lhs, _ in pairs]
+    bits = x.bits
+    update = x.bits
+    while update:
+        outer += 1
+        low = update & -update
+        update ^= low
+        for idx in lists[low.bit_length() - 1]:
+            inner += 1
+            count[idx] -= 1
+            if count[idx] == 0:
+                deps += 1
+                rhs = pairs[idx][1]
+                add = rhs & ~bits
+                ops += 1  # difference
+                bits |= add
+                ops += 1  # union
+                update |= add
+                ops += 1  # union
+    elapsed = time.perf_counter_ns() - start
+    return ClosureResult(
+        AttributeSet(x.universe, bits),
+        Metrics(deps, ops, inner, outer, elapsed),
+    )
+
+
+def ref_wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
+    """Per pass, fire *every* implication whose lhs avoids the complement of
+    the current set, then keep only the untouched implications for the next
+    pass.  Fired implications are never re-examined."""
+    ref_check(x, basis)
+    pairs = basis.pairs()
+    masks = basis.attr_masks()
+    full = x.universe.mask
+    deps = ops = inner = outer = 0
+    bits = x.bits
+    start = time.perf_counter_ns()
+    alive = (1 << len(pairs)) - 1
+    while True:
+        outer += 1
+        bits, fire = ref_wild_round(bits, alive, pairs, masks, full)
+        fired = fire.bit_count()
+        deps += fired
+        inner += fired
+        ops += 1 + fired
+        if not fire:
+            break
+        alive ^= fire
+    elapsed = time.perf_counter_ns() - start
+    return ClosureResult(
+        AttributeSet(x.universe, bits),
+        Metrics(deps, ops, inner, outer, elapsed),
+    )
+
+
+def ref_closure_direct(x: AttributeSet, basis: Basis) -> ClosureResult:
+    """One in-order sweep with immediately visible additions.
+
+    Correct on a ``cdub`` (direct) and on a ``dbasis`` (ordered direct, the
+    binary prefix comes first); no pre-closure is needed for either.
+    """
+    ref_check(x, basis)
+    ref_require_direct_kind(basis)
+    pairs = basis.pairs()
+    deps = ops = inner = 0
+    bits = x.bits
+    start = time.perf_counter_ns()
+    for lhs, rhs in pairs:
+        inner += 1
+        ops += 1  # subset test
+        if lhs & bits == lhs:
+            deps += 1
+            bits |= rhs
+            ops += 1  # union
+    elapsed = time.perf_counter_ns() - start
+    return ClosureResult(
+        AttributeSet(x.universe, bits),
+        Metrics(deps, ops, inner, 1, elapsed),
+    )
+
+
+def ref_lin_closure_direct(
+    x: AttributeSet, basis: Basis, *, pre_close: bool = True
+) -> ClosureResult:
+    """Counting algorithm with a single consumption of the worklist.
+
+    For a ``dbasis`` the worklist starts from the binary-prefix closure of
+    the input (precomputed, hence uncounted); for a ``cdub`` from the input
+    itself.  Fired right-hand sides accumulate separately and never re-enter
+    the worklist.  ``pre_close=False`` skips the seeding; on a ``dbasis``
+    whose tail actually matters the result is then too small, which is
+    exactly the behaviour the seeding exists to repair.
+    """
+    ref_check(x, basis)
+    ref_require_direct_kind(basis)
+    pairs = basis.pairs()
+    lists = basis.attr_lists()
+    seed = ref_seed_bits(x, basis, pre_close)
+    deps = ops = inner = outer = 0
+    start = time.perf_counter_ns()
+    count = [lhs.bit_count() for lhs, _ in pairs]
+    update = seed
+    add = 0
+    while update:
+        outer += 1
+        low = update & -update
+        update ^= low
+        for idx in lists[low.bit_length() - 1]:
+            inner += 1
+            count[idx] -= 1
+            if count[idx] == 0:
+                deps += 1
+                add |= pairs[idx][1]
+                ops += 1  # union
+    bits = x.bits | add
+    ops += 1  # final union
+    elapsed = time.perf_counter_ns() - start
+    return ClosureResult(
+        AttributeSet(x.universe, bits),
+        Metrics(deps, ops, inner, outer, elapsed),
+    )
+
+
+def ref_wild_closure_direct(
+    x: AttributeSet, basis: Basis, *, pre_close: bool = True
+) -> ClosureResult:
+    """Single simultaneous round over a selection computed once.
+
+    For a ``dbasis`` the input is first replaced by its binary-prefix closure
+    (precomputed, hence uncounted).  Every implication whose lhs avoids the
+    complement of that seed fires unconditionally; the selection is never
+    re-evaluated against the grown set.
+    """
+    ref_check(x, basis)
+    ref_require_direct_kind(basis)
+    pairs = basis.pairs()
+    masks = basis.attr_masks()
+    full = x.universe.mask
+    seed = ref_seed_bits(x, basis, pre_close)
+    start = time.perf_counter_ns()
+    bits, fire = ref_wild_round(seed, (1 << len(pairs)) - 1, pairs, masks, full)
+    fired = fire.bit_count()
+    elapsed = time.perf_counter_ns() - start
+    return ClosureResult(
+        AttributeSet(x.universe, bits),
+        Metrics(fired, 1 + fired, fired, 1, elapsed),
+    )
+
+
+def ref_implies(basis: Basis, query: Implication) -> bool:
+    """Does the basis entail ``query``?  True iff the query rhs is contained
+    in the closure of the query lhs, computed with the cheapest algorithm
+    valid for the basis kind."""
+    if query.universe != basis.universe:
+        raise UniverseMismatch("query universe differs from basis universe")
+    if basis.kind in (BasisKind.CDUB, BasisKind.DBASIS):
+        closed = ref_closure_direct(query.lhs, basis).closure
+    else:
+        closed = ref_closure_classic(query.lhs, basis).closure
+    return query.rhs.issubset(closed)
+
+
+REFERENCES = {
+    closure_classic: ref_closure_classic,
+    lin_closure: ref_lin_closure,
+    wild_closure: ref_wild_closure,
+    closure_direct: ref_closure_direct,
+    lin_closure_direct: ref_lin_closure_direct,
+    wild_closure_direct: ref_wild_closure_direct,
+    implies: ref_implies,
+}
+
+
+def outcome(call):
+    """The closure bits and four counters of a call, or its error and message."""
+    try:
+        result = call()
+    except (UniverseMismatch, WrongBasisKind) as exc:
+        return type(exc), str(exc)
+    assert result.metrics.elapsed_ns >= 0
+    return result.closure.universe, result.closure.bits, result.metrics.counters()
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(["raw", "cdub", "dbasis", "dg"]),
+    seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 7),
+    pre_close=st.booleans(),
+)
+def test_every_algorithm_matches_its_checked_reference(kind, seed, attributes, pre_close):
+    rng = random.Random(seed)
+    if kind == "raw":
+        basis = random_raw_basis(rng, attributes)
+    else:
+        builder = {"cdub": build_cdub, "dbasis": build_dbasis, "dg": build_dg}[kind]
+        basis = builder(random_standard_context(rng, attributes))
+    u = basis.universe
+    queries = [AttributeSet(u, rng.getrandbits(u.size)) for _ in range(6)]
+    queries += [u.empty(), AttributeSet(u, u.mask), Universe(size=u.size).empty()]
+    for x in queries:
+        for public in CLASSIC_TRIO + (closure_direct,):
+            reference = REFERENCES[public]
+            assert outcome(lambda: public(x, basis)) == outcome(lambda: reference(x, basis))
+        for public in DIRECT_TRIO[1:]:
+            reference = REFERENCES[public]
+            assert outcome(lambda: public(x, basis, pre_close=pre_close)) == outcome(
+                lambda: reference(x, basis, pre_close=pre_close)
+            )
+        if x.universe == u and x.bits:
+            query = Implication(x, AttributeSet(u, rng.getrandbits(u.size)))
+            assert implies(basis, query) == ref_implies(basis, query)
+
+
+@pytest.mark.parametrize("public", list(REFERENCES), ids=lambda func: func.__name__)
+def test_public_signatures_and_docstrings_are_kept(public):
+    reference = REFERENCES[public]
+    assert inspect.signature(public) == inspect.signature(reference)
+    assert public.__doc__ == reference.__doc__
+    assert public.__name__ == reference.__name__[len("ref_") :]
+
+
+def test_a_foreign_set_is_refused_before_the_basis_kind(ex51_bases):
+    _, _, dg = ex51_bases
+    foreign = Universe(size=4).empty()
+    for algo in DIRECT_TRIO:
+        with pytest.raises(UniverseMismatch, match="set universe differs"):
+            algo(foreign, dg)

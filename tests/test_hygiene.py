@@ -1,8 +1,12 @@
-"""Source hygiene of the package and its tests, read from the syntax tree only."""
+"""Source hygiene of the package and its tests, read from the syntax tree, and
+what importing the command line loads."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -90,3 +94,18 @@ def test_every_shared_kernel_is_used_by_another_package_module():
     used = set().union(*map(referenced_names, others))
     assert exported, "bits.py exports nothing"
     assert not exported - used, f"bits.py exports unused kernels: {sorted(exported - used)}"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only ``bench --jobs N`` over several datasets needs a pool, so the
+    # pool machinery stays out of every other command's start-up
+    probe = (
+        "import sys, implbase.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(implbase.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"
