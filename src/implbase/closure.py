@@ -20,19 +20,34 @@ Every algorithm fills a :class:`Metrics` record:
 * ``inner_loops`` / ``outer_loops`` - iterations of the per-implication loop
   and of the enclosing loop (single-round algorithms report one outer tick
   per call),
-* ``elapsed_ns`` - monotonic wall time of the computation phase only.
-  Per-attribute occurrence lists and binary-prefix reachability are reusable
+* ``elapsed_ns`` - monotonic wall time of the computation phase only: the
+  algorithm and its firings, nothing else.  Per-attribute occurrence lists,
+  left-hand-side sizes and binary-prefix reachability are reusable
   precomputation and are excluded; the per-call counter initialisation of
-  the counting variants is included.
+  the counting variants (a copy of the memoised lhs sizes) is included.
 
 Each public algorithm is one call to a shared checked entry, which checks
 the universe, refuses a non-direct kind for the single-round three, runs
 the algorithm's private kernel on ``x.bits`` and wraps what it returns.  A
 kernel has the signature ``(bits, basis[, pre_close])`` and returns the
 tuple ``(closure_bits, deps, attribute_ops, inner_loops, outer_loops,
-elapsed_ns)``.  It reads the basis's pairs, occurrence lists or masks and
-the pre-closed seed before starting its clock, so the clock covers exactly
-what it covered when each algorithm did its own checks and wrapping.
+elapsed_ns)``.  It reads the basis's pairs, occurrence lists, lhs sizes or
+masks and the pre-closed seed before starting its clock.
+
+Inside the clock a kernel runs its loop with one ``deps`` tick per firing;
+the other counters are closed forms of the loop's end state, computed after
+the clock stops, and equal what a tick per step would count.  With ``m``
+implications and ``|L(a)|`` the length of attribute ``a``'s occurrence list:
+
+* classic-direct: ``inner = m``, ``outer = 1``, ``ops = m + deps``;
+* lin-direct: ``outer = |seed|``, ``inner = sum of |L(a)|`` over the seed,
+  ``ops = deps + 1`` (every seed attribute leaves the worklist once);
+* lin: ``outer = |closure|``, ``inner = sum of |L(a)|`` over the closure,
+  ``ops = 3 deps`` (every closure attribute passes through the worklist
+  exactly once);
+* classic: ``inner`` grows by the number of implications left once per
+  pass, and ``ops = inner + deps``;
+* wild and wild-direct count once per pass, which their loops do anyway.
 """
 
 from __future__ import annotations
@@ -41,7 +56,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .bits import fixpoint_bits, round_bits, spread
+from .bits import bit_indices, fixpoint_bits, round_bits, spread
 from .errors import UniverseMismatch, WrongBasisKind
 from .sets import AttributeSet, Basis, BasisKind, Implication
 
@@ -179,27 +194,27 @@ def closure_classic(x: AttributeSet, basis: Basis) -> ClosureResult:
 
 def _classic(bits: int, basis: Basis) -> _Run:
     pairs = basis.pairs()
-    deps = ops = inner = outer = 0
+    deps = inner = outer = 0
     start = time.perf_counter_ns()
-    remaining = list(range(len(pairs)))
+    remaining: Sequence[tuple[int, int]] = pairs
     stable = False
     while not stable:
         outer += 1
+        inner += len(remaining)
         stable = True
-        still: list[int] = []
-        for idx in remaining:
-            inner += 1
-            lhs, rhs = pairs[idx]
-            ops += 1  # subset test
+        still: list[tuple[int, int]] = []
+        for pair in remaining:
+            lhs = pair[0]
             if lhs & bits == lhs:
                 deps += 1
-                ops += 1  # union
-                bits |= rhs
+                bits |= pair[1]
                 stable = False
             else:
-                still.append(idx)
+                still.append(pair)
         remaining = still
-    return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
+    elapsed = time.perf_counter_ns() - start
+    # one subset test per scanned implication, one union per firing
+    return bits, deps, inner + deps, inner, outer, elapsed
 
 
 def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
@@ -216,27 +231,31 @@ def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
 def _lin(bits: int, basis: Basis) -> _Run:
     pairs = basis.pairs()
     lists = basis.attr_lists()
-    deps = ops = inner = outer = 0
+    sizes = basis.lhs_sizes()
+    deps = 0
     start = time.perf_counter_ns()
-    count = [lhs.bit_count() for lhs, _ in pairs]
+    count = list(sizes)
     update = bits
     while update:
-        outer += 1
         low = update & -update
         update ^= low
         for idx in lists[low.bit_length() - 1]:
-            inner += 1
             count[idx] -= 1
             if count[idx] == 0:
                 deps += 1
-                rhs = pairs[idx][1]
-                add = rhs & ~bits
-                ops += 1  # difference
+                add = pairs[idx][1] & ~bits
                 bits |= add
-                ops += 1  # union
                 update |= add
-                ops += 1  # union
-    return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
+    elapsed = time.perf_counter_ns() - start
+    # only new attributes enter the worklist, so each closure attribute
+    # leaves it once; a difference and two unions per firing
+    return bits, deps, 3 * deps, _occurrences(bits, lists), bits.bit_count(), elapsed
+
+
+def _occurrences(bits: int, lists: Sequence[Sequence[int]]) -> int:
+    """Inner-loop ticks of a worklist that takes each attribute of ``bits``
+    once: the summed lengths of their occurrence lists."""
+    return sum([len(lists[a]) for a in bit_indices(bits)])
 
 
 def _wild_round(
@@ -299,16 +318,16 @@ def closure_direct(x: AttributeSet, basis: Basis) -> ClosureResult:
 
 def _sweep(bits: int, basis: Basis) -> _Run:
     pairs = basis.pairs()
-    deps = ops = inner = 0
+    deps = 0
     start = time.perf_counter_ns()
     for lhs, rhs in pairs:
-        inner += 1
-        ops += 1  # subset test
         if lhs & bits == lhs:
             deps += 1
             bits |= rhs
-            ops += 1  # union
-    return bits, deps, ops, inner, 1, time.perf_counter_ns() - start
+    elapsed = time.perf_counter_ns() - start
+    # one subset test per implication, one union per firing
+    m = len(pairs)
+    return bits, deps, m + deps, m, 1, elapsed
 
 
 def lin_closure_direct(
@@ -329,26 +348,26 @@ def lin_closure_direct(
 def _lin_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
     pairs = basis.pairs()
     lists = basis.attr_lists()
+    sizes = basis.lhs_sizes()
     seed = _seed_bits(bits, basis, pre_close)
-    deps = ops = inner = outer = 0
+    deps = 0
     start = time.perf_counter_ns()
-    count = [lhs.bit_count() for lhs, _ in pairs]
+    count = list(sizes)
     update = seed
     add = 0
     while update:
-        outer += 1
         low = update & -update
         update ^= low
         for idx in lists[low.bit_length() - 1]:
-            inner += 1
             count[idx] -= 1
             if count[idx] == 0:
                 deps += 1
                 add |= pairs[idx][1]
-                ops += 1  # union
     bits |= add
-    ops += 1  # final union
-    return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
+    elapsed = time.perf_counter_ns() - start
+    # the worklist is the seed, taken once; one union per firing plus the
+    # final union
+    return bits, deps, deps + 1, _occurrences(seed, lists), seed.bit_count(), elapsed
 
 
 def wild_closure_direct(

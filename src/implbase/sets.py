@@ -75,6 +75,8 @@ class Universe:
         )
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if not isinstance(other, Universe):
             return NotImplemented
         return self.size == other.size and self.names == other.names
@@ -265,8 +267,8 @@ class Basis:
       left-hand sides of at least two attributes.
 
     Derived read-only structures (the implications, per-attribute occurrence
-    lists, reachability over the binary prefix) are built lazily once and
-    then shared; they never mutate the logical value.
+    lists, left-hand-side sizes, reachability over the binary prefix) are
+    built lazily once and then shared; they never mutate the logical value.
     """
 
     __slots__ = ("_pairs", "kind", "sigma0_len", "universe", "_cache")
@@ -392,6 +394,12 @@ class Basis:
     def attr_lists(self) -> tuple[tuple[int, ...], ...]:
         """Per attribute: indices of implications whose lhs contains it."""
         return tuple([bit_indices(mask) for mask in self.attr_masks()])
+
+    @memo
+    def lhs_sizes(self) -> tuple[int, ...]:
+        """Per implication: the size of its lhs, where the per-call counters
+        of the counting closure algorithms start."""
+        return tuple([lhs.bit_count() for lhs, _ in self._pairs])
 
     @memo
     def attr_masks(self) -> tuple[int, ...]:

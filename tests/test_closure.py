@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import EX51_IMP, aset, random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
-from implbase.bits import spread
+from implbase.bits import memo, spread
 from implbase.closure import (
     ClosureResult,
     Metrics,
@@ -642,3 +642,102 @@ def test_a_foreign_set_is_refused_before_the_basis_kind(ex51_bases):
     for algo in DIRECT_TRIO:
         with pytest.raises(UniverseMismatch, match="set universe differs"):
             algo(foreign, dg)
+
+
+# -- closed-form counter laws ------------------------------------------------------
+
+
+def occurrences(bits: int, basis: Basis) -> int:
+    """Summed occurrence-list lengths of the attributes in ``bits``."""
+    lists = basis.attr_lists()
+    return sum(len(lists[a]) for a in range(basis.universe.size) if bits >> a & 1)
+
+
+@settings(deadline=None)
+@given(
+    kind=st.sampled_from(["raw", "cdub", "dbasis", "dg"]),
+    seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 7),
+    pre_close=st.booleans(),
+)
+def test_counters_follow_their_closed_forms(kind, seed, attributes, pre_close):
+    # what each counter must equal, read from the public results alone
+    rng = random.Random(seed)
+    if kind == "raw":
+        basis = random_raw_basis(rng, attributes)
+    else:
+        builder = {"cdub": build_cdub, "dbasis": build_dbasis, "dg": build_dg}[kind]
+        basis = builder(random_standard_context(rng, attributes))
+    u = basis.universe
+    m = len(basis)
+    queries = [AttributeSet(u, rng.getrandbits(u.size)) for _ in range(6)]
+    for x in queries + [u.empty(), AttributeSet(u, u.mask)]:
+        closed = oracle_closure(x, basis).bits
+
+        classic = closure_classic(x, basis).metrics
+        assert classic.attribute_ops == classic.inner_loops + classic.deps
+        assert m <= classic.inner_loops <= m * classic.outer_loops
+        # every pass after the first rescans at least the never-fired ones
+        assert classic.inner_loops - m >= (classic.outer_loops - 1) * (m - classic.deps)
+
+        lin = lin_closure(x, basis).metrics
+        assert lin.outer_loops == closed.bit_count()
+        assert lin.inner_loops == occurrences(closed, basis)
+        assert lin.attribute_ops == 3 * lin.deps
+
+        wild = wild_closure(x, basis).metrics
+        assert wild.inner_loops == wild.deps
+        assert wild.attribute_ops == wild.outer_loops + wild.deps
+
+        if basis.kind not in (BasisKind.CDUB, BasisKind.DBASIS):
+            continue
+        sweep = closure_direct(x, basis).metrics
+        assert (sweep.inner_loops, sweep.outer_loops) == (m, 1)
+        assert sweep.attribute_ops == m + sweep.deps
+
+        seeded = pre_close and basis.kind is BasisKind.DBASIS
+        start = binary_closure(x, basis).bits if seeded else x.bits
+        once = lin_closure_direct(x, basis, pre_close=pre_close).metrics
+        assert once.outer_loops == start.bit_count()
+        assert once.inner_loops == occurrences(start, basis)
+        assert once.attribute_ops == once.deps + 1
+
+        one_round = wild_closure_direct(x, basis, pre_close=pre_close).metrics
+        assert (one_round.inner_loops, one_round.outer_loops) == (one_round.deps, 1)
+        assert one_round.attribute_ops == one_round.deps + 1
+
+
+@pytest.mark.parametrize("algo", [lin_closure, lin_closure_direct], ids=lambda f: f.__name__)
+def test_lhs_sizes_are_built_once_and_never_mutated(monkeypatch, algo):
+    basis = read_basis(EX51_IMP)
+    builds: list[Basis] = []
+    build = Basis.lhs_sizes.__wrapped__
+
+    def lhs_sizes(self: Basis) -> tuple[int, ...]:
+        builds.append(self)
+        return build(self)
+
+    monkeypatch.setattr(Basis, "lhs_sizes", memo(lhs_sizes))
+    queries = [AttributeSet(basis.universe, bits) for bits in range(16)]
+    first = [algo(x, basis).metrics.counters() for x in queries]
+    assert builds == [basis]  # by the first call
+    sizes = basis.lhs_sizes()
+    assert [algo(x, basis).metrics.counters() for x in queries] == first
+    assert builds == [basis]
+    assert type(sizes) is tuple and basis.lhs_sizes() is sizes
+    assert sizes == tuple(lhs.bit_count() for lhs, _ in basis.pairs())
+
+
+@pytest.mark.parametrize("algo", [lin_closure, lin_closure_direct], ids=lambda f: f.__name__)
+def test_counting_starts_from_the_memoised_lhs_sizes(monkeypatch, algo):
+    basis = read_basis(EX51_IMP)
+    full = AttributeSet(basis.universe, basis.universe.mask)
+    assert algo(full, basis).metrics.deps == len(basis)
+    build = Basis.lhs_sizes.__wrapped__
+
+    def lhs_sizes(self: Basis) -> tuple[int, ...]:
+        # one more than each lhs holds, so no count can reach zero
+        return tuple(size + 1 for size in build(self))
+
+    monkeypatch.setattr(Basis, "lhs_sizes", memo(lhs_sizes))
+    assert algo(full, read_basis(EX51_IMP)).metrics.deps == 0

@@ -109,3 +109,64 @@ def test_importing_the_cli_loads_no_process_pool():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert done.stdout == "[]\n"
+
+
+#: What the innermost loop of a timed closure kernel may update in place:
+#: the algorithm's own state and the one firing counter.
+KERNEL_LOOP_TARGETS = {"deps", "bits", "add", "update", "count[...]"}
+
+
+def loops(node: ast.AST) -> list[ast.For | ast.While]:
+    """The ``for`` and ``while`` loops in ``node``, ``node`` included."""
+    return [sub for sub in ast.walk(node) if isinstance(sub, (ast.For, ast.While))]
+
+
+def called_names(node: ast.AST) -> set[str]:
+    """Names that ``node`` calls directly."""
+    return {
+        sub.func.id
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+    }
+
+
+def reads_the_clock(func: ast.FunctionDef) -> bool:
+    """Does ``func`` read ``time.perf_counter_ns``?"""
+    return any(
+        isinstance(sub, ast.Attribute) and sub.attr == "perf_counter_ns" for sub in ast.walk(func)
+    )
+
+
+def in_place_target(node: ast.AugAssign) -> str:
+    """What an augmented assignment updates: a name, or ``name[...]``."""
+    target = node.target
+    if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+        return f"{target.value.id}[...]"
+    return target.id if isinstance(target, ast.Name) else ast.unparse(target)
+
+
+def test_timed_closure_kernels_keep_counters_out_of_their_inner_loops():
+    # a kernel's innermost loop runs once per scanned implication or
+    # attribute, inside the clock; the counters other than deps are closed
+    # forms computed after the clock stops.  A loop is innermost when it
+    # holds no loop and calls no closure.py function that holds one, so
+    # Wild's pass loop, which calls its firing round, counts once per pass.
+    tree = ast.parse((Path(implbase.__file__).parent / "closure.py").read_text(encoding="utf-8"))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    looping = {name for name, func in funcs.items() if loops(func)}
+    kernels = {name: func for name, func in funcs.items() if reads_the_clock(func)}
+    assert set(kernels) == {"_classic", "_lin", "_wild", "_sweep", "_lin_once", "_wild_once"}
+    checked = set()
+    for name, func in kernels.items():
+        for loop in loops(func):
+            body = ast.Module(body=loop.body, type_ignores=[])
+            if loops(body) or called_names(body) & looping:
+                continue
+            checked.add(name)
+            targets = {
+                in_place_target(node) for node in ast.walk(body) if isinstance(node, ast.AugAssign)
+            }
+            assert targets <= KERNEL_LOOP_TARGETS, (
+                f"{name} updates {sorted(targets - KERNEL_LOOP_TARGETS)} in its innermost loop"
+            )
+    assert checked == {"_classic", "_lin", "_sweep", "_lin_once"}

@@ -78,6 +78,31 @@ def test_universe_validation():
     assert Universe(size=MAX_UNIVERSE_SIZE).size == MAX_UNIVERSE_SIZE
 
 
+class RefusingNames(tuple):
+    """Attribute names that fail any comparison."""
+
+    def __eq__(self, other):
+        raise AssertionError("names compared")
+
+    __hash__ = tuple.__hash__
+
+
+def test_universe_equality_and_its_identity_fast_path():
+    u = Universe(names=["a", "b"])
+    twin = Universe(names=["a", "b"])
+    assert u is not twin
+    assert u == twin and not u != twin and hash(u) == hash(twin)
+    assert Universe(size=3) == Universe(size=3)
+    assert hash(Universe(size=3)) == hash(Universe(size=3))
+    assert u != Universe(names=["a", "c"]) and u != Universe(size=2)
+    assert u != "a b" and u.__eq__("a b") is NotImplemented
+    # the same object equals itself without reading a field
+    u.names = RefusingNames(u.names)
+    assert u == u and not u != u
+    with pytest.raises(AssertionError, match="names compared"):
+        u.__eq__(twin)
+
+
 def test_unknown_attribute():
     u = Universe(names=["a", "b"])
     with pytest.raises(UnknownAttribute):
@@ -259,9 +284,11 @@ def test_basis_derived_structures():
     assert basis.pairs() == ((0b1010, 0b0001), (0b1000, 0b0100))
     assert basis.attr_lists() == ((), (0,), (), (0, 1))
     assert basis.attr_masks() == (0, 0b01, 0, 0b11)
+    assert basis.lhs_sizes() == (2, 1)
     empty = Basis([], universe=U4)
     assert empty.attr_lists() == ((),) * 4
     assert empty.attr_masks() == (0,) * 4
+    assert empty.lhs_sizes() == ()
 
 
 def test_binary_reach_follows_prefix_chains():
