@@ -370,22 +370,27 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     ]
 
 
-def _entails(
-    pairs: tuple[tuple[int, int], ...],
-    other: Sliced,
-    n: int,
-) -> bool:
-    """Does each implication of ``pairs`` follow from the sliced ``other``?
+def _entails(basis: Basis, other: Sliced) -> bool:
+    """Does each implication of ``basis`` follow from the sliced ``other``?
 
-    Every lhs takes one lane; simultaneous rounds under ``other`` grow all of
-    them together until each rhs is contained or the columns stop changing.
+    Every lhs takes one lane: the columns start as the memoised
+    :meth:`Basis.attr_masks` and each rhs is read from the memoised
+    :meth:`Basis.rhs_masks`.  In-order rounds under ``other`` grow all lanes
+    together until each rhs is contained or the columns stop changing.
+
+    The verdict is each lane's exact one.  A round only adds the rhs of an
+    implication whose lhs the lane already holds, so every lane grows and
+    stays inside the closure of its lhs; a contained rhs follows.  A round
+    that changes nothing tested every lhs against the final columns, so
+    each lane is then closed, hence equal to that closure, and a rhs still
+    missing does not follow.
     """
-    cols = transpose_bits([lhs for lhs, _ in pairs], n)
-    need = transpose_bits([rhs for _, rhs in pairs], n)
+    cols = list(basis.attr_masks())
+    need = basis.rhs_masks()
     while True:
         if not any(w & ~c for w, c in zip(need, cols)):
             return True
-        grown = sliced_round(cols, other, ordered=False)
+        grown = sliced_round(cols, other, ordered=True)
         if grown == cols:
             return False
         cols = grown
@@ -399,9 +404,7 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     """
     if b1.universe != b2.universe:
         raise UniverseMismatch("bases live in different universes")
-    n = b1.universe.size
-    p1, p2 = b1.pairs(), b2.pairs()
-    return _entails(p1, slice_pairs(p2), n) and _entails(p2, slice_pairs(p1), n)
+    return _entails(b1, slice_pairs(b2.pairs())) and _entails(b2, slice_pairs(b1.pairs()))
 
 
 def _candidates(n: int, limit: int, samples: int, seed: int) -> tuple[Iterator[int], str]:
@@ -423,6 +426,32 @@ def direct_scope(size: int) -> str:
     return _candidates(size, EXHAUSTIVE_LIMIT, SAMPLES, _SEED)[1]
 
 
+#: The first chunk of candidate sets of the last directness policy checked,
+#: ``(n, exhaustive_limit, samples, seed)``, with its columns.  Every basis
+#: checked at that policy reuses them, with no new draw and no new transpose.
+_drawn: tuple[tuple[int, int, int, int], list[int], list[int]] | None = None
+
+
+def _chunks(n: int, limit: int, samples: int, seed: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The candidate sets of one policy, ``_LANES`` at a time, each chunk with
+    its columns.  The first chunk comes from ``_drawn`` when that holds the
+    policy, and replaces it otherwise; later chunks are drawn afresh."""
+    global _drawn
+    policy = (n, limit, samples, seed)
+    candidates, _ = _candidates(n, limit, samples, seed)
+    last = _drawn
+    if last is None or last[0] != policy:
+        first = list(islice(candidates, _LANES))
+        last = _drawn = (policy, first, transpose_bits(first, n))
+    elif len(last[1]) < _LANES:  # the first chunk held every candidate
+        candidates = iter(())
+    else:
+        candidates = islice(candidates, _LANES, None)
+    yield last[1], last[2]
+    while chunk := list(islice(candidates, _LANES)):
+        yield chunk, transpose_bits(chunk, n)
+
+
 def direct_witness(
     basis: Basis,
     exhaustive_limit: int = EXHAUSTIVE_LIMIT,
@@ -438,14 +467,15 @@ def direct_witness(
     ``_LANES`` at a time, one per lane: one round reaches the closure iff
     its result is closed, because the closure is the least closed superset,
     and the lanes left unclosed are those a second simultaneous round grows.
+    The first chunk and its columns are kept for the next call at the same
+    ``(width, exhaustive_limit, samples, seed)``, so repeated checks at one
+    policy draw and transpose their candidates once.
     A negative ``samples`` raises :class:`ValueError`.
     """
-    n = basis.universe.size
     sliced = slice_pairs(basis.pairs())
     ordered = basis.kind is BasisKind.DBASIS
-    candidates, _ = _candidates(n, exhaustive_limit, samples, seed)
-    while chunk := list(islice(candidates, _LANES)):
-        once = sliced_round(transpose_bits(chunk, n), sliced, ordered)
+    for chunk, cols in _chunks(basis.universe.size, exhaustive_limit, samples, seed):
+        once = sliced_round(cols, sliced, ordered)
         bad = reduce(or_, map(xor, sliced_round(once, sliced, ordered=False), once))
         if bad:
             return AttributeSet(basis.universe, chunk[(bad & -bad).bit_length() - 1])

@@ -38,8 +38,22 @@ Sliced = list[tuple[tuple[int, ...], tuple[int, ...]]]
 T = TypeVar("T")
 
 
+#: Per byte position ``k`` below 24 bits: the positions of the set bits of
+#: each byte value, offset by ``8 * k``.
+_LOW, _MID, _HIGH = (
+    tuple([tuple([8 * k + i for i in range(8) if byte >> i & 1]) for byte in range(256)])
+    for k in range(3)
+)
+
+
 def bit_indices(bits: int) -> tuple[int, ...]:
-    """Positions of the set bits, lowest first."""
+    """Positions of the set bits, lowest first.
+
+    Below ``1 << 24`` the positions are three byte-table lookups joined;
+    wider sets peel off their lowest bit in a loop.
+    """
+    if bits < 1 << 24:
+        return _LOW[bits & 255] + _MID[bits >> 8 & 255] + _HIGH[bits >> 16]
     out = []
     while bits:
         low = bits & -bits

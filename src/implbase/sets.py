@@ -267,8 +267,10 @@ class Basis:
       left-hand sides of at least two attributes.
 
     Derived read-only structures (the implications, per-attribute occurrence
-    lists, left-hand-side sizes, reachability over the binary prefix) are
-    built lazily once and then shared; they never mutate the logical value.
+    lists and masks of the left-hand sides, per-attribute masks of the
+    right-hand sides, left-hand-side sizes, reachability over the binary
+    prefix) are built lazily once and then shared; they never mutate the
+    logical value.
     """
 
     __slots__ = ("_pairs", "kind", "sigma0_len", "universe", "_cache")
@@ -407,6 +409,13 @@ class Basis:
         :meth:`attr_lists` but usable with int arithmetic."""
         lhs_bits = [lhs for lhs, _ in self.pairs()]
         return tuple(transpose_bits(lhs_bits, self.universe.size))
+
+    @memo
+    def rhs_masks(self) -> tuple[int, ...]:
+        """Per attribute: bit mask over indices of implications whose rhs
+        contains it."""
+        rhs_bits = [rhs for _, rhs in self.pairs()]
+        return tuple(transpose_bits(rhs_bits, self.universe.size))
 
     @memo
     def binary_reach(self) -> tuple[int, ...]:

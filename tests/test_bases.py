@@ -10,6 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import implbase.bases
+import implbase.bits
+import implbase.sets
 from conftest import (
     EX51_IMP,
     aset,
@@ -19,6 +21,8 @@ from conftest import (
     random_standard_context,
 )
 from implbase.bases import (
+    EXHAUSTIVE_LIMIT,
+    SAMPLES,
     _dbasis_tail,
     _minimal_transversals,
     _proper_premises,
@@ -32,7 +36,7 @@ from implbase.bases import (
     is_pseudo_closed,
     verify_direct,
 )
-from implbase.bits import fixpoint_bits
+from implbase.bits import fixpoint_bits, slice_pairs, sliced_round, transpose_bits
 from implbase.closure import oracle_closure
 from implbase.context import Context, clarify, context_closure, gen_synthetic, reduce
 from implbase.errors import DegenerateContext, NotStandardContext, UniverseMismatch
@@ -729,6 +733,182 @@ def test_pseudo_closed_walk_matches_the_lattice_on_built_bases(ctx_seed, attribu
 @example(Basis([], universe=Universe(size=3)))
 def test_pseudo_closed_walk_matches_the_lattice_on_raw_bases(basis):
     assert_walk_matches_lattice(basis)
+
+
+# -- in-order entailment against the simultaneous rounds --------------------------------
+#
+# _entails grows every lhs of one basis in in-order rounds under the other,
+# from the memoised columns of the basis.  The loop below is the earlier form:
+# fresh columns, simultaneous rounds.  Both must give the same verdict, and
+# the in-order form never needs more rounds.
+
+
+def simultaneous_entails(basis: Basis, other: Basis, rounds: list[int]) -> bool:
+    n = basis.universe.size
+    sliced = slice_pairs(other.pairs())
+    cols = transpose_bits([lhs for lhs, _ in basis.pairs()], n)
+    need = transpose_bits([rhs for _, rhs in basis.pairs()], n)
+    while True:
+        if not any(w & ~c for w, c in zip(need, cols)):
+            return True
+        grown = sliced_round(cols, sliced, ordered=False)
+        rounds.append(1)
+        if grown == cols:
+            return False
+        cols = grown
+
+
+def simultaneous_check_equiv(b1: Basis, b2: Basis, rounds: list[int]) -> bool:
+    return simultaneous_entails(b1, b2, rounds) and simultaneous_entails(b2, b1, rounds)
+
+
+def check_equiv_rounds(b1: Basis, b2: Basis) -> tuple[bool, int, int]:
+    """The verdict with the rounds of check_equiv and of the simultaneous
+    reference; the two verdicts must agree."""
+    rounds: list[int] = []
+
+    def counted(cols, sliced, ordered):
+        assert ordered
+        rounds.append(1)
+        return sliced_round(cols, sliced, ordered)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(implbase.bases, "sliced_round", counted)
+        got = check_equiv(b1, b2)
+    reference: list[int] = []
+    assert got == simultaneous_check_equiv(b1, b2, reference)
+    return got, len(rounds), len(reference)
+
+
+def equiv_family(bases: list[Basis], drop: int) -> list[Basis]:
+    """The bases, each retagged raw, and each with one implication dropped."""
+    return (
+        bases
+        + [retagged_raw(b) for b in bases]
+        + [without(b, drop % len(b)) for b in bases if len(b)]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 8),
+    drop=st.integers(0, 2**16),
+    raw=raw_bases(),
+    seed=st.integers(0, 2**16),
+)
+def test_in_order_entailment_matches_the_simultaneous_rounds(
+    ctx_seed, attributes, drop, raw, seed
+):
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    built = equiv_family([build(ctx) for build in BUILDERS], drop)
+    raws = equiv_family([raw, shuffled_raw(raw, seed)], drop)
+    for family in (built, raws):
+        for b1 in family:
+            for b2 in family:
+                got, in_order, simultaneous = check_equiv_rounds(b1, b2)
+                assert got == scalar_check_equiv(b1, b2)
+                assert in_order <= simultaneous
+
+
+def test_in_order_entailment_saves_rounds_on_uniform_contexts():
+    in_order = simultaneous = 0
+    for seed in range(3):
+        bases = [build(gen_synthetic(15, 19, 0.3, seed)) for build in BUILDERS]
+        for i, b1 in enumerate(bases):
+            for b2 in bases[i + 1 :]:
+                got, ours, theirs = check_equiv_rounds(b1, b2)
+                assert got
+                in_order += ours
+                simultaneous += theirs
+    assert in_order < simultaneous
+
+
+# -- repeat checks reuse their inputs ---------------------------------------------------
+
+
+@pytest.fixture
+def transposes(monkeypatch) -> list[int]:
+    """The width of every transpose from bases.py and from the Basis memos."""
+    calls: list[int] = []
+    real = implbase.bits.transpose_bits
+
+    def counted(sets, n):
+        calls.append(n)
+        return real(sets, n)
+
+    monkeypatch.setattr(implbase.bases, "transpose_bits", counted)
+    monkeypatch.setattr(implbase.sets, "transpose_bits", counted)
+    return calls
+
+
+def test_a_repeat_check_equiv_transposes_nothing(transposes, ex51):
+    b1, b2 = build_cdub(ex51), build_dg(ex51)
+    transposes.clear()
+    assert check_equiv(b1, b2)
+    assert len(transposes) == 4  # the lhs and rhs columns of each basis
+    transposes.clear()
+    assert check_equiv(b1, b2) and check_equiv(b2, b1)
+    assert transposes == []
+
+
+def chain(width: int) -> Basis:
+    """m0 -> m1, m1 -> m2: one round misses every set with m0 and without m1."""
+    u = Universe(names=[f"m{j}" for j in range(width)])
+    return Basis(
+        [
+            Implication(u.subset(["m0"]), u.subset(["m1"])),
+            Implication(u.subset(["m1"]), u.subset(["m2"])),
+        ],
+        universe=u,
+    )
+
+
+def test_a_repeat_direct_witness_at_one_policy_transposes_nothing(transposes):
+    wide, wider = chain(19), chain(20)
+    u = wide.universe
+    direct = Basis([Implication(u.subset(["m0"]), u.subset(["m1"]))], universe=u)
+    default = (EXHAUSTIVE_LIMIT, SAMPLES, 0)
+    want = scalar_direct_witness(wide, *default)
+    assert witness_bits(direct_witness(wide)) == want
+    transposes.clear()
+    assert witness_bits(direct_witness(wide)) == want
+    assert witness_bits(direct_witness(retagged_raw(wide))) == want
+    assert direct_witness(direct) is None
+    assert transposes == []
+    seen = {want}
+    # each call changes one part of the policy: the seed, the sample count,
+    # the exhaustive limit, the width, then back to the default
+    for basis, policy in [
+        (wide, (EXHAUSTIVE_LIMIT, SAMPLES, 1)),
+        (wide, (EXHAUSTIVE_LIMIT, 0, 1)),
+        (wide, (19, 0, 1)),
+        (wider, (19, 0, 1)),
+        (wide, default),
+    ]:
+        got = witness_bits(direct_witness(basis, *policy))
+        assert got == scalar_direct_witness(basis, *policy)
+        seen.add(got)
+    assert len(seen) > 1
+
+
+def test_a_repeat_check_transposes_only_the_later_chunks(transposes):
+    # exhaustive over 13 attributes and sampled beyond one chunk: two chunks
+    # each, and a repeat call transposes the second only
+    u = Universe(names=[f"m{j}" for j in range(13)])
+    second = Basis(
+        [
+            Implication(u.subset(["m12"]), u.subset(["m11"])),
+            Implication(u.subset(["m11"]), u.subset(["m10"])),
+        ],
+        universe=u,
+    )
+    direct = Basis([Implication(u.subset(["m0"]), u.subset(["m1"]))], universe=u)
+    for basis, policy, want in [(second, (13, 0, 0), 1 << 12), (direct, (0, 5000, 3), None)]:
+        assert witness_bits(direct_witness(basis, *policy)) == want
+        transposes.clear()
+        assert witness_bits(direct_witness(basis, *policy)) == want
+        assert transposes == [13]
 
 
 # -- minimal transversals against brute force and Berge ---------------------------

@@ -19,9 +19,23 @@ N = 9
 SETS = st.integers(min_value=0, max_value=(1 << N) - 1)
 
 
-@given(SETS)
+@given(
+    st.one_of(
+        SETS,
+        st.integers(min_value=0, max_value=(1 << 24) - 1),
+        st.integers(min_value=1 << 24, max_value=(1 << 4000) - 1),
+    )
+)
+@example(0)
+@example(255)
+@example(256)
+@example(1 << 16)
+@example((1 << 24) - 1)
+@example(1 << 24)
+@example((1 << 24) + 1)
 def test_bit_indices_lists_the_set_bits_lowest_first(bits):
-    assert bit_indices(bits) == tuple(i for i in range(N) if bits >> i & 1)
+    # small sets read one byte table, sets below 2^24 all three, wider ones the loop
+    assert bit_indices(bits) == tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
 @given(SETS, st.lists(SETS, min_size=N, max_size=N))
