@@ -16,6 +16,8 @@ attribute is implied by the empty set:
 
 One premise search per context serves all three builders: the last context
 built keeps its premises and cdub pairs until another context is built.
+Verification keeps the sliced form of the last three bases it checked and
+the first candidate chunk of the last directness policy, each bounded.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import islice
 from operator import and_, or_, xor
 from typing import Callable, Iterator
@@ -146,7 +148,8 @@ def _proper_premises(ctx: Context) -> list[list[int]]:
     ``m``, so the premises are the minimal transversals of those row
     complements (with ``m`` itself excluded from play), one MMCS search per
     attribute (see :func:`_minimal_transversals`; Ryssel, Distel & Borchmann
-    2014).  They come in search order; :func:`_search` sorts them.
+    2014).  They come in search order, and stay in it: :func:`_search` sorts
+    the merged cdub pairs only.
     """
     n = ctx.universe.size
     mask = ctx.universe.mask
@@ -161,26 +164,33 @@ def _proper_premises(ctx: Context) -> list[list[int]]:
 
 # -- builders -----------------------------------------------------------------
 
-#: The last context searched, with its premises per attribute in lectic order
-#: and its cdub pairs.  Matched by identity, so it keeps one context alive at
-#: most, and the three builders of one context share one premise search.
+#: The last context searched, with its premises per attribute in search order
+#: and its cdub pairs.  It keeps one context alive at most, and the three
+#: builders of one context share one premise search.  A hand-rolled slot, as
+#: a ``functools`` memo matches by equality and hashes the rows on each call:
+#: this one matches by identity, so an equal twin context searches anew
+#: (``test_interleaved_builders_match_builds_on_unseen_contexts`` pins it).
 _searched: tuple[Context, list[list[int]], list[tuple[int, int]]] | None = None
 
 
 def _search(ctx: Context) -> tuple[list[list[int]], list[tuple[int, int]]]:
     """The premises and the merged cdub pairs of ``ctx``, searched once while
     ``ctx`` stays the last context a builder was called on.  Standardness is
-    checked on each search, so a context that fails it is never kept."""
+    checked on each search, so a context that fails it is never kept.
+
+    The cdub pairs go by the first attribute whose premises hold the lhs,
+    then in lectic order of the lhs.  That first attribute is the lowest bit
+    of the merged rhs, so one sort of the merged pairs keys each pair once.
+    """
     global _searched
     last = _searched
     if last is None or last[0] is not ctx:
         require_standard(ctx)
         n = ctx.universe.size
-        premises = [
-            sorted(found, key=lambda b: lectic_key(b, n)) for found in _proper_premises(ctx)
-        ]
-        units = [(lhs, 1 << m) for m in range(n) for lhs in premises[m]]
-        last = _searched = (ctx, premises, _merge_pairs(units))
+        premises = _proper_premises(ctx)
+        pairs = _merge_pairs((lhs, 1 << m) for m in range(n) for lhs in premises[m])
+        pairs.sort(key=lambda pair: (pair[1] & -pair[1], lectic_key(pair[0], n)))
+        last = _searched = (ctx, premises, pairs)
     return last[1], last[2]
 
 
@@ -370,6 +380,14 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     ]
 
 
+@lru_cache(maxsize=len(BUILDERS))
+def _sliced(basis: Basis) -> Sliced:
+    """The sliced form of the basis, kept for the last three bases sliced,
+    so one context's check slices each of its bases once.  Bounded because
+    callers may keep every basis alive."""
+    return slice_pairs(basis.pairs())
+
+
 def _entails(basis: Basis, other: Sliced) -> bool:
     """Does each implication of ``basis`` follow from the sliced ``other``?
 
@@ -404,7 +422,7 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     """
     if b1.universe != b2.universe:
         raise UniverseMismatch("bases live in different universes")
-    return _entails(b1, slice_pairs(b2.pairs())) and _entails(b2, slice_pairs(b1.pairs()))
+    return _entails(b1, _sliced(b2)) and _entails(b2, _sliced(b1))
 
 
 def _candidates(n: int, limit: int, samples: int, seed: int) -> tuple[Iterator[int], str]:
@@ -426,30 +444,23 @@ def direct_scope(size: int) -> str:
     return _candidates(size, EXHAUSTIVE_LIMIT, SAMPLES, _SEED)[1]
 
 
-#: The first chunk of candidate sets of the last directness policy checked,
-#: ``(n, exhaustive_limit, samples, seed)``, with its columns.  Every basis
-#: checked at that policy reuses them, with no new draw and no new transpose.
-_drawn: tuple[tuple[int, int, int, int], list[int], list[int]] | None = None
+@lru_cache(maxsize=1)
+def _first_chunk(n: int, limit: int, samples: int, seed: int) -> tuple[list[int], list[int]]:
+    """The first ``_LANES`` candidate sets of one policy with their columns,
+    kept for the last policy, so every basis checked at it reuses them."""
+    first = list(islice(_candidates(n, limit, samples, seed)[0], _LANES))
+    return first, transpose_bits(first, n)
 
 
 def _chunks(n: int, limit: int, samples: int, seed: int) -> Iterator[tuple[list[int], list[int]]]:
     """The candidate sets of one policy, ``_LANES`` at a time, each chunk with
-    its columns.  The first chunk comes from ``_drawn`` when that holds the
-    policy, and replaces it otherwise; later chunks are drawn afresh."""
-    global _drawn
-    policy = (n, limit, samples, seed)
-    candidates, _ = _candidates(n, limit, samples, seed)
-    last = _drawn
-    if last is None or last[0] != policy:
-        first = list(islice(candidates, _LANES))
-        last = _drawn = (policy, first, transpose_bits(first, n))
-    elif len(last[1]) < _LANES:  # the first chunk held every candidate
-        candidates = iter(())
-    else:
-        candidates = islice(candidates, _LANES, None)
-    yield last[1], last[2]
-    while chunk := list(islice(candidates, _LANES)):
-        yield chunk, transpose_bits(chunk, n)
+    its columns.  Only a full first chunk has later ones, drawn afresh."""
+    first = _first_chunk(n, limit, samples, seed)
+    yield first
+    if len(first[0]) == _LANES:
+        rest = islice(_candidates(n, limit, samples, seed)[0], _LANES, None)
+        while chunk := list(islice(rest, _LANES)):
+            yield chunk, transpose_bits(chunk, n)
 
 
 def direct_witness(
@@ -467,12 +478,14 @@ def direct_witness(
     ``_LANES`` at a time, one per lane: one round reaches the closure iff
     its result is closed, because the closure is the least closed superset,
     and the lanes left unclosed are those a second simultaneous round grows.
-    The first chunk and its columns are kept for the next call at the same
-    ``(width, exhaustive_limit, samples, seed)``, so repeated checks at one
-    policy draw and transpose their candidates once.
+    The sliced basis is kept as :func:`check_equiv` keeps it, and the first
+    chunk and its columns are kept for the next call at the same
+    ``(width, exhaustive_limit, samples, seed)``, so one context's check
+    slices each basis once and repeated checks at one policy draw and
+    transpose their candidates once.
     A negative ``samples`` raises :class:`ValueError`.
     """
-    sliced = slice_pairs(basis.pairs())
+    sliced = _sliced(basis)
     ordered = basis.kind is BasisKind.DBASIS
     for chunk, cols in _chunks(basis.universe.size, exhaustive_limit, samples, seed):
         once = sliced_round(cols, sliced, ordered)

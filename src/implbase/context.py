@@ -21,6 +21,7 @@ from .errors import (
     NotClarified,
     NotStandardContext,
     UniverseMismatch,
+    UnrenderableName,
 )
 from .sets import AttributeSet, Universe, _is_decimal
 
@@ -281,14 +282,36 @@ def gen_synthetic(objects: int, attributes: int, density: float, seed: int) -> C
 # -- Burmeister .cxt format --------------------------------------------------
 
 
+def _unreadable_reason(name: str) -> str | None:
+    """Why :func:`parse_cxt` would not read ``name`` back as one line, if it
+    would not."""
+    if not name.strip():
+        return "it is blank, and blank lines are skipped on reading"
+    if name.splitlines() != [name]:
+        return "it holds a line break, which splits it on reading"
+    return None
+
+
 def render_cxt(ctx: Context) -> str:
     """Serialise to the Burmeister layout: ``B``, blank line, counts, blank
-    line, object names, attribute names, then one ``.``/``X`` line per row."""
+    line, object names, attribute names, then one ``.``/``X`` line per row.
+
+    Raises :class:`UnrenderableName` for an object or attribute name that is
+    blank or holds a line break, rather than writing a file that reads back
+    differently or not at all.
+    """
     if ctx.objects < 1 or ctx.universe.size < 1:
         raise MalformedCxt("cxt files need at least one object and one attribute")
-    lines = ["B", "", str(ctx.objects), str(ctx.universe.size), ""]
-    lines.extend(ctx.object_label(i) for i in range(ctx.objects))
-    lines.extend(ctx.universe.label(j) for j in range(ctx.universe.size))
+    names = [ctx.object_label(i) for i in range(ctx.objects)]
+    names.extend(ctx.universe.label(j) for j in range(ctx.universe.size))
+    # one pass over the joined names; only a refusal looks at them one by one
+    if "\n".join(names).splitlines() != names or not all(map(str.strip, names)):
+        for i, name in enumerate(names):
+            reason = _unreadable_reason(name)
+            if reason is not None:
+                role = "object" if i < ctx.objects else "attribute"
+                raise UnrenderableName(f"cannot write {role} name {name!r}: {reason}")
+    lines = ["B", "", str(ctx.objects), str(ctx.universe.size), "", *names]
     for bits in ctx.row_bits():
         lines.append(
             "".join("X" if bits >> j & 1 else "." for j in range(ctx.universe.size))

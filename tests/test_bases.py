@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
+import weakref
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -26,6 +28,7 @@ from implbase.bases import (
     _dbasis_tail,
     _minimal_transversals,
     _proper_premises,
+    _search,
     build_cdub,
     build_dbasis,
     build_dg,
@@ -640,6 +643,42 @@ def test_three_builders_search_the_premises_once(searches, ex51):
     assert len(searches) == 1 and searches[0] is ctx
 
 
+def per_attribute_sorted_cdub(ctx: Context) -> list[tuple[int, int]]:
+    """The cdub pairs built the long way: each attribute's premises sorted
+    into lectic order, then merged in first-seen order."""
+    n = ctx.universe.size
+    premises = [sorted(found, key=lambda b: lectic_key(b, n)) for found in _proper_premises(ctx)]
+    return _merge_pairs([(lhs, 1 << m) for m in range(n) for lhs in premises[m]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 10),
+    hierarchy=st.booleans(),
+)
+def test_cdub_pairs_match_the_per_attribute_sorted_reference(ctx_seed, attributes, hierarchy):
+    make = hierarchy_context if hierarchy else random_standard_context
+    ctx = make(random.Random(ctx_seed), attributes)
+    assert list(build_cdub(unseen(ctx)).pairs()) == per_attribute_sorted_cdub(ctx)
+
+
+def test_a_cold_search_keys_each_cdub_pair_once(monkeypatch):
+    keyed: list[int] = []
+    real = implbase.bases.lectic_key
+
+    def counted(bits: int, size: int) -> int:
+        keyed.append(bits)
+        return real(bits, size)
+
+    monkeypatch.setattr(implbase.bases, "lectic_key", counted)
+    premises, pairs = _search(gen_synthetic(15, 19, 0.3, 0))
+    assert sorted(keyed) == sorted(lhs for lhs, _ in pairs)
+    # a premise of several attributes is one pair: sorting the premises
+    # would key several times as many sets
+    assert sum(map(len, premises)) > 2 * len(pairs)
+
+
 def test_cold_dg_equals_warm_dg():
     rng = random.Random(72)
     for _ in range(10):
@@ -909,6 +948,65 @@ def test_a_repeat_check_transposes_only_the_later_chunks(transposes):
         transposes.clear()
         assert witness_bits(direct_witness(basis, *policy)) == want
         assert transposes == [13]
+
+
+@pytest.fixture
+def slicings(monkeypatch) -> list[tuple[tuple[int, int], ...]]:
+    """The pairs of every basis bases.py slices, from an empty memo on."""
+    calls: list[tuple[tuple[int, int], ...]] = []
+    real = implbase.bits.slice_pairs
+
+    def counted(pairs):
+        calls.append(pairs)
+        return real(pairs)
+
+    monkeypatch.setattr(implbase.bases, "slice_pairs", counted)
+    implbase.bases._sliced.cache_clear()
+    return calls
+
+
+def check_sequence(bases: list[Basis]) -> None:
+    """What ``check`` verifies on one context's bases: each pair equivalent,
+    then each basis direct."""
+    for i, b1 in enumerate(bases):
+        for b2 in bases[i + 1 :]:
+            assert check_equiv(b1, b2)
+    for basis in bases:
+        direct_witness(basis)
+
+
+def test_one_check_slices_each_basis_once(slicings):
+    ctx = gen_synthetic(15, 19, 0.3, 0)
+    bases = [build(ctx) for build in BUILDERS]
+    slicings.clear()  # build_dg slices the cdub pairs for its derivation
+    check_sequence(bases)
+    # three equivalences and three directness checks slice twice each
+    # without the memo
+    assert sorted(map(id, slicings)) == sorted(id(basis.pairs()) for basis in bases)
+
+
+class WeaklyReferenced(Basis):
+    """A basis that a weak reference can point at."""
+
+    __slots__ = ("__weakref__",)
+
+
+def test_the_sliced_memo_lets_an_earlier_context_bases_go():
+    def checked(seed: int) -> list[weakref.ref]:
+        ctx = gen_synthetic(15, 19, 0.3, seed)
+        bases = [
+            WeaklyReferenced._from_pairs(b.pairs(), b.kind, b.sigma0_len, universe=b.universe)
+            for b in (build(ctx) for build in BUILDERS)
+        ]
+        check_sequence(bases)
+        return [weakref.ref(basis) for basis in bases]
+
+    first = checked(1)
+    gc.collect()
+    assert all(ref() is not None for ref in first)  # the memo holds the last three
+    checked(2)
+    gc.collect()
+    assert all(ref() is None for ref in first)
 
 
 # -- minimal transversals against brute force and Berge ---------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -34,6 +35,7 @@ from implbase.errors import (
     NotClarified,
     NotStandardContext,
     UniverseMismatch,
+    UnrenderableName,
 )
 from implbase.sets import AttributeSet, Universe
 
@@ -392,6 +394,47 @@ def test_parse_cxt_rejects_malformed_input(ex51, mangle):
     text = render_cxt(ex51)
     with pytest.raises(MalformedCxt):
         parse_cxt(mangle(text))
+
+
+#: Names that parse_cxt skips as a blank line,
+BLANK_NAMES = ["", " ", "\t", " \u3000 "]
+#: and names that every line break str.splitlines knows splits in two.
+BROKEN_NAMES = [f"x{brk}y" for brk in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"] + ["x\r\ny", "x\n"]
+
+
+def two_by_two(objects: list[str], attributes: list[str]) -> Context:
+    u = Universe(names=attributes)
+    return Context(u, [AttributeSet(u, 0b01), AttributeSet(u, 0b10)], objects)
+
+
+@pytest.mark.parametrize("name", BLANK_NAMES + BROKEN_NAMES)
+@pytest.mark.parametrize("role", ["object", "attribute"])
+def test_render_cxt_refuses_names_that_do_not_read_back(name, role, tmp_path):
+    objects, attributes = ["g1", "g2"], ["m1", "m2"]
+    (objects if role == "object" else attributes)[1] = name
+    ctx = two_by_two(objects, attributes)
+    with pytest.raises(UnrenderableName, match=re.escape(f"cannot write {role} name {name!r}:")):
+        render_cxt(ctx)
+    with pytest.raises(UnrenderableName):
+        write_cxt(ctx, tmp_path / "ctx.cxt")
+    assert not (tmp_path / "ctx.cxt").exists()
+
+
+def test_render_cxt_refuses_names_that_would_misparse_without_error():
+    # what an unchecked render wrote for this context reads back as another
+    # context with no error: the blank object name is skipped, and the
+    # broken attribute name lends its first half to the objects
+    written = "B\n\n2\n2\n\n\ng2\nx\ny\nz\nX.\n.X\n"
+    misread = parse_cxt(written)
+    assert misread.object_names == ("g2", "x")
+    assert misread.universe.names == ("y", "z")
+    with pytest.raises(UnrenderableName, match="cannot write object name '':"):
+        render_cxt(two_by_two(["", "g2"], ["x\ny", "z"]))
+
+
+def test_names_with_inner_or_leading_spaces_round_trip():
+    ctx = two_by_two(["g 1", "  g1"], ["m 1", "  m1"])
+    assert parse_cxt(render_cxt(ctx)) == ctx
 
 
 def test_render_cxt_requires_nonempty_axes():

@@ -96,6 +96,30 @@ def test_every_shared_kernel_is_used_by_another_package_module():
     assert not exported - used, f"bits.py exports unused kernels: {sorted(exported - used)}"
 
 
+def global_statements(tree: ast.Module) -> list[tuple[str | None, tuple[str, ...]]]:
+    """Each ``global`` statement as the innermost function holding it, or
+    ``None`` at module level, and the names it declares."""
+    funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            holders = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            holder = max(holders, key=lambda f: f.lineno, default=None)
+            found.append((holder and holder.name, tuple(node.names)))
+    return found
+
+
+def test_the_premise_search_keeps_the_one_hand_rolled_module_slot():
+    # module-level memos are functools caches; the premise search's slot is
+    # the one exception, as it matches its context by identity
+    found = [
+        (path.name, *statement)
+        for path in PACKAGE
+        for statement in global_statements(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("bases.py", "_search", ("_searched",))]
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only ``bench --jobs N`` over several datasets needs a pool, so the
     # pool machinery stays out of every other command's start-up
