@@ -8,14 +8,16 @@ attribute is implied by the empty set:
   per left-hand side.  One simultaneous round computes any closure.
 * :func:`build_dbasis` - the ordered direct basis: all unit binary
   implications first, then the minimal generators of size two or more that
-  survive the redundancy filter against the binary prefix.  One in-order
-  round computes any closure once the prefix comes first.
+  survive the redundancy filter against the binary prefix, both derived from
+  the cdub.  One in-order round computes any closure once the prefix comes
+  first.
 * :func:`build_dg` - the minimum-cardinality basis: one implication per
   pseudo-closed set, derived from the cdub in polynomial time by the same
   derivation that serves the pseudo-closed predicates below.
 
-One premise search per context serves all three builders: the last context
-built keeps its premises and cdub pairs until another context is built.
+One premise search per context serves all three builders, each a function
+of its merged cdub pairs: the last context built keeps those pairs until
+another context is built.
 Verification keeps the sliced form of the last three bases it checked and
 the first candidate chunk of the last directness policy, each bounded.
 
@@ -29,7 +31,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice
-from operator import and_, or_, xor
+from operator import or_, xor
 from typing import Callable, Iterator
 
 from .bits import (
@@ -148,8 +150,8 @@ def _proper_premises(ctx: Context) -> list[list[int]]:
     ``m``, so the premises are the minimal transversals of those row
     complements (with ``m`` itself excluded from play), one MMCS search per
     attribute (see :func:`_minimal_transversals`; Ryssel, Distel & Borchmann
-    2014).  They come in search order, and stay in it: :func:`_search` sorts
-    the merged cdub pairs only.
+    2014).  They come in search order: :func:`_search` merges them into the
+    cdub pairs and sorts those only.
     """
     n = ctx.universe.size
     mask = ctx.universe.mask
@@ -164,19 +166,20 @@ def _proper_premises(ctx: Context) -> list[list[int]]:
 
 # -- builders -----------------------------------------------------------------
 
-#: The last context searched, with its premises per attribute in search order
-#: and its cdub pairs.  It keeps one context alive at most, and the three
-#: builders of one context share one premise search.  A hand-rolled slot, as
-#: a ``functools`` memo matches by equality and hashes the rows on each call:
-#: this one matches by identity, so an equal twin context searches anew
+#: The last context searched, with its cdub pairs.  It keeps one context
+#: alive at most, and the three builders of one context share one premise
+#: search.  A hand-rolled slot, as a ``functools`` memo matches by equality
+#: and hashes the rows on each call: this one matches by identity, so an
+#: equal twin context searches anew
 #: (``test_interleaved_builders_match_builds_on_unseen_contexts`` pins it).
-_searched: tuple[Context, list[list[int]], list[tuple[int, int]]] | None = None
+_searched: tuple[Context, list[tuple[int, int]]] | None = None
 
 
-def _search(ctx: Context) -> tuple[list[list[int]], list[tuple[int, int]]]:
-    """The premises and the merged cdub pairs of ``ctx``, searched once while
-    ``ctx`` stays the last context a builder was called on.  Standardness is
-    checked on each search, so a context that fails it is never kept.
+def _search(ctx: Context) -> list[tuple[int, int]]:
+    """The merged cdub pairs of ``ctx``, searched once while ``ctx`` stays the
+    last context a builder was called on; the premise lists are merged and
+    dropped.  Standardness is checked on each search, so a context that
+    fails it is never kept.
 
     The cdub pairs go by the first attribute whose premises hold the lhs,
     then in lectic order of the lhs.  That first attribute is the lowest bit
@@ -190,8 +193,8 @@ def _search(ctx: Context) -> tuple[list[list[int]], list[tuple[int, int]]]:
         premises = _proper_premises(ctx)
         pairs = _merge_pairs((lhs, 1 << m) for m in range(n) for lhs in premises[m])
         pairs.sort(key=lambda pair: (pair[1] & -pair[1], lectic_key(pair[0], n)))
-        last = _searched = (ctx, premises, pairs)
-    return last[1], last[2]
+        last = _searched = (ctx, pairs)
+    return last[1]
 
 
 def build_cdub(ctx: Context) -> Basis:
@@ -201,37 +204,42 @@ def build_cdub(ctx: Context) -> Basis:
     of every attribute ``m``, then merges right-hand sides per left-hand
     side.  The result is direct: one simultaneous round reaches any closure.
     """
-    _, pairs = _search(ctx)
-    return Basis._from_pairs(pairs, BasisKind.CDUB, universe=ctx.universe)
+    return Basis._from_pairs(_search(ctx), BasisKind.CDUB, universe=ctx.universe)
 
 
-def _dbasis_tail(
-    premises: list[list[int]], single_closures: list[int], n: int
-) -> list[tuple[int, int]]:
-    """The dbasis tail, right-hand sides merged, in lectic order of the lhs:
-    each minimal generator ``A`` of ``c`` whose prefix reach, the union of
-    the closures of its attributes, neither holds ``c`` nor contains another
-    minimal generator of ``c`` yields ``A -> c``.
+def _dbasis(pairs: Pairs, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The binary prefix and the merged tail of the ordered direct basis,
+    derived from the merged cdub pairs ``A -> R_A``, where ``R_A`` holds the
+    attributes that ``A`` is a minimal generator of.
 
-    Per attribute ``c`` the premises go in lanes, one lane each.  ``inv[a]``
-    lists the attributes whose closure holds ``a``, so ``rc[a]``, the OR of
-    their premise columns, marks the lanes whose reach holds ``a``; the AND
-    of ``rc`` over premise ``j`` marks the lanes whose reach contains it.  A
-    single-attribute premise ``a`` of ``c`` has ``c`` in the closure of ``a``,
-    so ``rc[c]`` drops it.
+    ``reach[a]`` is ``a`` with the rhs of the pair ``{a}``: the closure of
+    ``a``, as the empty set is closed in a standard context.  The prefix is
+    read from it, and the reach of a set is the union of ``reach`` over its
+    attributes.  The pairs with two or more attributes take one lane each;
+    ``hit`` marks the other lanes whose lhs avoids every attribute outside
+    the reach of lane ``j``, so lies inside it, and lane ``j`` keeps what no
+    rhs of theirs holds.
     """
-    inv = transpose_bits(single_closures, n)
-    tail: dict[int, int] = {}
-    for c, plist in enumerate(premises):
-        pc = transpose_bits(plist, n)
-        rc = [spread(col, pc) for col in inv]
-        get = rc.__getitem__
-        dropped = rc[c]
-        for j, lhs in enumerate(plist):
-            dropped |= reduce(and_, map(get, bit_indices(lhs))) & ~(1 << j)
-        for j in bit_indices(((1 << len(plist)) - 1) & ~dropped):
-            tail[plist[j]] = tail.get(plist[j], 0) | 1 << c
-    return sorted(tail.items(), key=lambda pair: lectic_key(pair[0], n))
+    reach = [1 << a for a in range(n)]
+    wide: list[tuple[int, int]] = []
+    for lhs, rhs in pairs:
+        if lhs & (lhs - 1):
+            wide.append((lhs, rhs))
+        else:
+            reach[lhs.bit_length() - 1] |= rhs
+    prefix = [(1 << a, 1 << c) for a in range(n) for c in bit_indices(reach[a] & ~(1 << a))]
+    cols = transpose_bits([lhs for lhs, _ in wide], n)
+    rhss = [rhs for _, rhs in wide]
+    mask = (1 << n) - 1
+    full = (1 << len(wide)) - 1
+    tail = []
+    for j, (lhs, rhs) in enumerate(wide):
+        hit = full & ~spread(mask & ~spread(lhs, reach), cols) & ~(1 << j)
+        kept = rhs & ~spread(hit, rhss)
+        if kept:
+            tail.append((lhs, kept))
+    tail.sort(key=lambda pair: lectic_key(pair[0], n))
+    return prefix, tail
 
 
 def build_dbasis(ctx: Context) -> Basis:
@@ -241,20 +249,22 @@ def build_dbasis(ctx: Context) -> Basis:
     closure of the single attribute ``a``; it is transitively closed by
     construction.  The tail keeps a minimal generator ``A`` of ``c`` (size
     two or more) only if the prefix alone neither reaches ``c`` from ``A``
-    nor reaches some other minimal generator of ``c``.  Prefix first and the
-    tail in lectic order of the left-hand side, right-hand sides merged
-    within the tail only, so the prefix stays in unit form.
+    nor reaches some other minimal generator of ``c``: the refinement of
+    Adaricheva, Nation & Rand, "Ordered direct implicational basis of a
+    finite closure system" (DAM 161, 2013).  Prefix first and the tail in
+    lectic order of the left-hand side, right-hand sides merged within the
+    tail only, so the prefix stays in unit form.
+
+    Both are derived from the cdub pairs of the shared premise search by
+    :func:`_dbasis`, which keeps ``R_A`` less the ``R_B`` of every other
+    lhs ``B`` of two or more attributes inside the prefix reach of ``A``.
+    That is the rule above.  For ``|A| >= 2`` its first clause always holds:
+    ``c`` in the closure of some ``a`` in ``A`` would make ``{a}`` a smaller
+    generator of ``c``.  A singleton ``B`` inside the reach of ``A`` never
+    drops a ``c`` of ``R_A``, for the same reason.
     """
-    premises, _ = _search(ctx)
     universe = ctx.universe
-    n = universe.size
-    single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
-    prefix = [
-        (1 << a, 1 << c)
-        for a in range(n)
-        for c in bit_indices(single_closures[a] & ~(1 << a))
-    ]
-    tail = _dbasis_tail(premises, single_closures, n)
+    prefix, tail = _dbasis(_search(ctx), universe.size)
     return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
 
@@ -327,8 +337,7 @@ def build_dg(ctx: Context) -> Basis:
     context the empty set is closed, so no left-hand side is empty.
     """
     universe = ctx.universe
-    _, cdub = _search(ctx)
-    found = _pseudo_closed(cdub, universe.size)
+    found = _pseudo_closed(_search(ctx), universe.size)
     return Basis._from_pairs([(p, c & ~p) for p, c in found], BasisKind.DG, universe=universe)
 
 

@@ -296,14 +296,18 @@ def render_cxt(ctx: Context) -> str:
     """Serialise to the Burmeister layout: ``B``, blank line, counts, blank
     line, object names, attribute names, then one ``.``/``X`` line per row.
 
-    Raises :class:`UnrenderableName` for an object or attribute name that is
-    blank or holds a line break, rather than writing a file that reads back
-    differently or not at all.
+    Raises :class:`UnrenderableName` for unnamed objects or attributes, and
+    for an object or attribute name that is blank or holds a line break,
+    rather than writing a file that reads back differently or not at all.
+    The format has no mark for unnamed positions: written as ``0 1 ...``
+    they would read back as names, and the context as an unequal one.
     """
     if ctx.objects < 1 or ctx.universe.size < 1:
         raise MalformedCxt("cxt files need at least one object and one attribute")
-    names = [ctx.object_label(i) for i in range(ctx.objects)]
-    names.extend(ctx.universe.label(j) for j in range(ctx.universe.size))
+    if ctx.object_names is None or ctx.universe.names is None:
+        role = "objects" if ctx.object_names is None else "attributes"
+        raise UnrenderableName(f"cannot write unnamed {role}: they would read back as names")
+    names = [*ctx.object_names, *ctx.universe.names]
     # one pass over the joined names; only a refusal looks at them one by one
     if "\n".join(names).splitlines() != names or not all(map(str.strip, names)):
         for i, name in enumerate(names):

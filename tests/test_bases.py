@@ -25,7 +25,6 @@ from conftest import (
 from implbase.bases import (
     EXHAUSTIVE_LIMIT,
     SAMPLES,
-    _dbasis_tail,
     _minimal_transversals,
     _proper_premises,
     _search,
@@ -513,12 +512,13 @@ def test_sliced_check_equiv_matches_the_scalar_closures(ctx_seed, attributes, dr
             assert check_equiv(b1, b2) == scalar_check_equiv(b1, b2)
 
 
-# -- the sliced dbasis tail against the per-premise filter ---------------------------
+# -- the dbasis derived from the cdub against the per-premise filter ------------------
 #
-# _dbasis_tail filters every premise of one attribute at once, one bit lane
-# per premise.  The loop below takes one premise at a time: it spreads the
-# premise over the single-attribute closures and ORs the premise columns of
-# the attributes outside that reach.
+# build_dbasis derives its prefix and tail from the merged cdub pairs, one
+# bit lane per lhs of two or more attributes.  The loop below reads the
+# context instead and takes one premise of one attribute at a time: it
+# spreads the premise over the single-attribute closures and ORs the premise
+# columns of the attributes outside that reach.
 
 
 def scalar_dbasis_tail(premises, single_closures, n):
@@ -574,26 +574,36 @@ def hierarchy_context(rng: random.Random, attributes: int) -> Context:
 
 
 @settings(max_examples=80, deadline=None)
-@given(ctx_seed=st.integers(0, 2**32 - 1), attributes=st.integers(2, 10))
-def test_sliced_dbasis_tail_matches_the_per_premise_filter(ctx_seed, attributes):
-    ctx = hierarchy_context(random.Random(ctx_seed), attributes)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 10),
+    hierarchy=st.booleans(),
+)
+def test_sliced_dbasis_tail_matches_the_per_premise_filter(ctx_seed, attributes, hierarchy):
+    make = hierarchy_context if hierarchy else random_standard_context
+    ctx = make(random.Random(ctx_seed), attributes)
     n = ctx.universe.size
     single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
     assume(any(closed != 1 << a for a, closed in enumerate(single_closures)))
-    premises = _proper_premises(ctx)
-    want = scalar_dbasis_tail(premises, single_closures, n)
-    assert _dbasis_tail(premises, single_closures, n) == want
+    want = scalar_dbasis_tail(_proper_premises(ctx), single_closures, n)
     dbasis = build_dbasis(ctx)
     assert dbasis.sigma0_len > 0
+    prefix = [
+        (1 << a, 1 << c)
+        for a in range(n)
+        for c in range(n)
+        if c != a and single_closures[a] >> c & 1
+    ]
+    assert list(dbasis.pairs()[: dbasis.sigma0_len]) == prefix
     assert list(dbasis.pairs()[dbasis.sigma0_len :]) == want
 
 
 # -- one premise search per context -------------------------------------------------
 #
-# The builders share the premises and cdub pairs of the last context they
-# were called on, matched by identity.  Interleaved calls over two contexts,
-# and over two equal but distinct ones, must each give what a build on a
-# context no builder has seen gives.
+# The builders share the cdub pairs of the last context they were called
+# on, matched by identity.  Interleaved calls over two contexts, and over two
+# equal but distinct ones, must each give what a build on a context no
+# builder has seen gives.
 
 
 def unseen(ctx: Context) -> Context:
@@ -643,6 +653,18 @@ def test_three_builders_search_the_premises_once(searches, ex51):
     assert len(searches) == 1 and searches[0] is ctx
 
 
+def test_the_dbasis_reads_the_context_through_the_premise_search_only(monkeypatch, ex51):
+    ctx = unseen(ex51)
+    expected = build_dbasis(unseen(ex51))
+    assert expected.sigma0_len > 0
+
+    def refused(self, bits):
+        raise AssertionError("build_dbasis read a closure from the context")
+
+    monkeypatch.setattr(Context, "closure_bits", refused)
+    assert build_dbasis(ctx) == expected
+
+
 def per_attribute_sorted_cdub(ctx: Context) -> list[tuple[int, int]]:
     """The cdub pairs built the long way: each attribute's premises sorted
     into lectic order, then merged in first-seen order."""
@@ -672,11 +694,12 @@ def test_a_cold_search_keys_each_cdub_pair_once(monkeypatch):
         return real(bits, size)
 
     monkeypatch.setattr(implbase.bases, "lectic_key", counted)
-    premises, pairs = _search(gen_synthetic(15, 19, 0.3, 0))
+    ctx = gen_synthetic(15, 19, 0.3, 0)
+    pairs = _search(ctx)
     assert sorted(keyed) == sorted(lhs for lhs, _ in pairs)
     # a premise of several attributes is one pair: sorting the premises
     # would key several times as many sets
-    assert sum(map(len, premises)) > 2 * len(pairs)
+    assert sum(map(len, _proper_premises(ctx))) > 2 * len(pairs)
 
 
 def test_cold_dg_equals_warm_dg():

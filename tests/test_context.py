@@ -437,6 +437,35 @@ def test_names_with_inner_or_leading_spaces_round_trip():
     assert parse_cxt(render_cxt(ctx)) == ctx
 
 
+@pytest.mark.parametrize("unnamed", ["objects", "attributes", "both"])
+def test_render_cxt_refuses_unnamed_positions(unnamed):
+    # written as 0 1, unnamed positions would read back as the names '0' '1'
+    u = Universe(size=2) if unnamed != "objects" else Universe(names=["m1", "m2"])
+    objects = None if unnamed != "attributes" else ["g1", "g2"]
+    ctx = Context(u, [AttributeSet(u, 0b01), AttributeSet(u, 0b10)], objects)
+    role = "attributes" if unnamed == "attributes" else "objects"
+    with pytest.raises(UnrenderableName, match=f"cannot write unnamed {role}:"):
+        render_cxt(ctx)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_render_cxt_round_trips_or_refuses_any_names(size, objects, data):
+    attributes = data.draw(
+        st.none() | st.lists(st.text(max_size=6), min_size=size, max_size=size, unique=True)
+    )
+    u = Universe(size=size, names=attributes)
+    rows = [AttributeSet(u, data.draw(st.integers(0, u.mask))) for _ in range(objects)]
+    object_names = data.draw(
+        st.none() | st.lists(st.text(max_size=6), min_size=objects, max_size=objects)
+    )
+    ctx = Context(u, rows, object_names)
+    try:
+        text = render_cxt(ctx)
+    except UnrenderableName:
+        return
+    assert parse_cxt(text) == ctx
+
+
 def test_render_cxt_requires_nonempty_axes():
     u = Universe(size=2)
     with pytest.raises(MalformedCxt):
