@@ -437,13 +437,14 @@ def test_names_with_inner_or_leading_spaces_round_trip():
     assert parse_cxt(render_cxt(ctx)) == ctx
 
 
-@pytest.mark.parametrize("unnamed", ["objects", "attributes", "both"])
-def test_render_cxt_refuses_unnamed_positions(unnamed):
+@pytest.mark.parametrize(
+    "attributes, objects, role",
+    [(None, None, "objects"), (["m1", "m2"], None, "objects"), (None, ["g1", "g2"], "attributes")],
+)
+def test_render_cxt_refuses_unnamed_positions(attributes, objects, role):
     # written as 0 1, unnamed positions would read back as the names '0' '1'
-    u = Universe(size=2) if unnamed != "objects" else Universe(names=["m1", "m2"])
-    objects = None if unnamed != "attributes" else ["g1", "g2"]
+    u = Universe(size=2, names=attributes)
     ctx = Context(u, [AttributeSet(u, 0b01), AttributeSet(u, 0b10)], objects)
-    role = "attributes" if unnamed == "attributes" else "objects"
     with pytest.raises(UnrenderableName, match=f"cannot write unnamed {role}:"):
         render_cxt(ctx)
 
