@@ -1,184 +1,111 @@
 """Implication bases over formal contexts, with instrumented closure
 algorithms and a deterministic benchmark harness.
 
-The public surface re-exported here covers the usual workflow: load or
-generate a context, bring it to standard form, build the three bases
-(unit basis with all minimal premises, ordered-direct basis with a binary
-prefix, minimum-cardinality basis), and close attribute sets with any of
-the six counting algorithms.
+The public surface named here covers the usual workflow: load or generate a
+context, bring it to standard form, build the three bases (unit basis with
+all minimal premises, ordered-direct basis with a binary prefix,
+minimum-cardinality basis), and close attribute sets with any of the six
+instrumented algorithms.
+
+Each name loads its module on first access, so importing the package loads
+no submodule, and a command pays only for the modules it runs.
 """
 
 from __future__ import annotations
 
-from .bases import (
-    PseudoClosedWitness,
-    build_cdub,
-    build_dbasis,
-    build_dg,
-    check_equiv,
-    direct_witness,
-    enumerate_pseudo_closed,
-    is_pseudo_closed,
-    verify_direct,
-)
-from .bench import (
-    ALGORITHMS,
-    CSV_HEADER,
-    METRIC_NAMES,
-    TABLE_COMBOS,
-    ComboReport,
-    RatioBucket,
-    WorkloadSpec,
-    default_combos,
-    normalize,
-    ranking,
-    read_reports_csv,
-    run_bench,
-    run_workload,
-    size_ratio_report,
-    write_reports_csv,
-)
-from .closure import (
-    ClosureResult,
-    Metrics,
-    binary_closure,
-    closure_classic,
-    closure_direct,
-    implies,
-    lin_closure,
-    lin_closure_direct,
-    oracle_closure,
-    pass_once,
-    wild_closure,
-    wild_closure_direct,
-)
-from .context import (
-    Context,
-    clarify,
-    context_closure,
-    gen_synthetic,
-    is_clarified,
-    is_reduced,
-    is_standard,
-    parse_cxt,
-    read_cxt,
-    reduce,
-    render_cxt,
-    require_standard,
-    write_cxt,
-)
-from .errors import (
-    DegenerateContext,
-    EmptyLhs,
-    ImplbaseError,
-    ImplicationSyntaxError,
-    InvalidBasis,
-    InvalidCombo,
-    IoError,
-    MalformedCxt,
-    NotClarified,
-    NotStandardContext,
-    UniverseMismatch,
-    UnknownAttribute,
-    UnrenderableName,
-    WrongBasisKind,
-)
-from .sets import (
-    AttributeSet,
-    Basis,
-    BasisKind,
-    Implication,
-    Universe,
-    format_implication,
-    lectic_key,
-    merge_same_lhs,
-    parse_basis,
-    parse_implication,
-    read_basis,
-    render_basis,
-    unit_expand,
-    write_basis,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeSet",
-    "Basis",
-    "BasisKind",
-    "Implication",
-    "Universe",
-    "format_implication",
-    "lectic_key",
-    "merge_same_lhs",
-    "parse_basis",
-    "parse_implication",
-    "read_basis",
-    "render_basis",
-    "unit_expand",
-    "write_basis",
-    "Context",
-    "clarify",
-    "context_closure",
-    "gen_synthetic",
-    "is_clarified",
-    "is_reduced",
-    "is_standard",
-    "parse_cxt",
-    "read_cxt",
-    "reduce",
-    "render_cxt",
-    "require_standard",
-    "write_cxt",
-    "ClosureResult",
-    "Metrics",
-    "binary_closure",
-    "closure_classic",
-    "closure_direct",
-    "implies",
-    "lin_closure",
-    "lin_closure_direct",
-    "oracle_closure",
-    "pass_once",
-    "wild_closure",
-    "wild_closure_direct",
-    "PseudoClosedWitness",
-    "build_cdub",
-    "build_dbasis",
-    "build_dg",
-    "check_equiv",
-    "direct_witness",
-    "enumerate_pseudo_closed",
-    "is_pseudo_closed",
-    "verify_direct",
-    "ALGORITHMS",
-    "CSV_HEADER",
-    "METRIC_NAMES",
-    "TABLE_COMBOS",
-    "ComboReport",
-    "RatioBucket",
-    "WorkloadSpec",
-    "default_combos",
-    "normalize",
-    "ranking",
-    "read_reports_csv",
-    "run_bench",
-    "run_workload",
-    "size_ratio_report",
-    "write_reports_csv",
-    "DegenerateContext",
-    "EmptyLhs",
-    "ImplbaseError",
-    "ImplicationSyntaxError",
-    "InvalidBasis",
-    "InvalidCombo",
-    "IoError",
-    "MalformedCxt",
-    "NotClarified",
-    "NotStandardContext",
-    "UniverseMismatch",
-    "UnknownAttribute",
-    "UnrenderableName",
-    "WrongBasisKind",
-    "__version__",
-]
+#: Each public name and the module that defines it, in ``__all__`` order.
+_HOMES = {
+    "AttributeSet": "sets",
+    "Basis": "sets",
+    "BasisKind": "sets",
+    "Implication": "sets",
+    "Universe": "sets",
+    "format_implication": "sets",
+    "lectic_key": "sets",
+    "merge_same_lhs": "sets",
+    "parse_basis": "sets",
+    "parse_implication": "sets",
+    "read_basis": "sets",
+    "render_basis": "sets",
+    "unit_expand": "sets",
+    "write_basis": "sets",
+    "Context": "context",
+    "clarify": "context",
+    "context_closure": "context",
+    "gen_synthetic": "context",
+    "is_clarified": "context",
+    "is_reduced": "context",
+    "is_standard": "context",
+    "parse_cxt": "context",
+    "read_cxt": "context",
+    "reduce": "context",
+    "render_cxt": "context",
+    "require_standard": "context",
+    "write_cxt": "context",
+    "ClosureResult": "closure",
+    "Metrics": "closure",
+    "binary_closure": "closure",
+    "closure_classic": "closure",
+    "closure_direct": "closure",
+    "implies": "closure",
+    "lin_closure": "closure",
+    "lin_closure_direct": "closure",
+    "oracle_closure": "closure",
+    "pass_once": "closure",
+    "wild_closure": "closure",
+    "wild_closure_direct": "closure",
+    "PseudoClosedWitness": "bases",
+    "build_cdub": "bases",
+    "build_dbasis": "bases",
+    "build_dg": "bases",
+    "check_equiv": "bases",
+    "direct_witness": "bases",
+    "enumerate_pseudo_closed": "bases",
+    "is_pseudo_closed": "bases",
+    "verify_direct": "bases",
+    "ALGORITHMS": "closure",
+    "CSV_HEADER": "bench",
+    "METRIC_NAMES": "bench",
+    "TABLE_COMBOS": "bench",
+    "ComboReport": "bench",
+    "RatioBucket": "bench",
+    "WorkloadSpec": "bench",
+    "default_combos": "bench",
+    "normalize": "bench",
+    "ranking": "bench",
+    "read_reports_csv": "bench",
+    "run_bench": "bench",
+    "run_workload": "bench",
+    "size_ratio_report": "bench",
+    "write_reports_csv": "bench",
+    "DegenerateContext": "errors",
+    "EmptyLhs": "errors",
+    "ImplbaseError": "errors",
+    "ImplicationSyntaxError": "errors",
+    "InvalidBasis": "errors",
+    "InvalidCombo": "errors",
+    "IoError": "errors",
+    "MalformedCxt": "errors",
+    "NotClarified": "errors",
+    "NotStandardContext": "errors",
+    "UniverseMismatch": "errors",
+    "UnknownAttribute": "errors",
+    "UnrenderableName": "errors",
+    "WrongBasisKind": "errors",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    """Import the module that defines ``name`` and keep the value here, so
+    the next access is a plain attribute read."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -21,25 +21,15 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
-from typing import Callable, ContextManager, Iterable, Mapping, Sequence, TextIO
+from typing import ContextManager, Iterable, Mapping, Sequence, TextIO
 
 from .bases import BUILDERS
-from .closure import (
-    ClosureResult,
-    Metrics,
-    closure_classic,
-    closure_direct,
-    lin_closure,
-    lin_closure_direct,
-    wild_closure,
-    wild_closure_direct,
-)
+from .closure import ALGORITHMS, Metrics
 from .context import Context
 from .errors import InvalidCombo, UniverseMismatch
 from .sets import AttributeSet, Basis, BasisKind, Universe, _is_decimal
 
 __all__ = [
-    "ALGORITHMS",
     "TABLE_COMBOS",
     "METRIC_NAMES",
     "CSV_HEADER",
@@ -59,15 +49,6 @@ __all__ = [
     "write_reports_csv",
     "read_reports_csv",
 ]
-
-ALGORITHMS: dict[str, Callable[[AttributeSet, Basis], ClosureResult]] = {
-    "classic": closure_classic,
-    "lin": lin_closure,
-    "wild": wild_closure,
-    "classic-direct": closure_direct,
-    "lin-direct": lin_closure_direct,
-    "wild-direct": wild_closure_direct,
-}
 
 #: Supported pairings: direct algorithms with the direct bases, classic with dg.
 TABLE_COMBOS: dict[BasisKind, tuple[str, ...]] = {

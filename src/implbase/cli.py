@@ -19,35 +19,22 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import sys
-from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .bases import BUILDERS, check_equiv, direct_scope, direct_witness
-from .bench import (
-    ALGORITHMS,
-    METRIC_NAMES,
-    ComboReport,
-    WorkloadSpec,
-    combo_label,
-    metric_value,
-    normalize,
-    ranking,
-    read_reports_csv,
-    run_bench,
-    size_ratio_report,
-    write_reports_csv,
-)
-from .closure import _DIRECT_KINDS, oracle_closure
-from .context import gen_synthetic, read_cxt, render_cxt
+from .closure import ALGORITHMS
 from .errors import ImplbaseError, InvalidCombo, IoError
-from .sets import BasisKind, read_basis, render_basis
+from .sets import BasisKind
+
+# Each command imports what it runs, so ``closure`` loads no builder, no
+# context parser and no bench harness.
 
 
 def _source_hash() -> str:
     """Short digest over the package sources, so builds are tellable apart."""
+    import hashlib
+
     root = Path(__file__).resolve().parent
     digest = hashlib.sha256()
     for path in sorted(root.glob("*.py")):
@@ -92,6 +79,8 @@ def _emit(text: str, target: Path | None) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .context import gen_synthetic, render_cxt
+
     ctx = gen_synthetic(args.objects, args.attributes, args.density, _seed(args))
     _note(args, f"standard context: {ctx.objects} objects x {ctx.universe.size} attributes")
     _emit(render_cxt(ctx), args.out)
@@ -99,6 +88,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bases(args: argparse.Namespace) -> int:
+    from .bases import BUILDERS
+    from .context import read_cxt
+    from .sets import render_basis
+
     if args.kind == "all" and args.out is None:
         args.parser.error("--kind all writes three files and needs --out DIRECTORY")
     ctx = read_cxt(args.context)
@@ -115,6 +108,9 @@ def cmd_bases(args: argparse.Namespace) -> int:
 
 
 def cmd_closure(args: argparse.Namespace) -> int:
+    from .closure import _DIRECT_KINDS, oracle_closure
+    from .sets import read_basis
+
     basis = read_basis(args.basis)
     _note(args, f"basis kind {basis.kind.value}, {len(basis)} implications")
     x = basis.universe.subset(args.attrs.split())
@@ -138,6 +134,11 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from itertools import combinations
+
+    from .bases import BUILDERS, check_equiv, direct_scope, direct_witness
+    from .context import read_cxt
+
     ctx = read_cxt(args.context)
     named = [(kind.value, build(ctx)) for kind, build in BUILDERS.items()]
     universe = ctx.universe
@@ -160,6 +161,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import WorkloadSpec, run_bench, write_reports_csv
+    from .context import read_cxt
+
     files = sorted(args.datasets.glob("*.cxt"))
     if not files:
         raise IoError(f"no .cxt files under {args.datasets}")
@@ -178,19 +182,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _total_cell(report: ComboReport, metric: str) -> str:
-    value = metric_value(report, metric)
+def _total_cell(value: float, metric: str) -> str:
     return f"{value:.3f}" if metric == "time_ms" else f"{int(value)}"
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .bench import (
+        METRIC_NAMES,
+        combo_label,
+        metric_value,
+        normalize,
+        ranking,
+        read_reports_csv,
+        size_ratio_report,
+    )
+
     reports = read_reports_csv(args.csv)
     if args.kind == "totals":
         print("dataset combo " + " ".join(METRIC_NAMES))
         if args.normalize:
             columns = [[f"{v:.2f}" for v in normalize(reports, m)] for m in METRIC_NAMES]
         else:
-            columns = [[_total_cell(r, m) for r in reports] for m in METRIC_NAMES]
+            columns = [
+                [_total_cell(metric_value(r, m), m) for r in reports] for m in METRIC_NAMES
+            ]
         for r, cells in zip(reports, zip(*columns)):
             print(f"{r.dataset} {combo_label(r)} {' '.join(cells)}")
         return 0
@@ -244,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bases", help="build implication bases from a context")
     p.add_argument("--in", dest="context", type=Path, required=True, help="a .cxt file")
-    kinds = [kind.value for kind in BUILDERS]
+    kinds = [kind.value for kind in BasisKind if kind is not BasisKind.RAW]
     p.add_argument("--kind", choices=[*kinds, "all"], default="all")
     p.add_argument(
         "-o",

@@ -73,6 +73,7 @@ __all__ = [
     "lin_closure_direct",
     "wild_closure_direct",
     "implies",
+    "ALGORITHMS",
 ]
 
 _DIRECT_KINDS = (BasisKind.CDUB, BasisKind.DBASIS)
@@ -392,6 +393,17 @@ def _wild_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
     bits, fire = _wild_round(seed, (1 << len(pairs)) - 1, pairs, masks, full)
     fired = fire.bit_count()
     return bits, fired, 1 + fired, fired, 1, time.perf_counter_ns() - start
+
+
+#: The six instrumented algorithms by their command-line and CSV names.
+ALGORITHMS: dict[str, Callable[[AttributeSet, Basis], ClosureResult]] = {
+    "classic": closure_classic,
+    "lin": lin_closure,
+    "wild": wild_closure,
+    "classic-direct": closure_direct,
+    "lin-direct": lin_closure_direct,
+    "wild-direct": wild_closure_direct,
+}
 
 
 def implies(basis: Basis, query: Implication) -> bool:

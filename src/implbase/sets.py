@@ -564,6 +564,15 @@ def _declare(declared: Universe, expected: Universe | None) -> Universe:
     return declared
 
 
+def _named(names: Iterable[str], source: str) -> Universe:
+    """The universe of the names a basis file gives, with repeated names or
+    more than ``MAX_UNIVERSE_SIZE`` of them refused as a syntax error."""
+    try:
+        return Universe(names=names)
+    except ValueError as exc:
+        raise ImplicationSyntaxError(f"{source}: {exc}") from exc
+
+
 def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     """Parse the text form produced by :func:`render_basis`.
 
@@ -572,7 +581,9 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     alphabet, and a ``# size: n`` comment fixes the unnamed universe of
     ``n`` positions; without either (and without an explicit ``universe``
     argument) the alphabet is inferred from the tokens in order of first
-    appearance, and every token is then treated as a name.
+    appearance, and every token is then treated as a name.  Repeated names,
+    or more than ``MAX_UNIVERSE_SIZE`` of them, on the ``universe:`` line or
+    inferred, are refused with :class:`ImplicationSyntaxError`.
 
     Each side is ORed straight into an int through one label-to-bit table;
     a side with a token the table lacks (a position such as ``007``, or an
@@ -612,7 +623,7 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             names = line.partition(":")[2].split()
             if not names:
                 raise ImplicationSyntaxError("empty universe line")
-            universe = _declare(Universe(names=names), universe)
+            universe = _declare(_named(names, "universe line"), universe)
             continue
         body.append(line)
     if universe is None:
@@ -621,7 +632,7 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
         )
         if not seen:
             raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
-        universe = Universe(names=seen)
+        universe = _named(seen, "inferred universe")
     bit = {universe.label(i): 1 << i for i in range(universe.size)}
     pairs = []
     for line in body:

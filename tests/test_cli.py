@@ -11,7 +11,7 @@ import pytest
 import implbase
 from conftest import EX51_CXT, EX51_IMP
 from implbase import cli
-from implbase.bases import EXHAUSTIVE_LIMIT, SAMPLES
+from implbase.bases import BUILDERS, EXHAUSTIVE_LIMIT, SAMPLES
 from implbase.cli import main
 from implbase.context import parse_cxt, read_cxt
 from implbase.sets import BasisKind, parse_basis, read_basis
@@ -135,6 +135,12 @@ def test_gen_rejects_bad_density(capsys):
 # -- bases --------------------------------------------------------------------------
 
 
+def test_bases_kind_choices_are_the_builders_and_all():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    kind = next(a for a in commands.choices["bases"]._actions if a.dest == "kind")
+    assert kind.choices == [k.value for k in BUILDERS] + ["all"]
+
+
 def test_bases_single_kind_to_stdout(capsys):
     code, out, _ = run(capsys, "bases", "--in", str(EX51_CXT), "--kind", "dbasis")
     assert code == 0
@@ -256,6 +262,16 @@ def test_closure_refuses_non_ascii_digit_positions(capsys, tmp_path, token):
     )
     assert (code, out) == (1, "")
     assert err.startswith("error: UnknownAttribute:")
+
+
+def test_closure_refuses_repeated_universe_names_as_a_syntax_error(capsys, tmp_path):
+    basis = tmp_path / "dup.imp"
+    basis.write_text("universe: a a\na -> a\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "closure", "--basis", str(basis), "--algo", "classic", "--set", "a"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ImplicationSyntaxError:")
 
 
 # -- check --------------------------------------------------------------------------

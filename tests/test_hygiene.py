@@ -1,9 +1,11 @@
-"""Source hygiene of the package and its tests, read from the syntax tree, and
-what importing the command line loads."""
+"""Source hygiene of the package and its tests, read from the syntax tree,
+what importing the package and running a command load, and the table of
+public names."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import implbase
+from conftest import EX51_CXT, EX51_IMP
 
 #: The package modules,
 PACKAGE = sorted(Path(implbase.__file__).parent.glob("*.py"))
@@ -48,9 +51,8 @@ def test_every_import_is_used_or_exported(path):
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
 
 
-def private_definitions(tree: ast.Module) -> set[str]:
-    """Module-level names with one leading underscore that the module binds
-    by ``def``, ``class`` or assignment."""
+def module_definitions(tree: ast.Module) -> set[str]:
+    """Names the module binds at top level by ``def``, ``class`` or assignment."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -58,7 +60,16 @@ def private_definitions(tree: ast.Module) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names.update(t.id for t in targets if isinstance(t, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+    return names
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level names with one leading underscore that the module binds."""
+    return {
+        name
+        for name in module_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+    }
 
 
 def referenced_names(tree: ast.Module) -> set[str]:
@@ -120,6 +131,16 @@ def test_the_premise_search_keeps_the_one_hand_rolled_module_slot():
     assert found == [("bases.py", "_search", ("_searched",))]
 
 
+def run_probe(code: str) -> str:
+    """What a fresh interpreter prints to stdout after running ``code``
+    against this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(implbase.__file__).parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return done.stdout
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # only ``bench --jobs N`` over several datasets needs a pool, so the
     # pool machinery stays out of every other command's start-up
@@ -128,11 +149,96 @@ def test_importing_the_cli_loads_no_process_pool():
         "print(sorted(m for m in sys.modules if m.split('.')[0] in "
         "('concurrent', 'multiprocessing')))"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(implbase.__file__).parent.parent)}
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
-    )
-    assert done.stdout == "[]\n"
+    assert run_probe(probe) == "[]\n"
+
+
+def loaded_by(*argv: str) -> list[str]:
+    """The package modules a fresh interpreter holds after importing the
+    package and, given an ``argv``, running that command to success."""
+    probe = ["import sys, implbase"]
+    if argv:
+        probe.append(f"from implbase.cli import main\nassert main({list(argv)!r}) == 0")
+    probe.append("print(sorted(m for m in sys.modules if m.split('.')[0] == 'implbase'))")
+    return ast.literal_eval(run_probe("\n".join(probe)).splitlines()[-1])
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert loaded_by() == ["implbase"]
+
+
+def test_a_closure_query_loads_only_the_modules_it_runs():
+    argv = ("closure", "--basis", str(EX51_IMP), "--set", "b d", "--algo", "lin")
+    assert loaded_by(*argv) == [
+        "implbase",
+        "implbase.bits",
+        "implbase.cli",
+        "implbase.closure",
+        "implbase.errors",
+        "implbase.sets",
+    ]
+
+
+def test_check_loads_no_bench_harness():
+    loaded = loaded_by("check", "--in", str(EX51_CXT))
+    assert "implbase.bases" in loaded and "implbase.bench" not in loaded
+
+
+# -- the public table ---------------------------------------------------------------
+
+#: The package's public names in ``__all__`` order, grouped by defining module.
+PUBLIC = """
+    AttributeSet Basis BasisKind Implication Universe format_implication lectic_key
+    merge_same_lhs parse_basis parse_implication read_basis render_basis unit_expand
+    write_basis
+    Context clarify context_closure gen_synthetic is_clarified is_reduced is_standard
+    parse_cxt read_cxt reduce render_cxt require_standard write_cxt
+    ClosureResult Metrics binary_closure closure_classic closure_direct implies
+    lin_closure lin_closure_direct oracle_closure pass_once wild_closure
+    wild_closure_direct
+    PseudoClosedWitness build_cdub build_dbasis build_dg check_equiv direct_witness
+    enumerate_pseudo_closed is_pseudo_closed verify_direct
+    ALGORITHMS CSV_HEADER METRIC_NAMES TABLE_COMBOS ComboReport RatioBucket WorkloadSpec
+    default_combos normalize ranking read_reports_csv run_bench run_workload
+    size_ratio_report write_reports_csv
+    DegenerateContext EmptyLhs ImplbaseError ImplicationSyntaxError InvalidBasis
+    InvalidCombo IoError MalformedCxt NotClarified NotStandardContext UniverseMismatch
+    UnknownAttribute UnrenderableName WrongBasisKind
+    __version__
+""".split()
+
+
+def test_the_public_names_are_pinned_in_order():
+    assert implbase.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize("name", PUBLIC[:-1])
+def test_each_public_name_is_what_its_module_defines(name):
+    home = implbase._HOMES[name]
+    module = importlib.import_module(f"implbase.{home}")
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    assert name in module_definitions(tree), f"{home}.py does not define {name}"
+    assert getattr(implbase, name) is getattr(module, name)
+    if hasattr(module, "__all__"):
+        assert name in module.__all__, f"{home}.__all__ lacks {name}"
+
+
+def test_a_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from implbase import *", namespace)
+    assert set(PUBLIC) <= namespace.keys()
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        implbase.no_such_name
+
+
+def test_the_bench_harness_runs_the_closure_algorithms_table():
+    # perfbench swaps timed wrappers into ``bench.ALGORITHMS`` in place, and
+    # the command line must run the same entries
+    from implbase import bench, closure
+
+    assert bench.ALGORITHMS is closure.ALGORITHMS
 
 
 #: What the innermost loop of a timed closure kernel may update in place:

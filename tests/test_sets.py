@@ -483,6 +483,19 @@ def test_parse_basis_errors():
         parse_basis("")
 
 
+WIDE = " ".join(f"x{i}" for i in range(MAX_UNIVERSE_SIZE + 1))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["universe: a b a\na -> b\n", f"universe: {WIDE}\nx0 -> x1\n", f"{WIDE} -> y\n"],
+    ids=["repeated-names", "wide-universe-line", "wide-inferred-universe"],
+)
+def test_parse_basis_refuses_a_universe_it_cannot_build(text):
+    with pytest.raises(ImplicationSyntaxError, match="universe"):
+        parse_basis(text)
+
+
 def test_basis_file_round_trip(tmp_path):
     basis = Basis(
         [imp("d", "c"), imp("b c", "a d"), imp("a d", "b")],
