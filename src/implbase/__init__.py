@@ -90,6 +90,7 @@ _HOMES = {
     "InvalidCombo": "errors",
     "IoError": "errors",
     "MalformedCxt": "errors",
+    "MalformedReport": "errors",
     "NotClarified": "errors",
     "NotStandardContext": "errors",
     "UniverseMismatch": "errors",

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import islice
-from operator import or_, xor
+from operator import and_, or_, xor
 from typing import Callable, Iterator
 
 from .bits import (
@@ -93,11 +93,25 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     A frame takes the uncovered edge with the fewest candidates, ``F``.  One
     of them must join, so it branches on each ``v`` of ``F`` in turn, with
     the rest of ``F`` out of ``cand`` and the ``v`` already tried back in.
-    ``v`` takes ``occ[v]`` from every ``crit``; if one empties, no superset
-    of ``S | v`` is minimal and the branch dies.  Otherwise ``S | v`` gets
-    ``crit[v] = uncov & occ[v]`` and misses ``uncov & ~occ[v]``; once that
-    is empty, ``S | v`` is a transversal with a critical edge per member,
-    so minimal.
+    ``v`` takes ``occ[v]`` from every ``crit``, and ``S | v`` gets
+    ``crit[v] = uncov & occ[v]`` and misses ``uncov & ~occ[v]``.  Two vertex
+    masks settle the branches of ``F`` at once, with no ``crit`` copy:
+
+    * ``dead``: the vertices that hold every edge of some member's ``crit``
+      mask, the AND of those edges, taken within ``F`` and kept out of
+      ``live``.  Such a ``v`` empties that mask, and as ``crit`` masks only
+      shrink while ``S`` grows, it stays dead in every descendant: no
+      superset of ``S | v`` is minimal, and the branch dies.
+    * ``complete``: the vertices in every uncovered edge, the AND of those
+      edges.  For a ``v`` in it that is not dead, ``S | v`` misses no edge,
+      each older ``crit`` mask keeps an edge, and its own ``crit`` is the
+      nonempty ``uncov``: ``S | v`` is a transversal with a critical edge
+      per member, so minimal, and is appended at once.
+
+    Only the vertices of ``F & ~complete & ~dead`` get a frame.  The scan
+    for ``F`` stops at an edge with one candidate at most, before
+    ``complete`` is known, so a chain of singleton edges pays no full scan
+    per frame; that one vertex, if any, is settled alone by a ``crit`` copy.
 
     Complete, and each set once: a minimal transversal ``T`` that contains
     ``S`` and lies inside ``S | cand`` meets ``F``; only the branch on its
@@ -116,29 +130,47 @@ def _minimal_transversals(edges: list[int]) -> list[int]:
     stack: list[tuple[int, list[int], int, int]] = [(0, [], (1 << len(edges)) - 1, cand)]
     while stack:
         s, crit, uncov, cand = stack.pop()
-        f, fewest = 0, len(occ) + 1
+        f, fewest, complete = 0, len(occ) + 1, cand
         rest = uncov
         while rest:
             low = rest & -rest
-            here = edges[low.bit_length() - 1] & cand
+            edge = edges[low.bit_length() - 1]
+            here = edge & cand
             count = here.bit_count()
             if count < fewest:
                 f, fewest = here, count
-                if count <= 1:  # one branch at most: take it, or die now
+                if count <= 1:  # one branch at most: settle it alone
                     break
+            complete &= edge
             rest ^= low
+        if rest:  # the scan stopped early
+            if f:
+                o = occ[f.bit_length() - 1]
+                kept = [c & ~o for c in crit]
+                if all(kept):
+                    left = uncov & ~o
+                    if left:
+                        kept.append(uncov & o)
+                        stack.append((s | f, kept, left, cand & ~f))
+                    else:
+                        found.append(s | f)
+            continue
+        live = f
+        for c in crit:
+            hold = live
+            while c and hold:
+                low = c & -c
+                hold &= edges[low.bit_length() - 1]
+                c ^= low
+            live &= ~hold
+        found.extend([s | 1 << v for v in bit_indices(live & complete)])
         cand &= ~f
-        for v in bit_indices(f):
+        for v in bit_indices(live & ~complete):
             o = occ[v]
+            bit = 1 << v
             kept = [c & ~o for c in crit]
-            if all(kept):
-                left = uncov & ~o
-                if left:
-                    kept.append(uncov & o)
-                    stack.append((s | 1 << v, kept, left, cand))
-                else:
-                    found.append(s | 1 << v)
-            cand |= 1 << v
+            kept.append(uncov & o)
+            stack.append((s | bit, kept, uncov & ~o, cand | f & (bit - 1)))
     return found
 
 
@@ -215,10 +247,16 @@ def _dbasis(pairs: Pairs, n: int) -> tuple[list[tuple[int, int]], list[tuple[int
     ``reach[a]`` is ``a`` with the rhs of the pair ``{a}``: the closure of
     ``a``, as the empty set is closed in a standard context.  The prefix is
     read from it, and the reach of a set is the union of ``reach`` over its
-    attributes.  The pairs with two or more attributes take one lane each;
-    ``hit`` marks the other lanes whose lhs avoids every attribute outside
-    the reach of lane ``j``, so lies inside it, and lane ``j`` keeps what no
-    rhs of theirs holds.
+    attributes.  The pairs with two or more attributes take one lane each,
+    and the filter goes by column, one pass over the lanes:
+
+    * ``rcols[a]`` marks the lanes whose lhs reach holds ``a``;
+    * ``inside`` of lane ``k``, the AND of ``rcols`` over the lhs of ``k``
+      less lane ``k`` itself, marks the other lanes ``j`` whose reach holds
+      that lhs;
+    * ``drop[c]`` ORs ``inside`` of every lane ``k`` whose rhs holds ``c``;
+    * lane ``j`` keeps its rhs less the attributes ``c`` whose ``drop[c]``
+      marks ``j``: what no rhs of a lhs inside its reach holds.
     """
     reach = [1 << a for a in range(n)]
     wide: list[tuple[int, int]] = []
@@ -228,16 +266,16 @@ def _dbasis(pairs: Pairs, n: int) -> tuple[list[tuple[int, int]], list[tuple[int
         else:
             reach[lhs.bit_length() - 1] |= rhs
     prefix = [(1 << a, 1 << c) for a in range(n) for c in bit_indices(reach[a] & ~(1 << a))]
-    cols = transpose_bits([lhs for lhs, _ in wide], n)
-    rhss = [rhs for _, rhs in wide]
-    mask = (1 << n) - 1
-    full = (1 << len(wide)) - 1
-    tail = []
-    for j, (lhs, rhs) in enumerate(wide):
-        hit = full & ~spread(mask & ~spread(lhs, reach), cols) & ~(1 << j)
-        kept = rhs & ~spread(hit, rhss)
-        if kept:
-            tail.append((lhs, kept))
+    rcols = transpose_bits([spread(lhs, reach) for lhs, _ in wide], n)
+    column = rcols.__getitem__
+    drop = [0] * n
+    for k, (lhs, rhs) in enumerate(wide):
+        inside = reduce(and_, map(column, bit_indices(lhs))) & ~(1 << k)
+        if inside:
+            for c in bit_indices(rhs):
+                drop[c] |= inside
+    gone = transpose_bits(drop, len(wide))
+    tail = [(lhs, rhs & ~g) for (lhs, rhs), g in zip(wide, gone) if rhs & ~g]
     tail.sort(key=lambda pair: lectic_key(pair[0], n))
     return prefix, tail
 
@@ -268,14 +306,16 @@ def build_dbasis(ctx: Context) -> Basis:
     return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
 
-def _pseudo_closed(pairs: Pairs, n: int) -> list[tuple[int, int]]:
+def _pseudo_closed(pairs: Pairs, n: int, direct: bool = False) -> list[tuple[int, int]]:
     """Every pseudo-closed set of the closure operator of ``pairs``, with its
     closure, in lectic order; derived from the pairs in polynomial time
     (Ganter & Obiedkov 2016).
 
     Implication ``j``, ``A_j -> B_j``, takes lane ``j``:
 
-    1. ``K_j``, the closure of ``A_j``, in all lanes at once.
+    1. ``K_j``, the closure of ``A_j``, in all lanes at once: one
+       simultaneous round when the caller vouches that ``pairs`` is
+       ``direct``, as the cdub is, and in-order rounds to a fixpoint else.
     2. ``allowed_j``: the lanes ``q`` with ``K_j`` strictly inside ``K_q``.
     3. ``X_q``: the closure of ``A_q`` under every ``A_j -> K_j``, where
        ``j`` fires only in the lanes of ``allowed_j``.  The allowed lanes sit
@@ -285,7 +325,9 @@ def _pseudo_closed(pairs: Pairs, n: int) -> list[tuple[int, int]]:
     In step 3 ``X_q`` stays inside ``K_q``, and ``j`` fires only once
     ``A_j`` lies inside ``X_q``, which puts ``K_j`` inside ``K_q``.  So the
     column of ``allowed_j`` need only mark the lanes whose ``K_q`` has an
-    attribute outside ``K_j``.
+    attribute outside ``K_j``.  An implication whose column marks no lane,
+    as when ``K_j`` is the whole universe, never fires, and step 3 leaves
+    it out.
 
     Each ``X_q`` is quasi-closed: the closure of a subset, if strictly inside
     ``K_q``, is reached by allowed implications only, so it stays inside
@@ -302,17 +344,21 @@ def _pseudo_closed(pairs: Pairs, n: int) -> list[tuple[int, int]]:
     lanes = len(pairs)
     sliced = slice_pairs(pairs)
     cols = transpose_bits([lhs for lhs, _ in pairs], n)
-    k_cols = sliced_fixpoint(cols, sliced)
+    k_cols = sliced_round(cols, sliced, ordered=False) if direct else sliced_fixpoint(cols, sliced)
     ks = transpose_bits(k_cols, lanes)
     mask = (1 << n) - 1
-    # per distinct closure: its fence column and its attributes
-    fence: dict[int, tuple[int, tuple[int, ...]]] = {}
+    # per distinct closure: its fence column and its attributes, or None
+    # when its column marks no lane
+    fence: dict[int, tuple[int, tuple[int, ...]] | None] = {}
     fences: list[int] = []
     for k in ks:
         if k not in fence:
-            fence[k] = (n + len(fences), bit_indices(k))
-            fences.append(reduce(or_, [k_cols[a] for a in bit_indices(mask & ~k)], 0))
-    fenced = [(lhs + (fence[k][0],), fence[k][1]) for (lhs, _), k in zip(sliced, ks)]
+            fence[k] = None
+            allowed = reduce(or_, [k_cols[a] for a in bit_indices(mask & ~k)], 0)
+            if allowed:
+                fence[k] = (n + len(fences), bit_indices(k))
+                fences.append(allowed)
+    fenced = [(lhs + (f[0],), f[1]) for (lhs, _), k in zip(sliced, ks) if (f := fence[k])]
     xs = transpose_bits(sliced_fixpoint(cols + fences, fenced)[:n], lanes)
     classes: dict[int, set[int]] = {}
     for x, k in zip(xs, ks):
@@ -333,11 +379,12 @@ def build_dg(ctx: Context) -> Basis:
     """Minimum-cardinality basis of a standard context.
 
     ``P -> closure(P) \\ P`` per pseudo-closed set ``P``, in lectic order,
-    derived from the cdub pairs of the shared premise search.  In a standard
-    context the empty set is closed, so no left-hand side is empty.
+    derived from the cdub pairs of the shared premise search, whose closures
+    one round reaches.  In a standard context the empty set is closed, so
+    no left-hand side is empty.
     """
     universe = ctx.universe
-    found = _pseudo_closed(_search(ctx), universe.size)
+    found = _pseudo_closed(_search(ctx), universe.size, direct=True)
     return Basis._from_pairs([(p, c & ~p) for p, c in found], BasisKind.DG, universe=universe)
 
 

@@ -26,7 +26,7 @@ from typing import ContextManager, Iterable, Mapping, Sequence, TextIO
 from .bases import BUILDERS
 from .closure import ALGORITHMS, Metrics
 from .context import Context
-from .errors import InvalidCombo, UniverseMismatch
+from .errors import InvalidCombo, MalformedReport, UniverseMismatch
 from .sets import AttributeSet, Basis, BasisKind, Universe, _is_decimal
 
 __all__ = [
@@ -302,13 +302,13 @@ _NON_COUNT_COLUMNS = ("dataset", "basis_kind", "algorithm", "time_ms")
 def _time_ns(cell: str) -> int:
     """A ``time_ms`` cell as whole nanoseconds.  It must be ASCII digits with
     an optional ASCII fraction: the writer's ``digits.digits``, or a bare
-    count put in its place; anything else raises ``ValueError``."""
+    count put in its place; anything else raises :class:`MalformedReport`."""
     whole, dot, frac = cell.partition(".")
     if _is_decimal(whole) and (not dot or _is_decimal(frac)):
         ns = float(cell) * 1e6
         if math.isfinite(ns):
             return round(ns)
-    raise ValueError(f"CSV cell time_ms is not a decimal time: {cell!r}")
+    raise MalformedReport(f"CSV cell time_ms is not a decimal time: {cell!r}")
 
 
 def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
@@ -316,21 +316,25 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
     with _opened(source, "r") as handle:
         reader = csv.reader(handle)
         if next(reader, None) != header:
-            raise ValueError("unexpected CSV header")
+            raise MalformedReport("unexpected CSV header")
         reports = []
         for row in reader:
             if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} CSV cells, found {len(row)}")
+                raise MalformedReport(f"expected {len(header)} CSV cells, found {len(row)}")
             for name, cell in zip(header, row):
                 if name not in _NON_COUNT_COLUMNS and not _is_decimal(cell):
-                    raise ValueError(f"CSV cell {name} is not a decimal count: {cell!r}")
+                    raise MalformedReport(f"CSV cell {name} is not a decimal count: {cell!r}")
             (dataset, universe_size, kind, basis_size, algorithm, queries, reps,
              *counters, time_ms) = row
+            try:
+                basis_kind = BasisKind(kind)
+            except ValueError:
+                raise MalformedReport(f"CSV cell basis_kind is not a kind: {kind!r}") from None
             totals = Metrics(*map(int, counters), elapsed_ns=_time_ns(time_ms))
             reports.append(
                 ComboReport(
                     dataset=dataset,
-                    basis_kind=BasisKind(kind),
+                    basis_kind=basis_kind,
                     algorithm=algorithm,
                     universe_size=int(universe_size),
                     basis_size=int(basis_size),

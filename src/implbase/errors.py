@@ -40,6 +40,11 @@ class MalformedCxt(ImplbaseError):
     """A context file does not follow the Burmeister layout."""
 
 
+class MalformedReport(ImplbaseError, ValueError):
+    """A bench CSV does not follow the layout its writer gives it.  Also a
+    ``ValueError``, so a caller that catches that still catches this."""
+
+
 class DegenerateContext(ImplbaseError):
     """Clarification and reduction removed every row or every column."""
 

@@ -598,6 +598,40 @@ def test_sliced_dbasis_tail_matches_the_per_premise_filter(ctx_seed, attributes,
     assert list(dbasis.pairs()[dbasis.sigma0_len :]) == want
 
 
+def chain_context(order: list[int]) -> Context:
+    """The chain of the attribute prefixes of ``order``, the empty one first:
+    every attribute implies those before it, so every premise is a single
+    attribute."""
+    universe = Universe(names=[f"m{j}" for j in range(len(order))])
+    rows = [AttributeSet(universe, sum(1 << a for a in order[:i])) for i in range(len(order))]
+    return Context(universe, rows)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(6)), st.integers(1, 6))
+def test_a_dbasis_with_only_singleton_premises_has_no_tail(order, size):
+    ctx = chain_context([a for a in order if a < size])
+    n = ctx.universe.size
+    assert all(lhs & (lhs - 1) == 0 for lhs, _ in _search(ctx))
+    single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
+    assert scalar_dbasis_tail(_proper_premises(ctx), single_closures, n) == []
+    dbasis = build_dbasis(ctx)
+    assert dbasis.sigma0_len == len(dbasis) == sum(c.bit_count() - 1 for c in single_closures)
+    assert unit_expand(dbasis) == unit_expand(build_cdub(ctx))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ctx_seed=st.integers(0, 2**32 - 1), attributes=st.integers(2, 10))
+def test_a_dbasis_without_binary_implications_is_its_filtered_tail(ctx_seed, attributes):
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    n = ctx.universe.size
+    single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
+    assume(all(closed == 1 << a for a, closed in enumerate(single_closures)))
+    dbasis = build_dbasis(ctx)
+    assert dbasis.sigma0_len == 0
+    assert list(dbasis.pairs()) == scalar_dbasis_tail(_proper_premises(ctx), single_closures, n)
+
+
 # -- one premise search per context -------------------------------------------------
 #
 # The builders share the cdub pairs of the last context they were called
@@ -1126,6 +1160,46 @@ def test_minimal_transversals_match_berge_on_wide_families(edges):
     got = _minimal_transversals(edges)
     assert len(got) == len(set(got))
     assert set(got) == set(berge_minimal_transversals(edges))
+
+
+@st.composite
+def many_edge_families(draw) -> list[int]:
+    """25 to 40 distinct nonempty edges over 8 to 20 attributes, then up to
+    6 duplicates or supersets of them inserted at drawn positions: the edge
+    masks of the search pass the 24 bits that ``bit_indices`` reads by
+    table."""
+    full = (1 << draw(st.integers(8, 20))) - 1
+    edges = draw(st.lists(st.integers(1, full), min_size=25, max_size=40, unique=True))
+    for _ in range(draw(st.integers(0, 6))):
+        edge = draw(st.sampled_from(edges))
+        edges.insert(draw(st.integers(0, len(edges))), edge | draw(st.integers(0, full)))
+    return edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(many_edge_families())
+@example([0b11 << (2 * i) for i in range(10)] + [1 << i for i in range(20, 40)])
+@example([4095 & ~(1 << i | 1 << j) for i in range(12) for j in range(i + 1, 12)][:30])
+def test_minimal_transversals_match_berge_past_the_byte_tables(edges):
+    assert len(set(edges)) > 24
+    got = _minimal_transversals(edges)
+    assert len(got) == len(set(got))
+    assert set(got) == set(berge_minimal_transversals(edges))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ctx_seed=st.integers(0, 2**32 - 1), attributes=st.integers(2, 22))
+@example(ctx_seed=0, attributes=20)
+@example(ctx_seed=1, attributes=22)
+def test_premises_match_berge_on_every_attribute_of_hierarchy_contexts(ctx_seed, attributes):
+    # the two examples search families of 28 and 33 distinct edges
+    ctx = hierarchy_context(random.Random(ctx_seed), attributes)
+    mask = ctx.universe.mask
+    rows = ctx.row_bits()
+    for m, premises in enumerate(_proper_premises(ctx)):
+        edges = [mask & ~row & ~(1 << m) for row in rows if not row >> m & 1]
+        assert len(premises) == len(set(premises))
+        assert set(premises) == set(berge_minimal_transversals(edges))
 
 
 def test_minimal_transversals_search_deeper_than_the_recursion_limit():

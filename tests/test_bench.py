@@ -31,7 +31,7 @@ from implbase.bench import (
     write_reports_csv,
 )
 from implbase.closure import Metrics
-from implbase.errors import InvalidCombo, UniverseMismatch
+from implbase.errors import ImplbaseError, InvalidCombo, MalformedReport, UniverseMismatch
 from implbase.sets import BasisKind
 
 SPEC = WorkloadSpec(queries=200, repetitions=2, seed=11)
@@ -334,6 +334,30 @@ def test_csv_rejects_times_not_in_the_written_form(ex51):
     for good, ns in (("1500", 1_500_000_000), ("0.000001", 1), ("2.5", 2_500_000)):
         (report,) = read_reports_csv(io.StringIO(f"{header}\n{stem},{good}\n"))
         assert report.totals.elapsed_ns == ns
+
+
+def test_csv_refusals_are_malformed_reports(ex51):
+    buffer = io.StringIO()
+    write_reports_csv(run_workload(ex51, SPEC)[:1], buffer)
+    header, row = buffer.getvalue().splitlines()
+    names = header.split(",")
+
+    def edited(column: str, cell: str) -> str:
+        cells = row.split(",")
+        cells[names.index(column)] = cell
+        return f"{header}\n{','.join(cells)}\n"
+
+    for text, message in (
+        ("dataset,universe\n", "unexpected CSV header"),
+        (f"{header}\n{row},1\n", "expected 12 CSV cells, found 13"),
+        (edited("queries", "2x0"), "CSV cell queries "),
+        (edited("time_ms", "nan"), "CSV cell time_ms "),
+        (edited("basis_kind", "xdub"), "CSV cell basis_kind is not a kind: 'xdub'"),
+    ):
+        with pytest.raises(MalformedReport, match=message) as caught:
+            read_reports_csv(io.StringIO(text))
+        assert isinstance(caught.value, ImplbaseError)
+        assert isinstance(caught.value, ValueError)
 
 
 # -- aggregation ------------------------------------------------------------------------

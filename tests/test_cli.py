@@ -404,7 +404,16 @@ def test_report_refuses_a_time_the_writer_cannot_write(capsys, bench_dir, tmp_pa
     code, out, err = run(capsys, "report", "--in", str(csv_path))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ValueError: CSV cell time_ms ")
+    assert err.startswith("error: MalformedReport: CSV cell time_ms ")
+
+
+def test_report_names_a_malformed_csv_as_a_domain_error(capsys, tmp_path):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("dataset,universe\n")
+    code, out, err = run(capsys, "report", "--in", str(csv_path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: MalformedReport: unexpected CSV header\n"
 
 
 def test_bench_to_stdout_and_reports(capsys, bench_dir, tmp_path):

@@ -201,8 +201,8 @@ PUBLIC = """
     default_combos normalize ranking read_reports_csv run_bench run_workload
     size_ratio_report write_reports_csv
     DegenerateContext EmptyLhs ImplbaseError ImplicationSyntaxError InvalidBasis
-    InvalidCombo IoError MalformedCxt NotClarified NotStandardContext UniverseMismatch
-    UnknownAttribute UnrenderableName WrongBasisKind
+    InvalidCombo IoError MalformedCxt MalformedReport NotClarified NotStandardContext
+    UniverseMismatch UnknownAttribute UnrenderableName WrongBasisKind
     __version__
 """.split()
 
