@@ -19,7 +19,7 @@ One premise search per context serves all three builders, each a function
 of its merged cdub pairs: the last context built keeps those pairs until
 another context is built.
 Verification keeps the sliced form of the last three bases it checked and
-the first candidate chunk of the last directness policy, each bounded.
+the candidate sets of the last width it checked for directness, each bounded.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -30,9 +30,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import islice
 from operator import and_, or_, xor
-from typing import Callable, Iterator
+from typing import Callable
 
 from .bits import (
     Pairs,
@@ -46,7 +45,7 @@ from .bits import (
 )
 from .context import Context, require_standard
 from .errors import UniverseMismatch
-from .sets import AttributeSet, Basis, BasisKind, _merge_pairs, lectic_key
+from .sets import AttributeSet, Basis, BasisKind, lectic_key
 
 __all__ = [
     "PseudoClosedWitness",
@@ -70,8 +69,6 @@ EXHAUSTIVE_LIMIT = 12
 SAMPLES = 2048
 #: drawn from this seed.
 _SEED = 0
-#: Candidate sets per bit-sliced chunk; one chunk holds the default policy.
-_LANES = 1 << 12
 
 
 # -- minimal generators -------------------------------------------------------
@@ -209,9 +206,10 @@ _searched: tuple[Context, list[tuple[int, int]]] | None = None
 
 def _search(ctx: Context) -> list[tuple[int, int]]:
     """The merged cdub pairs of ``ctx``, searched once while ``ctx`` stays the
-    last context a builder was called on; the premise lists are merged and
-    dropped.  Standardness is checked on each search, so a context that
-    fails it is never kept.
+    last context a builder was called on.  Each attribute's premises are
+    folded straight into the merged pairs ``A -> R_A``, where ``R_A`` holds
+    the attributes whose premises hold ``A``.  Standardness is checked on
+    each search, so a context that fails it is never kept.
 
     The cdub pairs go by the first attribute whose premises hold the lhs,
     then in lectic order of the lhs.  That first attribute is the lowest bit
@@ -222,9 +220,14 @@ def _search(ctx: Context) -> list[tuple[int, int]]:
     if last is None or last[0] is not ctx:
         require_standard(ctx)
         n = ctx.universe.size
-        premises = _proper_premises(ctx)
-        pairs = _merge_pairs((lhs, 1 << m) for m in range(n) for lhs in premises[m])
-        pairs.sort(key=lambda pair: (pair[1] & -pair[1], lectic_key(pair[0], n)))
+        merged: dict[int, int] = {}
+        for m, premises in enumerate(_proper_premises(ctx)):
+            bit = 1 << m
+            for lhs in premises:
+                merged[lhs] = merged.get(lhs, 0) | bit
+        pairs = sorted(
+            merged.items(), key=lambda pair: (pair[1] & -pair[1], lectic_key(pair[0], n))
+        )
         last = _searched = (ctx, pairs)
     return last[1]
 
@@ -481,82 +484,47 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     return _entails(b1, _sliced(b2)) and _entails(b2, _sliced(b1))
 
 
-def _candidates(n: int, limit: int, samples: int, seed: int) -> tuple[Iterator[int], str]:
-    """The candidate sets of the directness check, and their scope in words.
-
-    A negative ``samples`` is refused: it would check no set and pass.
-    """
-    if samples < 0:
-        raise ValueError(f"samples must be non-negative, got {samples}")
-    if n <= limit:
-        return iter(range(1 << n)), f"exhaustive, {1 << n} sets"
-    rng = random.Random(seed)
-    sets = (rng.getrandbits(n) for _ in range(samples))
-    return sets, f"sampled, {samples} sets, seed {seed}"
+@lru_cache(maxsize=1)
+def _candidates(n: int) -> tuple[list[int], list[int], str]:
+    """The candidate sets of the directness check over ``n`` attributes, their
+    columns and their scope in words, kept for the last width checked, so
+    every basis checked at it reuses them.  The whole powerset in counting
+    order up to ``EXHAUSTIVE_LIMIT`` attributes, ``SAMPLES`` sets drawn
+    from ``_SEED`` beyond: one bit-sliced chunk either way."""
+    if n <= EXHAUSTIVE_LIMIT:
+        sets, scope = list(range(1 << n)), f"exhaustive, {1 << n} sets"
+    else:
+        rng = random.Random(_SEED)
+        sets = [rng.getrandbits(n) for _ in range(SAMPLES)]
+        scope = f"sampled, {SAMPLES} sets, seed {_SEED}"
+    return sets, transpose_bits(sets, n), scope
 
 
 def direct_scope(size: int) -> str:
-    """The scope of the default :func:`direct_witness` over ``size`` attributes."""
-    return _candidates(size, EXHAUSTIVE_LIMIT, SAMPLES, _SEED)[1]
+    """The scope of :func:`direct_witness` over ``size`` attributes."""
+    return _candidates(size)[2]
 
 
-@lru_cache(maxsize=1)
-def _first_chunk(n: int, limit: int, samples: int, seed: int) -> tuple[list[int], list[int]]:
-    """The first ``_LANES`` candidate sets of one policy with their columns,
-    kept for the last policy, so every basis checked at it reuses them."""
-    first = list(islice(_candidates(n, limit, samples, seed)[0], _LANES))
-    return first, transpose_bits(first, n)
-
-
-def _chunks(n: int, limit: int, samples: int, seed: int) -> Iterator[tuple[list[int], list[int]]]:
-    """The candidate sets of one policy, ``_LANES`` at a time, each chunk with
-    its columns.  Only a full first chunk has later ones, drawn afresh."""
-    first = _first_chunk(n, limit, samples, seed)
-    yield first
-    if len(first[0]) == _LANES:
-        rest = islice(_candidates(n, limit, samples, seed)[0], _LANES, None)
-        while chunk := list(islice(rest, _LANES)):
-            yield chunk, transpose_bits(chunk, n)
-
-
-def direct_witness(
-    basis: Basis,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    samples: int = SAMPLES,
-    seed: int = _SEED,
-) -> AttributeSet | None:
+def direct_witness(basis: Basis) -> AttributeSet | None:
     """The first candidate set whose closure one round misses, or ``None``.
 
     For a ``dbasis`` the round is the in-order sweep (ordered directness);
     for every other kind it is the simultaneous round.  The candidates are
-    the whole powerset, in counting order, up to ``exhaustive_limit``
-    attributes, and ``samples`` seeded random sets beyond.  They are checked
-    ``_LANES`` at a time, one per lane: one round reaches the closure iff
-    its result is closed, because the closure is the least closed superset,
-    and the lanes left unclosed are those a second simultaneous round grows.
-    The sliced basis is kept as :func:`check_equiv` keeps it, and the first
-    chunk and its columns are kept for the next call at the same
-    ``(width, exhaustive_limit, samples, seed)``, so one context's check
-    slices each basis once and repeated checks at one policy draw and
-    transpose their candidates once.
-    A negative ``samples`` raises :class:`ValueError`.
+    those of :func:`_candidates`, checked all at once, one per lane: one
+    round reaches the closure iff its result is closed, because the closure
+    is the least closed superset, and the lanes left unclosed are those a
+    second simultaneous round grows.  The sliced basis is kept as
+    :func:`check_equiv` keeps it, so one context's check slices each basis
+    once and draws and transposes its candidates once.
     """
+    sets, cols, _ = _candidates(basis.universe.size)
     sliced = _sliced(basis)
-    ordered = basis.kind is BasisKind.DBASIS
-    for chunk, cols in _chunks(basis.universe.size, exhaustive_limit, samples, seed):
-        once = sliced_round(cols, sliced, ordered)
-        bad = reduce(or_, map(xor, sliced_round(once, sliced, ordered=False), once))
-        if bad:
-            return AttributeSet(basis.universe, chunk[(bad & -bad).bit_length() - 1])
-    return None
+    once = sliced_round(cols, sliced, basis.kind is BasisKind.DBASIS)
+    bad = reduce(or_, map(xor, sliced_round(once, sliced, ordered=False), once))
+    return AttributeSet(basis.universe, sets[(bad & -bad).bit_length() - 1]) if bad else None
 
 
-def verify_direct(
-    basis: Basis,
-    exhaustive_limit: int = EXHAUSTIVE_LIMIT,
-    samples: int = SAMPLES,
-    seed: int = _SEED,
-) -> bool:
+def verify_direct(basis: Basis) -> bool:
     """Does one round always reach the closure?  See :func:`direct_witness`
-    for the round used per kind and the exhaustiveness policy."""
-    return direct_witness(basis, exhaustive_limit, samples, seed) is None
+    for the round used per kind and the candidate sets."""
+    return direct_witness(basis) is None

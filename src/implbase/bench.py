@@ -45,6 +45,8 @@ __all__ = [
     "metric_value",
     "normalize",
     "ranking",
+    "RATIO_COMBOS",
+    "RATIO_METRIC",
     "size_ratio_report",
     "write_reports_csv",
     "read_reports_csv",
@@ -330,6 +332,11 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
                 basis_kind = BasisKind(kind)
             except ValueError:
                 raise MalformedReport(f"CSV cell basis_kind is not a kind: {kind!r}") from None
+            if not valid_combo(basis_kind, algorithm):
+                raise MalformedReport(
+                    f"CSV cells basis_kind and algorithm are not a pairing the bench runs: "
+                    f"{kind!r}, {algorithm!r}"
+                )
             totals = Metrics(*map(int, counters), elapsed_ns=_time_ns(time_ms))
             reports.append(
                 ComboReport(
@@ -413,20 +420,26 @@ class RatioBucket:
         return self.wins_b / self.datasets if self.datasets else 0.0
 
 
-def size_ratio_report(
-    reports: Sequence[ComboReport],
-    combo_a: tuple[BasisKind, str] = (BasisKind.DG, "classic"),
-    combo_b: tuple[BasisKind, str] = (BasisKind.CDUB, "wild-direct"),
-    metric: str = "time_ms",
-) -> list[RatioBucket]:
+#: The head-to-head combinations of :func:`size_ratio_report`, ``a`` then ``b``,
+RATIO_COMBOS: tuple[tuple[BasisKind, str], tuple[BasisKind, str]] = (
+    (BasisKind.DG, "classic"),
+    (BasisKind.CDUB, "wild-direct"),
+)
+#: and the metric they compete on.
+RATIO_METRIC = "time_ms"
+
+
+def size_ratio_report(reports: Sequence[ComboReport]) -> list[RatioBucket]:
     """Bucket datasets by ``|cdub| / |dg|`` in steps of one tenth and count,
-    per bucket, how often each head-to-head combination wins the metric.
+    per bucket, how often each of the :data:`RATIO_COMBOS` wins the
+    :data:`RATIO_METRIC`.
 
     Bucket ``x`` covers ratios in ``(x - 0.1, x]``; the boundary is computed
     in integer arithmetic, so 2.39... lands in 2.4 and exactly 1.3 in 1.3.
     Ties credit both sides.  Datasets missing either combination or either
     size are skipped.
     """
+    combo_a, combo_b = RATIO_COMBOS
     buckets: dict[int, list[int]] = {}
     for _, group in sorted(_by_dataset(reports).items()):
         combos = {(r.basis_kind, r.algorithm): r for r in group}
@@ -440,8 +453,8 @@ def size_ratio_report(
         tenths = -(-10 * size_cdub // size_dg)
         entry = buckets.setdefault(tenths, [0, 0, 0])
         entry[0] += 1
-        va = metric_value(a, metric)
-        vb = metric_value(b, metric)
+        va = metric_value(a, RATIO_METRIC)
+        vb = metric_value(b, RATIO_METRIC)
         if va <= vb:
             entry[1] += 1
         if vb <= va:

@@ -189,6 +189,7 @@ def _total_cell(value: float, metric: str) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     from .bench import (
         METRIC_NAMES,
+        RATIO_COMBOS,
         combo_label,
         metric_value,
         normalize,
@@ -216,7 +217,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             cells = " ".join(f"{label}={wins}" for label, wins in ordered)
             print(f"{metric}: {cells}")
         return 0
-    print("bucket datasets dg:classic cdub:wild-direct")
+    print("bucket datasets", *(f"{kind.value}:{algo}" for kind, algo in RATIO_COMBOS))
     for row in size_ratio_report(reports):
         print(f"{row.bucket:.1f} {row.datasets} {row.wins_a} {row.wins_b}")
     return 0

@@ -291,19 +291,11 @@ def test_random_built_bases_verify_direct():
 def test_direct_witness_sampling_path():
     # above the exhaustive limit the check falls back to seeded sampling
     rng = random.Random(66)
-    ctx = random_standard_context(rng, 8, objects=20)
-    basis = build_cdub(ctx)
-    assert direct_witness(basis, exhaustive_limit=4, samples=512) is None
-
-
-def test_direct_check_refuses_negative_samples():
-    # with no sets to check a negative count would pass a basis that is not direct
-    basis = build_dg(gen_synthetic(20, 14, 0.3, 3))
-    assert not verify_direct(basis)
-    with pytest.raises(ValueError):
-        verify_direct(basis, samples=-3)
-    with pytest.raises(ValueError):
-        direct_witness(basis, samples=-1)
+    ctx = random_standard_context(rng, 16, objects=40)
+    assert ctx.universe.size > EXHAUSTIVE_LIMIT
+    assert direct_scope(ctx.universe.size) == f"sampled, {SAMPLES} sets, seed 0"
+    assert direct_witness(build_cdub(ctx)) is None
+    assert direct_witness(build_dbasis(ctx)) is None
 
 
 # -- pseudo-closed sets -----------------------------------------------------------------
@@ -425,15 +417,18 @@ def scalar_round(bits: int, pairs, ordered: bool) -> int:
     return bits | acc
 
 
-def scalar_direct_witness(basis: Basis, exhaustive_limit: int, samples: int, seed: int):
+def scalar_direct_witness(basis: Basis) -> int | None:
+    """The first candidate that one round misses, scanned one set at a time:
+    the powerset up to ``EXHAUSTIVE_LIMIT`` attributes, else ``SAMPLES``
+    sets drawn from the seed that ``direct_scope`` names."""
     n = basis.universe.size
     pairs = basis.pairs()
     ordered = basis.kind is BasisKind.DBASIS
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         candidates = range(1 << n)
     else:
-        rng = random.Random(seed)
-        candidates = (rng.getrandbits(n) for _ in range(samples))
+        rng = random.Random(0)
+        candidates = (rng.getrandbits(n) for _ in range(SAMPLES))
     for bits in candidates:
         if scalar_round(bits, pairs, ordered) != fixpoint_bits(bits, pairs):
             return bits
@@ -460,41 +455,50 @@ def without(basis: Basis, drop: int) -> Basis:
     return Basis(impls, kind=BasisKind.RAW, universe=basis.universe)
 
 
+def chain(width: int) -> Basis:
+    """m0 -> m1, m1 -> m2: one round misses every set with m0 and without m1."""
+    u = Universe(names=[f"m{j}" for j in range(width)])
+    return Basis(
+        [
+            Implication(u.subset(["m0"]), u.subset(["m1"])),
+            Implication(u.subset(["m1"]), u.subset(["m2"])),
+        ],
+        universe=u,
+    )
+
+
+def short_bases(rng: random.Random, width: int) -> list[Basis]:
+    """A few implications with about two attributes a side over ``width``
+    attributes, under the simultaneous round and, singletons first, under
+    the in-order round: cheap to scan one set at a time on either side of
+    the exhaustive limit."""
+    u = Universe(names=[f"m{j}" for j in range(width)])
+    sparse = lambda: rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+    pairs = [(sparse() or 1, sparse() or 2) for _ in range(rng.randint(1, 6))]
+    pairs.sort(key=lambda pair: pair[0].bit_count() > 1)
+    units = sum(lhs.bit_count() == 1 for lhs, _ in pairs)
+    return [
+        Basis._from_pairs(pairs, BasisKind.RAW, universe=u),
+        Basis._from_pairs(pairs, BasisKind.DBASIS, units, universe=u),
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     ctx_seed=st.integers(0, 2**32 - 1),
     attributes=st.integers(2, 8),
-    exhaustive_limit=st.sampled_from([0, 4, 12]),
-    samples=st.sampled_from([0, 1, 300, 2048]),
-    seed=st.integers(0, 2**16),
+    width=st.integers(EXHAUSTIVE_LIMIT - 1, EXHAUSTIVE_LIMIT + 8),
     drop=st.integers(0, 2**16),
 )
-def test_sliced_direct_witness_matches_the_scalar_scan(
-    ctx_seed, attributes, exhaustive_limit, samples, seed, drop
-):
-    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+def test_sliced_direct_witness_matches_the_scalar_scan(ctx_seed, attributes, width, drop):
+    rng = random.Random(ctx_seed)
+    ctx = random_standard_context(rng, attributes)
     built = [build(ctx) for build in BUILDERS]
     bases = built + [retagged_raw(b) for b in built]
     bases += [without(b, drop % len(b)) for b in built if len(b)]
+    bases += [chain(width), *short_bases(rng, width)]
     for basis in bases:
-        got = direct_witness(basis, exhaustive_limit, samples, seed)
-        want = scalar_direct_witness(basis, exhaustive_limit, samples, seed)
-        assert witness_bits(got) == want
-
-
-def test_direct_witness_on_the_second_chunk_of_candidates():
-    # the first set one round misses is {m12} = 4096, the first candidate
-    # beyond one full chunk of the exhaustive scan
-    u = Universe(names=[f"m{j}" for j in range(13)])
-    basis = Basis(
-        [
-            Implication(u.subset(["m12"]), u.subset(["m11"])),
-            Implication(u.subset(["m11"]), u.subset(["m10"])),
-        ],
-        universe=u,
-    )
-    assert scalar_direct_witness(basis, 13, 0, 0) == 1 << 12
-    assert witness_bits(direct_witness(basis, 13, 0, 0)) == 1 << 12
+        assert witness_bits(direct_witness(basis)) == scalar_direct_witness(basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -948,63 +952,24 @@ def test_a_repeat_check_equiv_transposes_nothing(transposes, ex51):
     assert transposes == []
 
 
-def chain(width: int) -> Basis:
-    """m0 -> m1, m1 -> m2: one round misses every set with m0 and without m1."""
-    u = Universe(names=[f"m{j}" for j in range(width)])
-    return Basis(
-        [
-            Implication(u.subset(["m0"]), u.subset(["m1"])),
-            Implication(u.subset(["m1"]), u.subset(["m2"])),
-        ],
-        universe=u,
-    )
-
-
 def test_a_repeat_direct_witness_at_one_policy_transposes_nothing(transposes):
+    # the width is the whole policy: its candidates are drawn and transposed
+    # once, for the witness and the scope alike, until another width comes
     wide, wider = chain(19), chain(20)
     u = wide.universe
     direct = Basis([Implication(u.subset(["m0"]), u.subset(["m1"]))], universe=u)
-    default = (EXHAUSTIVE_LIMIT, SAMPLES, 0)
-    want = scalar_direct_witness(wide, *default)
+    want = scalar_direct_witness(wide)
     assert witness_bits(direct_witness(wide)) == want
     transposes.clear()
     assert witness_bits(direct_witness(wide)) == want
     assert witness_bits(direct_witness(retagged_raw(wide))) == want
     assert direct_witness(direct) is None
+    assert direct_scope(19) == f"sampled, {SAMPLES} sets, seed 0"
     assert transposes == []
-    seen = {want}
-    # each call changes one part of the policy: the seed, the sample count,
-    # the exhaustive limit, the width, then back to the default
-    for basis, policy in [
-        (wide, (EXHAUSTIVE_LIMIT, SAMPLES, 1)),
-        (wide, (EXHAUSTIVE_LIMIT, 0, 1)),
-        (wide, (19, 0, 1)),
-        (wider, (19, 0, 1)),
-        (wide, default),
-    ]:
-        got = witness_bits(direct_witness(basis, *policy))
-        assert got == scalar_direct_witness(basis, *policy)
-        seen.add(got)
-    assert len(seen) > 1
-
-
-def test_a_repeat_check_transposes_only_the_later_chunks(transposes):
-    # exhaustive over 13 attributes and sampled beyond one chunk: two chunks
-    # each, and a repeat call transposes the second only
-    u = Universe(names=[f"m{j}" for j in range(13)])
-    second = Basis(
-        [
-            Implication(u.subset(["m12"]), u.subset(["m11"])),
-            Implication(u.subset(["m11"]), u.subset(["m10"])),
-        ],
-        universe=u,
-    )
-    direct = Basis([Implication(u.subset(["m0"]), u.subset(["m1"]))], universe=u)
-    for basis, policy, want in [(second, (13, 0, 0), 1 << 12), (direct, (0, 5000, 3), None)]:
-        assert witness_bits(direct_witness(basis, *policy)) == want
+    for basis in (wider, wide):
         transposes.clear()
-        assert witness_bits(direct_witness(basis, *policy)) == want
-        assert transposes == [13]
+        assert witness_bits(direct_witness(basis)) == scalar_direct_witness(basis)
+        assert transposes == [basis.universe.size]
 
 
 @pytest.fixture

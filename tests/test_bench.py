@@ -353,6 +353,10 @@ def test_csv_refusals_are_malformed_reports(ex51):
         (edited("queries", "2x0"), "CSV cell queries "),
         (edited("time_ms", "nan"), "CSV cell time_ms "),
         (edited("basis_kind", "xdub"), "CSV cell basis_kind is not a kind: 'xdub'"),
+        # pairings the bench never runs, which report would rank
+        (edited("basis_kind", "dg"), "not a pairing the bench runs: 'dg', "),
+        (edited("basis_kind", "raw"), "not a pairing the bench runs: 'raw', "),
+        (edited("algorithm", "nosuch"), "not a pairing the bench runs: '[a-z]+', 'nosuch'"),
     ):
         with pytest.raises(MalformedReport, match=message) as caught:
             read_reports_csv(io.StringIO(text))

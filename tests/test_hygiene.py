@@ -131,6 +131,44 @@ def test_the_premise_search_keeps_the_one_hand_rolled_module_slot():
     assert found == [("bases.py", "_search", ("_searched",))]
 
 
+def functools_memos(tree: ast.Module) -> list[tuple[str, bool]]:
+    """Each function under an ``lru_cache`` or ``cache`` decorator, and
+    whether the memo is bounded: an ``lru_cache`` whose ``maxsize`` is not
+    ``None``, or a ``cache`` on a function that takes no arguments."""
+    memos = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for decorator in func.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name == "lru_cache":
+                sizes = []
+                if call:
+                    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+                unbounded = any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+                memos.append((func.name, not unbounded))
+            elif name == "cache":
+                args = func.args
+                takes = args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg
+                memos.append((func.name, not takes))
+    return memos
+
+
+def test_every_functools_memo_of_the_package_is_bounded():
+    # callers may keep bases and contexts alive, and an unbounded memo would
+    # keep every argument and result alive for the life of the process
+    memos = [
+        (path.name, *memo)
+        for path in PACKAGE
+        for memo in functools_memos(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert memos, "the package has no functools memo"
+    unbounded = [f"{name}:{func}" for name, func, bounded in memos if not bounded]
+    assert not unbounded, f"unbounded functools memos: {unbounded}"
+
+
 def run_probe(code: str) -> str:
     """What a fresh interpreter prints to stdout after running ``code``
     against this package."""
