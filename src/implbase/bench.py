@@ -202,19 +202,26 @@ def run_workload(
     for kind, algo in combos:
         basis = bases[kind]
         func = ALGORITHMS[algo]
+        # the basis's own universe object, so each call's check is one `is`
+        own = basis.universe
+        asked = queries if own is universe else [AttributeSet(own, q.bits) for q in queries]
         reference: tuple[int, int, int, int] | None = None
         elapsed_total = 0
         for _ in range(spec.repetitions):
-            totals = Metrics()
-            for query in queries:
-                totals.add(func(query, basis).metrics)
+            deps = ops = inner = outer = 0
+            for query in asked:
+                m = func(query, basis).metrics
+                deps += m.deps
+                ops += m.attribute_ops
+                inner += m.inner_loops
+                outer += m.outer_loops
+                elapsed_total += m.elapsed_ns
             if reference is None:
-                reference = totals.counters()
-            elif totals.counters() != reference:
+                reference = (deps, ops, inner, outer)
+            elif (deps, ops, inner, outer) != reference:
                 raise RuntimeError(
                     f"counters changed between repetitions for {kind.value}:{algo}"
                 )
-            elapsed_total += totals.elapsed_ns
         assert reference is not None
         summed = Metrics(*reference, elapsed_ns=round(elapsed_total / spec.repetitions))
         reports.append(

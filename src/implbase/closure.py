@@ -58,7 +58,7 @@ from typing import Callable, Sequence
 
 from .bits import bit_indices, fixpoint_bits, round_bits, spread
 from .errors import UniverseMismatch, WrongBasisKind
-from .sets import AttributeSet, Basis, BasisKind, Implication
+from .sets import AttributeSet, Basis, BasisKind, Implication, _trusted_set
 
 __all__ = [
     "Metrics",
@@ -170,14 +170,19 @@ def _closed(
 ) -> ClosureResult:
     """The checked entry of all six algorithms: the universe check, the kind
     check of a ``direct`` (single-round) algorithm, then the kernel on the
-    raw bits, its ``args`` passed on."""
-    _check(x, basis)
+    raw bits, its ``args`` passed on.
+
+    The universes are compared by identity first, and the kernel's bits are
+    wrapped unmasked: they are the input's masked bits ORed with stored
+    sides, which :class:`Basis` checks against its universe.
+    """
+    universe = x.universe
+    if universe is not basis.universe and universe != basis.universe:
+        raise UniverseMismatch("set universe differs from basis universe")
     if direct:
         _require_direct_kind(basis)
     bits, deps, ops, inner, outer, elapsed = kernel(x.bits, basis, *args)
-    return ClosureResult(
-        AttributeSet(x.universe, bits), Metrics(deps, ops, inner, outer, elapsed)
-    )
+    return ClosureResult(_trusted_set(universe, bits), Metrics(deps, ops, inner, outer, elapsed))
 
 
 # -- iterate-until-stable algorithms ------------------------------------------
@@ -256,7 +261,7 @@ def _lin(bits: int, basis: Basis) -> _Run:
 def _occurrences(bits: int, lists: Sequence[Sequence[int]]) -> int:
     """Inner-loop ticks of a worklist that takes each attribute of ``bits``
     once: the summed lengths of their occurrence lists."""
-    return sum([len(lists[a]) for a in bit_indices(bits)])
+    return sum(map(len, map(lists.__getitem__, bit_indices(bits))))
 
 
 def _wild_round(
@@ -410,7 +415,8 @@ def implies(basis: Basis, query: Implication) -> bool:
     """Does the basis entail ``query``?  True iff the query rhs is contained
     in the closure of the query lhs, computed with the cheapest algorithm
     valid for the basis kind."""
-    if query.universe != basis.universe:
+    universe = query.universe
+    if universe is not basis.universe and universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")
     kernel = _sweep if basis.kind in _DIRECT_KINDS else _classic
     return query.rhs.bits & ~kernel(query.lhs.bits, basis)[0] == 0

@@ -192,6 +192,23 @@ class AttributeSet:
         return f"AttributeSet([{self}])"
 
 
+_new = object.__new__
+_put_universe = AttributeSet.__dict__["universe"].__set__
+_put_bits = AttributeSet.__dict__["bits"].__set__
+
+
+def _trusted_set(universe: Universe, bits: int) -> AttributeSet:
+    """The :class:`AttributeSet` of ``bits``, which the caller guarantees lie
+    inside ``universe``, built without the masking of the constructor.
+
+    Equal to, and hashing like, ``AttributeSet(universe, bits)``.
+    """
+    result = _new(AttributeSet)
+    _put_universe(result, universe)
+    _put_bits(result, bits)
+    return result
+
+
 #: Each byte with its eight bits in reverse order.
 _MIRROR = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
@@ -270,7 +287,10 @@ class Basis:
     lists and masks of the left-hand sides, per-attribute masks of the
     right-hand sides, left-hand-side sizes, reachability over the binary
     prefix) are built lazily once and then shared; they never mutate the
-    logical value.
+    logical value.  One walk over the pairs builds the occurrence lists and
+    the lhs masks together when the lists are asked for first, as the
+    counting algorithms do; the lhs masks asked for first, as on the check
+    path, are one transpose, and the lists are then still built by the walk.
     """
 
     __slots__ = ("_pairs", "kind", "sigma0_len", "universe", "_cache")
@@ -394,8 +414,23 @@ class Basis:
 
     @memo
     def attr_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Per attribute: indices of implications whose lhs contains it."""
-        return tuple([bit_indices(mask) for mask in self.attr_masks()])
+        """Per attribute: indices of implications whose lhs contains it.
+
+        One walk over the pairs appends each implication to the list of
+        every attribute of its lhs and ORs its bit into that attribute's
+        lhs mask; the masks become the :meth:`attr_masks` memo unless that
+        was built first.
+        """
+        n = self.universe.size
+        lists: list[list[int]] = [[] for _ in range(n)]
+        masks = [0] * n
+        for i, (lhs, _) in enumerate(self._pairs):
+            bit = 1 << i
+            for a in bit_indices(lhs):
+                lists[a].append(i)
+                masks[a] |= bit
+        self._cache.setdefault("attr_masks", tuple(masks))
+        return tuple(map(tuple, lists))
 
     @memo
     def lhs_sizes(self) -> tuple[int, ...]:
@@ -406,7 +441,12 @@ class Basis:
     @memo
     def attr_masks(self) -> tuple[int, ...]:
         """Per attribute: bit mask over implication indices, same content as
-        :meth:`attr_lists` but usable with int arithmetic."""
+        :meth:`attr_lists` but usable with int arithmetic.
+
+        Built by :meth:`attr_lists`'s walk when the lists come first;
+        asked for first, as on the check path that never reads the lists,
+        the masks are one :func:`transpose_bits` of the left-hand sides.
+        """
         lhs_bits = [lhs for lhs, _ in self.pairs()]
         return tuple(transpose_bits(lhs_bits, self.universe.size))
 
@@ -585,18 +625,26 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     or more than ``MAX_UNIVERSE_SIZE`` of them, on the ``universe:`` line or
     inferred, are refused with :class:`ImplicationSyntaxError`.
 
-    Each side is ORed straight into an int through one label-to-bit table;
-    a side with a token the table lacks (a position such as ``007``, or an
-    unknown name) resolves through :meth:`Universe.subset` instead.
+    Each line is read once.  The first pass strips it, routes the comments
+    and the ``universe:`` line, and splits every other line at its arrow,
+    keeping the line, its lhs tokens, its rhs text (a token list per line
+    would hold more memory until the second pass) and whether the split is
+    well formed.  After the universe is known, the second pass splits
+    each rhs text and ORs each side straight into an int through one
+    label-to-bit table; a side with a token the table lacks (a position
+    such as ``007``, or an unknown name) resolves through
+    :meth:`Universe.subset` instead.  A line that is not well formed
+    (no arrow, a second arrow, or an empty lhs) goes to :func:`_split` in
+    that pass, which raises its error in line order.
     """
     kind = BasisKind.RAW
     sigma0_len = 0
-    body: list[str] = []
+    body: list[tuple[str, list[str], str, bool]] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             comment = line[1:].strip()
             key, _, value = comment.partition(":")
             key = key.strip().lower()
@@ -619,24 +667,29 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
                     raise ImplicationSyntaxError(f"bad size {value!r}") from exc
                 universe = _declare(declared, universe)
             continue
-        if line.lower().startswith("universe:"):
+        if line[0] in "uU" and line[:9].lower() == "universe:":
             names = line.partition(":")[2].split()
             if not names:
                 raise ImplicationSyntaxError("empty universe line")
             universe = _declare(_named(names, "universe line"), universe)
             continue
-        body.append(line)
+        head, sep, tail = line.partition(ARROW)
+        lhs_tokens = head.split()
+        ok = ARROW not in tail if sep and lhs_tokens else False
+        body.append((line, lhs_tokens, tail, ok))
     if universe is None:
         seen = dict.fromkeys(
-            token for line in body for token in line.replace(ARROW, " ").split()
+            token for line, *_ in body for token in line.replace(ARROW, " ").split()
         )
         if not seen:
             raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
         universe = _named(seen, "inferred universe")
     bit = {universe.label(i): 1 << i for i in range(universe.size)}
     pairs = []
-    for line in body:
-        lhs_tokens, rhs_tokens = _split(line)
+    for line, lhs_tokens, tail, ok in body:
+        if not ok:
+            _split(line)  # raises the line's syntax error
+        rhs_tokens = tail.split()
         try:
             lhs = rhs = 0
             for token in lhs_tokens:

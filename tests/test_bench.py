@@ -12,6 +12,7 @@ import pytest
 from conftest import random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
 from implbase.bench import (
+    ALGORITHMS,
     CSV_HEADER,
     METRIC_NAMES,
     TABLE_COMBOS,
@@ -32,7 +33,7 @@ from implbase.bench import (
 )
 from implbase.closure import Metrics
 from implbase.errors import ImplbaseError, InvalidCombo, MalformedReport, UniverseMismatch
-from implbase.sets import BasisKind
+from implbase.sets import BasisKind, parse_basis, render_basis
 
 SPEC = WorkloadSpec(queries=200, repetitions=2, seed=11)
 
@@ -135,16 +136,28 @@ def test_workload_is_deterministic(ex51):
         assert ra.basis_size == rb.basis_size
 
 
-def test_workload_accepts_prebuilt_bases(ex51):
+def test_workload_accepts_prebuilt_bases(ex51, monkeypatch):
     bases = {
         BasisKind.CDUB: build_cdub(ex51),
         BasisKind.DBASIS: build_dbasis(ex51),
         BasisKind.DG: build_dg(ex51),
     }
+    # read back one by one, each basis has its own, equal universe object
+    read = {kind: parse_basis(render_basis(basis)) for kind, basis in bases.items()}
+    own: list[bool] = []
+    for algo, func in list(ALGORITHMS.items()):
+        def seen(x, basis, func=func):
+            own.append(x.universe is basis.universe)
+            return func(x, basis)
+
+        monkeypatch.setitem(ALGORITHMS, algo, seen)
     from_context = run_workload(ex51, SPEC)
     from_bases = run_workload(bases, SPEC)
-    for a, b in zip(from_context, from_bases):
-        assert a.totals.counters() == b.totals.counters()
+    from_text = run_workload(read, SPEC)
+    assert own and all(own)
+    for a, b, c in zip(from_context, from_bases, from_text):
+        assert a.totals.counters() == b.totals.counters() == c.totals.counters()
+        assert a.query_digest == b.query_digest == c.query_digest
 
 
 def test_query_density_extremes(ex51):

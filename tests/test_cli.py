@@ -227,6 +227,21 @@ def test_closure_oracle_has_no_counters(capsys):
     assert out == "a b c d\n"
 
 
+@pytest.mark.parametrize("algo", ["lin", "wild-direct", "classic-direct", "oracle"])
+def test_closure_verbose_note_gives_load_and_answer_times(capsys, algo):
+    argv = ["closure", "--basis", str(EX51_IMP), "--set", "b d", "--algo", algo, "--metrics"]
+    code, out, err = run(capsys, "--verbose", *argv)
+    assert code == 0
+    assert re.fullmatch(
+        r"basis kind dbasis, 4 implications, load \d+\.\d{3} ms, answer \d+\.\d{3} ms\n", err
+    )
+    quiet = run(capsys, *argv)
+    assert quiet[0] == 0 and quiet[2] == ""
+    # stdout is the same with and without the note, up to the measured time
+    strip = re.compile(r"time_ns=\d+")
+    assert strip.sub("", out) == strip.sub("", quiet[1])
+
+
 def test_closure_rejects_direct_algorithm_on_wrong_kind(capsys, tmp_path):
     basis = parse_basis(EX51_IMP.read_text(encoding="utf-8"))
     raw = tmp_path / "raw.imp"

@@ -38,6 +38,7 @@ from implbase.sets import (
     parse_basis,
     parse_implication,
     read_basis,
+    render_basis,
 )
 
 CLASSIC_TRIO = (closure_classic, lin_closure, wild_closure)
@@ -642,6 +643,37 @@ def test_a_foreign_set_is_refused_before_the_basis_kind(ex51_bases):
     for algo in DIRECT_TRIO:
         with pytest.raises(UniverseMismatch, match="set universe differs"):
             algo(foreign, dg)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_basis_read_from_text_answers_as_over_the_context_universe(seed):
+    # a parsed basis has its own Universe object, equal to the context's:
+    # the identity fast path of the entry must not change any answer
+    rng = random.Random(seed)
+    ctx = random_standard_context(rng, 4 + seed)
+    u = ctx.universe
+    foreign = Universe(size=u.size)
+    queries = [AttributeSet(u, rng.getrandbits(u.size)) for _ in range(8)] + [u.empty(), u.full()]
+    for build in (build_cdub, build_dbasis, build_dg):
+        built = build(ctx)
+        read = parse_basis(render_basis(built))
+        assert read == built and read.universe is not built.universe
+        for x in queries:
+            for algo in CLASSIC_TRIO + DIRECT_TRIO:
+                got = outcome(lambda: algo(x, read))
+                assert got == outcome(lambda: algo(x, built))
+                if got[0] is u:
+                    closure = algo(x, read).closure
+                    want = AttributeSet(u, closure.bits)
+                    assert closure == want and hash(closure) == hash(want)
+                    assert closure.universe is u
+                with pytest.raises(UniverseMismatch):
+                    algo(AttributeSet(foreign, x.bits), read)
+            if x.bits:
+                probe = Implication(x, AttributeSet(u, 1 << rng.randrange(u.size)))
+                assert implies(read, probe) == implies(built, probe)
+                with pytest.raises(UniverseMismatch):
+                    implies(read, Implication(AttributeSet(foreign, x.bits), foreign.full()))
 
 
 # -- closed-form counter laws ------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import EX51_IMP, aset, random_standard_context
-from implbase.bases import BUILDERS
+from implbase.bases import BUILDERS, check_equiv, direct_witness
 from implbase.bench import ALGORITHMS, TABLE_COMBOS
 from implbase.closure import implies, oracle_closure
 from implbase.errors import (
@@ -22,6 +22,7 @@ from implbase.errors import (
     UnrenderableName,
 )
 from implbase.sets import (
+    ARROW,
     MAX_UNIVERSE_SIZE,
     AttributeSet,
     Basis,
@@ -38,6 +39,7 @@ from implbase.sets import (
     unit_expand,
     write_basis,
 )
+from implbase.sets import _declare, _is_decimal, _named, _split
 
 U4 = Universe(names=["a", "b", "c", "d"])
 
@@ -291,6 +293,52 @@ def test_basis_derived_structures():
     assert empty.attr_masks() == (0,) * 4
     assert empty.rhs_masks() == (0,) * 4
     assert empty.lhs_sizes() == ()
+
+
+def scalar_indexes(basis: Basis) -> tuple[tuple, tuple, tuple]:
+    """Occurrence lists, lhs masks and lhs sizes, one attribute and one
+    implication at a time."""
+    pairs = basis.pairs()
+    lists = tuple(
+        tuple(i for i, (lhs, _) in enumerate(pairs) if lhs >> a & 1)
+        for a in range(basis.universe.size)
+    )
+    masks = tuple(sum(1 << i for i in found) for found in lists)
+    sizes = tuple(bin(lhs).count("1") for lhs, _ in pairs)
+    return lists, masks, sizes
+
+
+@pytest.mark.parametrize("order", ["lists first", "masks first", "masks only"])
+@pytest.mark.parametrize(
+    "size, count", [(6, 40), (30, 10), (30, 40), (5, 0)], ids=lambda v: str(v)
+)
+def test_indexes_match_the_scalar_scan_in_any_order(order, size, count):
+    rng = random.Random(size * 100 + count)
+    u = Universe(size=size)
+    pairs = [(rng.randrange(1, 1 << size), rng.getrandbits(size)) for _ in range(count)]
+    basis = Basis._from_pairs(pairs, BasisKind.RAW, universe=u)
+    lists, masks, sizes = scalar_indexes(basis)
+    if order == "lists first":
+        assert basis.attr_lists() == lists
+    assert basis.attr_masks() == masks
+    assert basis.lhs_sizes() == sizes
+    if order == "masks first":
+        assert basis.attr_lists() == lists
+    if order == "masks only":
+        assert "attr_lists" not in basis._cache
+    assert basis.attr_masks() is basis.attr_masks()
+
+
+def test_the_check_path_builds_no_occurrence_lists(ex51):
+    for ctx in (ex51, random_standard_context(random.Random(31), 9)):
+        bases = [build(ctx) for build in BUILDERS.values()]
+        for basis in bases:
+            for other in bases:
+                check_equiv(basis, other)
+            direct_witness(basis)
+        for basis in bases:
+            assert "attr_masks" in basis._cache
+            assert "attr_lists" not in basis._cache
 
 
 def test_binary_reach_follows_prefix_chains():
@@ -647,6 +695,135 @@ def test_parse_basis_agrees_with_the_per_line_parse(case):
         assert got.pairs() == want.pairs()
         assert got.implications == want.implications
         assert outcome(lambda: render_basis(got)) == outcome(lambda: render_basis(want))
+
+
+def two_loop_parse_basis(text: str, universe: Universe | None = None) -> Basis:
+    """The two-loop parse kept verbatim as the reference: the first loop
+    routes comments and the ``universe:`` line and keeps each body line
+    whole, the second splits each line through ``_split``."""
+    kind = BasisKind.RAW
+    sigma0_len = 0
+    body: list[str] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            comment = line[1:].strip()
+            key, _, value = comment.partition(":")
+            key = key.strip().lower()
+            value = value.strip()
+            if key == "kind" and value:
+                try:
+                    kind = BasisKind(value.lower())
+                except ValueError as exc:
+                    raise ImplicationSyntaxError(f"unknown basis kind {value!r}") from exc
+            elif key == "sigma0_len" and value:
+                if not _is_decimal(value):
+                    raise ImplicationSyntaxError(f"bad sigma0_len {value!r}")
+                sigma0_len = int(value)
+            elif key == "size" and value:
+                if not _is_decimal(value):
+                    raise ImplicationSyntaxError(f"bad size {value!r}")
+                try:
+                    declared = Universe(size=int(value))
+                except ValueError as exc:
+                    raise ImplicationSyntaxError(f"bad size {value!r}") from exc
+                universe = _declare(declared, universe)
+            continue
+        if line.lower().startswith("universe:"):
+            names = line.partition(":")[2].split()
+            if not names:
+                raise ImplicationSyntaxError("empty universe line")
+            universe = _declare(_named(names, "universe line"), universe)
+            continue
+        body.append(line)
+    if universe is None:
+        seen = dict.fromkeys(
+            token for line in body for token in line.replace(ARROW, " ").split()
+        )
+        if not seen:
+            raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
+        universe = _named(seen, "inferred universe")
+    bit = {universe.label(i): 1 << i for i in range(universe.size)}
+    pairs = []
+    for line in body:
+        lhs_tokens, rhs_tokens = _split(line)
+        try:
+            lhs = rhs = 0
+            for token in lhs_tokens:
+                lhs |= bit[token]
+            for token in rhs_tokens:
+                rhs |= bit[token]
+        except KeyError:
+            lhs = universe.subset(lhs_tokens).bits
+            rhs = universe.subset(rhs_tokens).bits
+        pairs.append((lhs, rhs))
+    if kind is not BasisKind.DBASIS:
+        sigma0_len = 0
+    return Basis._from_pairs(pairs, kind, sigma0_len, universe=universe)
+
+
+#: The lines a ``.imp`` text may hold besides implications, in any order:
+#: blanks, comments (some holding an arrow), headers and ``universe:`` lines
+#: in either case; then the headers and universe lines it refuses.
+OTHER_LINES = (
+    "",
+    "   ",
+    "# note",
+    "# a -> b",
+    "#->",
+    "# kind: cdub",
+    "# kind: dbasis",
+    "# KIND: DG",
+    "# sigma0_len: 1",
+    "# sigma0_len: 2",
+    "# size: 4",
+    "universe: a b c d",
+    "UNIVERSE: a b c d",
+)
+BAD_LINES = (
+    "# kind: fancy",
+    "# sigma0_len: x",
+    "# size: 0",
+    "# size: x",
+    "Universe: a b",
+    "universe:",
+)
+
+
+@st.composite
+def mixed_basis_texts(draw) -> tuple[str, Universe | None]:
+    """Body lines mixed with :data:`OTHER_LINES` in any order, one text in
+    four with one of :data:`BAD_LINES` put in; the body with spaced, glued
+    and doubled arrows, no arrow, empty sides, unknown tokens and decimal
+    positions.  Returned with the universe argument to parse the text with."""
+    token = st.sampled_from(["a", "b", "c", "d", "0", "3", "007", "zz", "e"])
+    rhs = st.lists(token, max_size=3).map(" ".join)
+    lhs = st.one_of(rhs.filter(bool), rhs.filter(bool), rhs.filter(bool), st.just(""))
+    arrow = st.sampled_from([" -> "] * 6 + ["->", " ->", "-> ", " -> -> ", "->->", " "])
+    body = st.builds(lambda a, sep, b: f"{a}{sep}{b}", lhs, arrow, rhs)
+    lines = draw(st.lists(st.one_of(body, body, st.sampled_from(OTHER_LINES)), max_size=8))
+    if draw(st.integers(0, 3)) == 3:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    universe = draw(st.sampled_from([None, None, U4, Universe(size=4)]))
+    return "\n".join(lines) + "\n", universe
+
+
+@settings(max_examples=500, deadline=None)
+@given(mixed_basis_texts())
+@example(("universe: a b c d\na b\n", None))
+@example(("universe: a b c d\na -> b -> c\n", None))
+@example(("universe: a b c d\n -> a\n", None))
+@example(("a->b\nb ->c\n# c -> d\nUNIVERSE: a b c d\n", None))
+@example(("# size: 8\n007 -> 0\nzz -> 1\n", None))
+def test_parse_basis_agrees_with_the_two_loop_parse(case):
+    text, universe = case
+    got = outcome(lambda: parse_basis(text, universe))
+    want = outcome(lambda: two_loop_parse_basis(text, universe))
+    assert got == want
+    if isinstance(want, Basis):
+        assert got.pairs() == want.pairs()
 
 
 def test_parse_basis_reads_non_canonical_positions():
