@@ -629,11 +629,14 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     and the ``universe:`` line, and splits every other line at its arrow,
     keeping the line, its lhs tokens, its rhs text (a token list per line
     would hold more memory until the second pass) and whether the split is
-    well formed.  After the universe is known, the second pass splits
-    each rhs text and ORs each side straight into an int through one
-    label-to-bit table; a side with a token the table lacks (a position
-    such as ``007``, or an unknown name) resolves through
-    :meth:`Universe.subset` instead.  A line that is not well formed
+    well formed.  After the universe is known, the second pass ORs each
+    side straight into an int through one label-to-bit table; a side with a
+    token the table lacks (a position such as ``007``, or an unknown name)
+    resolves through :meth:`Universe.subset` instead.  A dict for this
+    parse maps each rhs text that the table resolves to its bits, so a
+    later line with the same text reuses them without a split; a text the
+    table cannot resolve is never kept, so an unknown token raises on each
+    line that holds it, the first one first.  A line that is not well formed
     (no arrow, a second arrow, or an empty lhs) goes to :func:`_split` in
     that pass, which raises its error in line order.
     """
@@ -685,20 +688,24 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
         universe = _named(seen, "inferred universe")
     bit = {universe.label(i): 1 << i for i in range(universe.size)}
+    rhs_of: dict[str, int] = {}
     pairs = []
     for line, lhs_tokens, tail, ok in body:
         if not ok:
             _split(line)  # raises the line's syntax error
-        rhs_tokens = tail.split()
         try:
-            lhs = rhs = 0
+            lhs = 0
             for token in lhs_tokens:
                 lhs |= bit[token]
-            for token in rhs_tokens:
-                rhs |= bit[token]
+            rhs = rhs_of.get(tail)
+            if rhs is None:
+                rhs = 0
+                for token in tail.split():
+                    rhs |= bit[token]
+                rhs_of[tail] = rhs
         except KeyError:
             lhs = universe.subset(lhs_tokens).bits
-            rhs = universe.subset(rhs_tokens).bits
+            rhs = universe.subset(tail.split()).bits
         pairs.append((lhs, rhs))
     if kind is not BasisKind.DBASIS:
         sigma0_len = 0

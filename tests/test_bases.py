@@ -25,8 +25,6 @@ from conftest import (
 from implbase.bases import (
     EXHAUSTIVE_LIMIT,
     SAMPLES,
-    _minimal_transversals,
-    _proper_premises,
     _search,
     build_cdub,
     build_dbasis,
@@ -54,6 +52,7 @@ from implbase.sets import (
     read_basis,
     unit_expand,
 )
+from transversals import folded_pairs, minimal_transversals, premise_edges, premise_families
 
 BUILDERS = (build_cdub, build_dbasis, build_dg)
 
@@ -589,7 +588,7 @@ def test_sliced_dbasis_tail_matches_the_per_premise_filter(ctx_seed, attributes,
     n = ctx.universe.size
     single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
     assume(any(closed != 1 << a for a, closed in enumerate(single_closures)))
-    want = scalar_dbasis_tail(_proper_premises(ctx), single_closures, n)
+    want = scalar_dbasis_tail(premise_families(ctx), single_closures, n)
     dbasis = build_dbasis(ctx)
     assert dbasis.sigma0_len > 0
     prefix = [
@@ -618,7 +617,7 @@ def test_a_dbasis_with_only_singleton_premises_has_no_tail(order, size):
     n = ctx.universe.size
     assert all(lhs & (lhs - 1) == 0 for lhs, _ in _search(ctx))
     single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
-    assert scalar_dbasis_tail(_proper_premises(ctx), single_closures, n) == []
+    assert scalar_dbasis_tail(premise_families(ctx), single_closures, n) == []
     dbasis = build_dbasis(ctx)
     assert dbasis.sigma0_len == len(dbasis) == sum(c.bit_count() - 1 for c in single_closures)
     assert unit_expand(dbasis) == unit_expand(build_cdub(ctx))
@@ -633,7 +632,7 @@ def test_a_dbasis_without_binary_implications_is_its_filtered_tail(ctx_seed, att
     assume(all(closed == 1 << a for a, closed in enumerate(single_closures)))
     dbasis = build_dbasis(ctx)
     assert dbasis.sigma0_len == 0
-    assert list(dbasis.pairs()) == scalar_dbasis_tail(_proper_premises(ctx), single_closures, n)
+    assert list(dbasis.pairs()) == scalar_dbasis_tail(premise_families(ctx), single_closures, n)
 
 
 # -- one premise search per context -------------------------------------------------
@@ -653,13 +652,13 @@ def unseen(ctx: Context) -> Context:
 def searches(monkeypatch) -> list[Context]:
     """The contexts the premise search runs on, in call order."""
     seen: list[Context] = []
-    search = implbase.bases._proper_premises
+    search = implbase.bases._premises
 
-    def counted(ctx: Context) -> list[list[int]]:
+    def counted(ctx: Context) -> dict[int, int]:
         seen.append(ctx)
         return search(ctx)
 
-    monkeypatch.setattr(implbase.bases, "_proper_premises", counted)
+    monkeypatch.setattr(implbase.bases, "_premises", counted)
     return seen
 
 
@@ -707,7 +706,7 @@ def per_attribute_sorted_cdub(ctx: Context) -> list[tuple[int, int]]:
     """The cdub pairs built the long way: each attribute's premises sorted
     into lectic order, then merged in first-seen order."""
     n = ctx.universe.size
-    premises = [sorted(found, key=lambda b: lectic_key(b, n)) for found in _proper_premises(ctx)]
+    premises = [sorted(found, key=lambda b: lectic_key(b, n)) for found in premise_families(ctx)]
     return _merge_pairs([(lhs, 1 << m) for m in range(n) for lhs in premises[m]])
 
 
@@ -737,7 +736,7 @@ def test_a_cold_search_keys_each_cdub_pair_once(monkeypatch):
     assert sorted(keyed) == sorted(lhs for lhs, _ in pairs)
     # a premise of several attributes is one pair: sorting the premises
     # would key several times as many sets
-    assert sum(map(len, _proper_premises(ctx))) > 2 * len(pairs)
+    assert sum(map(len, premise_families(ctx))) > 2 * len(pairs)
 
 
 def test_cold_dg_equals_warm_dg():
@@ -1097,7 +1096,7 @@ def edge_families(draw) -> list[int]:
 @example([0b0110, 0])
 @example([0b0011, 0b0011, 0b0111, 0b1000])
 def test_minimal_transversals_match_brute_force(edges):
-    got = _minimal_transversals(edges)
+    got = minimal_transversals(edges)
     assert set(got) == brute_minimal_transversals(edges, 8)
     assert len(got) == len(set(got))
     assert not any(a != b and a & b == a for a in got for b in got)
@@ -1122,7 +1121,7 @@ def wide_edge_families(draw) -> list[int]:
 @example([((1 << 24) - 1) & ~(1 << i) for i in range(15)] * 2)
 @example([0b1010, 0, 0b1010, 0b1110])
 def test_minimal_transversals_match_berge_on_wide_families(edges):
-    got = _minimal_transversals(edges)
+    got = minimal_transversals(edges)
     assert len(got) == len(set(got))
     assert set(got) == set(berge_minimal_transversals(edges))
 
@@ -1147,7 +1146,7 @@ def many_edge_families(draw) -> list[int]:
 @example([4095 & ~(1 << i | 1 << j) for i in range(12) for j in range(i + 1, 12)][:30])
 def test_minimal_transversals_match_berge_past_the_byte_tables(edges):
     assert len(set(edges)) > 24
-    got = _minimal_transversals(edges)
+    got = minimal_transversals(edges)
     assert len(got) == len(set(got))
     assert set(got) == set(berge_minimal_transversals(edges))
 
@@ -1159,16 +1158,55 @@ def test_minimal_transversals_match_berge_past_the_byte_tables(edges):
 def test_premises_match_berge_on_every_attribute_of_hierarchy_contexts(ctx_seed, attributes):
     # the two examples search families of 28 and 33 distinct edges
     ctx = hierarchy_context(random.Random(ctx_seed), attributes)
-    mask = ctx.universe.mask
-    rows = ctx.row_bits()
-    for m, premises in enumerate(_proper_premises(ctx)):
-        edges = [mask & ~row & ~(1 << m) for row in rows if not row >> m & 1]
+    for m, premises in enumerate(premise_families(ctx)):
         assert len(premises) == len(set(premises))
-        assert set(premises) == set(berge_minimal_transversals(edges))
+        assert set(premises) == set(berge_minimal_transversals(premise_edges(ctx, m)))
 
 
 def test_minimal_transversals_search_deeper_than_the_recursion_limit():
     # the one transversal of 1500 singleton edges takes a branch 1500 deep
     n = 1500
     assert n > sys.getrecursionlimit()
-    assert _minimal_transversals([1 << i for i in range(n)]) == [(1 << n) - 1]
+    assert minimal_transversals([1 << i for i in range(n)]) == [(1 << n) - 1]
+
+
+# -- the free-set walk against the per-attribute searches --------------------------
+#
+# _search finds each proper premise once by a levelwise walk over the free
+# sets.  MMCS and Berge, one search per attribute, list the same premises
+# once per attribute they imply, and folded together give the merged pairs.
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(1, 12),
+    hierarchy=st.booleans(),
+)
+def test_search_equals_the_folded_per_attribute_searches(ctx_seed, attributes, hierarchy):
+    make = hierarchy_context if hierarchy else random_standard_context
+    ctx = make(random.Random(ctx_seed), attributes)
+    got = dict(_search(ctx))
+    assert got == folded_pairs(premise_families(ctx))
+    if ctx.universe.size <= 8:
+        assert got == folded_pairs(premise_families(ctx, berge_minimal_transversals))
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [((60, 32, 0.3), 11_617), ((50, 12, 0.6), None), ((24, 10, 0.7), None)],
+    ids=["wide", "dense-50x12", "dense-24x10"],
+)
+def test_search_equals_the_folded_mmcs_families_on_wide_and_dense_contexts(shape, size):
+    # the dense shapes have several free sets per (premise, attribute) unit
+    ctx = gen_synthetic(*shape, 1)
+    got = dict(_search(ctx))
+    assert got == folded_pairs(premise_families(ctx))
+    assert size is None or len(got) == size
+
+
+def test_an_attribute_no_object_has_is_a_premise_of_every_other():
+    # c has an empty extent, so its closure is the whole universe and no
+    # free set holds it with another attribute
+    ctx = ctx_from_rows(["a", "b", "c"], ["a b", "a", "b"])
+    assert dict(_search(ctx)) == {0b100: 0b011} == folded_pairs(premise_families(ctx))

@@ -835,6 +835,40 @@ def test_parse_basis_reads_non_canonical_positions():
         parse_basis("# size: 8\n0 -> 8\n")
 
 
+#: Right-hand side texts that lines share: names, spacing, a position, an
+#: unknown token and the empty text.
+RHS_TEXTS = (" b c", " b c", "  b   c ", " 003 a", " zz", " d zz", "", " a")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c d", "zz", "00"]), st.sampled_from(RHS_TEXTS)),
+        max_size=12,
+    ),
+    st.sampled_from([None, U4]),
+)
+@example([("a", " b c"), ("c d", " b c"), ("b", " b c")], None)
+@example([("a", " b c"), ("zz", " b c")], U4)
+def test_repeated_rhs_texts_parse_as_the_per_line_parse(lines, universe):
+    text = "universe: a b c d\n" + "".join(f"{lhs} ->{rhs}\n" for lhs, rhs in lines)
+    got = outcome(lambda: parse_basis(text, universe))
+    want = outcome(lambda: reference_parse_basis(text, universe))
+    assert got == want
+    if isinstance(want, Basis):
+        assert got.pairs() == want.pairs()
+
+
+def test_an_unknown_token_in_a_repeated_rhs_is_named():
+    # the first line with the text refuses it, so no line reuses its bits
+    text = "universe: a b c d\na -> b c\nb -> c zz\nc -> b c\nd -> c zz\n"
+    with pytest.raises(UnknownAttribute, match="unknown attribute 'zz'"):
+        parse_basis(text)
+    # a reused rhs still lets an unknown lhs token be named
+    with pytest.raises(UnknownAttribute, match="unknown attribute 'yy'"):
+        parse_basis("universe: a b c d\na -> b c\nyy -> b c\n")
+
+
 @st.composite
 def raw_pairs(draw) -> tuple[list[tuple[int, int]], BasisKind, int, Universe]:
     """Pairs over a small unnamed universe, drawn to hit every structural
