@@ -19,7 +19,10 @@ One premise search per context serves all three builders, each a function
 of its merged cdub pairs: the last context built keeps those pairs until
 another context is built.  The search is one levelwise walk over the free
 sets of the context (:func:`_premises`), which finds each left-hand side
-``A`` once with its whole ``R_A``.  Its correctness rests on four facts:
+``A`` once with its whole ``R_A`` and its closure ``A''``.  The walk hands
+those closures and one slicing of the pairs, made by the first derivation
+that needs it, to the dbasis and dg derivations, so neither recomputes what
+the walk found.  Its correctness rests on four facts:
 proper premises are free; free sets are closed under subsets; a free set
 whose closure is the whole universe has no free superset; and
 ``R_A = A'' - (A | U (A - a)'')`` over the facets of ``A`` (Ryssel, Distel
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import and_, or_, xor
 from typing import Callable
 
@@ -99,9 +102,10 @@ def _meet_tables(rows: tuple[int, ...], mask: int) -> list[list[int]]:
     return tables
 
 
-def _premises(ctx: Context) -> dict[int, int]:
+def _premises(ctx: Context) -> tuple[dict[int, int], dict[int, int]]:
     """Every proper premise ``A`` of the standard context ``ctx`` with its
-    nonempty ``R_A``, the attributes that ``A`` is a minimal generator of.
+    nonempty ``R_A``, the attributes that ``A`` is a minimal generator of,
+    and every such ``A`` with its closure ``A''``.
 
     One levelwise walk over the free sets, as TITANIC walks them (Stumme et
     al., DKE 42, 2002), finds each premise once.  A set is free when each
@@ -128,7 +132,8 @@ def _premises(ctx: Context) -> dict[int, int]:
     extent, as closed sets are far fewer than free sets.  Level 0 is the
     empty set, whose extent is every object and whose closure is empty in a
     standard context, so each single attribute is free.  One level is kept
-    at a time.
+    at a time.  The closure of each premise is returned beside it, as the
+    derivations of the other bases start from it.
     """
     mask = ctx.universe.mask
     rows = ctx.row_bits()
@@ -136,17 +141,19 @@ def _premises(ctx: Context) -> dict[int, int]:
     cols = transpose_bits(rows, ctx.universe.size)
     tables = list(enumerate(_meet_tables(rows, mask)))
     closures: dict[int, int] = {}
+    memo = closures.get
 
     def closure(extent: int) -> int:
-        closed = closures.get(extent)
-        if closed is None:
-            closed = mask
-            for k, table in tables:
-                closed &= table[extent >> 8 * k & 255]
-            closures[extent] = closed
+        closed = mask
+        for k, table in tables:
+            closed &= table[extent >> 8 * k & 255]
+        closures[extent] = closed
         return closed
 
     merged: dict[int, int] = {}
+    # each lhs of merged with its closure: a tuple inside merged would slow
+    # the walk
+    kept: dict[int, int] = {}
     # each free set of the level with its extent and its closure
     level: dict[int, tuple[int, int]] = {}
     for b, extent in enumerate(cols):
@@ -154,6 +161,7 @@ def _premises(ctx: Context) -> dict[int, int]:
         closed = closure(extent)
         if closed != bit:
             merged[bit] = closed ^ bit
+            kept[bit] = closed
         if closed != mask:
             level[bit] = (extent, closed)
     while level:
@@ -165,44 +173,68 @@ def _premises(ctx: Context) -> dict[int, int]:
         up: dict[int, tuple[int, int]] = {}
         for a, (extent, closed) in level.items():
             top = 1 << (a.bit_length() - 1)
-            for b in bit_indices(siblings[a ^ top] & -(top << 1) & ~closed):
+            more = siblings[a ^ top] & -(top << 1) & ~closed
+            if not more:
+                continue
+            drops = bit_indices(a)
+            for b in bit_indices(more):
                 bit = 1 << b
                 c = a | bit
                 implied = closed | bit
-                for x in bit_indices(a):
+                for x in drops:
                     other = facet(c ^ 1 << x)
                     if other is None or other[1] >> x & 1:
                         break
                     implied |= other[1]
                 else:
                     inside = extent & cols[b]
-                    whole = closure(inside)
+                    whole = memo(inside)
+                    if whole is None:
+                        whole = closure(inside)
                     if whole & ~implied:
                         merged[c] = whole & ~implied
+                        kept[c] = whole
                     if whole != mask:
                         up[c] = (inside, whole)
         level = up
-    return merged
+    return merged, kept
 
 
 # -- builders -----------------------------------------------------------------
 
+
+@dataclass(eq=False)
+class _Search:
+    """The merged cdub pairs ``A -> R_A`` of one context in basis order, the
+    closure ``A''`` of each lhs in the same order, and the sliced pairs, made
+    on first read, so only the derivations of the other bases pay for them."""
+
+    ctx: Context
+    pairs: list[tuple[int, int]]
+    closures: list[int]
+
+    @cached_property
+    def sliced(self) -> Sliced:
+        return slice_pairs(self.pairs)
+
+
 #: The last context searched, with its cdub pairs.  It keeps one context
 #: alive at most, and the three builders of one context share one premise
-#: search.  A hand-rolled slot, as a ``functools`` memo matches by equality
-#: and hashes the rows on each call: this one matches by identity, so an
-#: equal twin context searches anew
+#: search and one slicing.  A hand-rolled slot, as a ``functools`` memo
+#: matches by equality and hashes the rows on each call: this one matches by
+#: identity, so an equal twin context searches anew
 #: (``test_interleaved_builders_match_builds_on_unseen_contexts`` pins it).
-_searched: tuple[Context, list[tuple[int, int]]] | None = None
+_searched: _Search | None = None
 
 
-def _search(ctx: Context) -> list[tuple[int, int]]:
-    """The merged cdub pairs ``A -> R_A`` of ``ctx``, searched once while
-    ``ctx`` stays the last context a builder was called on.  One walk over
-    the free sets of ``ctx`` (:func:`_premises`) finds each proper premise
-    ``A`` once with its ``R_A``; a minimal transversal search per attribute
-    would list ``A`` once per attribute of ``R_A``.  Standardness is
-    checked on each search, so a context that fails it is never kept.
+def _search(ctx: Context) -> _Search:
+    """The merged cdub pairs ``A -> R_A`` of ``ctx`` with their lhs
+    closures, searched once while ``ctx`` stays the last context a builder
+    was called on.  One walk over the free sets of ``ctx``
+    (:func:`_premises`) finds each proper premise ``A`` once with its
+    ``R_A`` and its closure; a minimal transversal search per attribute
+    would list ``A`` once per attribute of ``R_A``.  Standardness is checked
+    on each search, so a context that fails it is never kept.
 
     The walk lists every proper premise and no other set, by the four facts
     that :func:`_premises` states.  A proper premise is free (Ryssel, Distel
@@ -218,19 +250,22 @@ def _search(ctx: Context) -> list[tuple[int, int]]:
 
     The cdub pairs go by the first attribute whose premises hold the lhs,
     then in lectic order of the lhs.  That first attribute is the lowest bit
-    of the merged rhs, so one sort of the merged pairs keys each pair once.
+    of the merged rhs, so one sort of the merged pairs on one int key, that
+    bit's position above the ``n`` bits of the lectic key, keys each pair
+    once.
     """
     global _searched
     last = _searched
-    if last is None or last[0] is not ctx:
+    if last is None or last.ctx is not ctx:
         require_standard(ctx)
         n = ctx.universe.size
+        merged, closures = _premises(ctx)
         pairs = sorted(
-            _premises(ctx).items(),
-            key=lambda pair: (pair[1] & -pair[1], lectic_key(pair[0], n)),
+            merged.items(),
+            key=lambda pair: (pair[1] & -pair[1]).bit_length() << n | lectic_key(pair[0], n),
         )
-        last = _searched = (ctx, pairs)
-    return last[1]
+        last = _searched = _Search(ctx, pairs, [closures[lhs] for lhs, _ in pairs])
+    return last
 
 
 def build_cdub(ctx: Context) -> Basis:
@@ -242,13 +277,16 @@ def build_cdub(ctx: Context) -> Basis:
     left-hand side.  The result is direct: one simultaneous round reaches
     any closure.
     """
-    return Basis._from_pairs(_search(ctx), BasisKind.CDUB, universe=ctx.universe)
+    return Basis._from_pairs(_search(ctx).pairs, BasisKind.CDUB, universe=ctx.universe)
 
 
-def _dbasis(pairs: Pairs, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _dbasis(
+    pairs: Pairs, sliced: Sliced, n: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The binary prefix and the merged tail of the ordered direct basis,
     derived from the merged cdub pairs ``A -> R_A``, where ``R_A`` holds the
-    attributes that ``A`` is a minimal generator of.
+    attributes that ``A`` is a minimal generator of, and from their sliced
+    form ``sliced``.
 
     ``reach[a]`` is ``a`` with the rhs of the pair ``{a}``: the closure of
     ``a``, as the empty set is closed in a standard context.  The prefix is
@@ -256,7 +294,11 @@ def _dbasis(pairs: Pairs, n: int) -> tuple[list[tuple[int, int]], list[tuple[int
     attributes.  The pairs with two or more attributes take one lane each,
     and the filter goes by column, one pass over the lanes:
 
-    * ``rcols[a]`` marks the lanes whose lhs reach holds ``a``;
+    * ``rcols[a]`` marks the lanes whose lhs reach holds ``a``.  It is built
+      by attribute, not by lane: ``back[a]``, the attributes ``b`` whose
+      ``reach[b]`` holds ``a``, spreads over the lhs columns ``lcols``, so
+      ``rcols[a]`` marks the lanes whose lhs holds such a ``b``.  That is
+      ``n`` spreads rather than one per lane;
     * ``inside`` of lane ``k``, the AND of ``rcols`` over the lhs of ``k``
       less lane ``k`` itself, marks the other lanes ``j`` whose reach holds
       that lhs;
@@ -266,19 +308,25 @@ def _dbasis(pairs: Pairs, n: int) -> tuple[list[tuple[int, int]], list[tuple[int
     """
     reach = [1 << a for a in range(n)]
     wide: list[tuple[int, int]] = []
-    for lhs, rhs in pairs:
-        if lhs & (lhs - 1):
-            wide.append((lhs, rhs))
+    cuts: Sliced = []
+    for pair, cut in zip(pairs, sliced):
+        if len(cut[0]) > 1:
+            wide.append(pair)
+            cuts.append(cut)
         else:
-            reach[lhs.bit_length() - 1] |= rhs
+            reach[cut[0][0]] |= pair[1]
     prefix = [(1 << a, 1 << c) for a in range(n) for c in bit_indices(reach[a] & ~(1 << a))]
-    rcols = transpose_bits([spread(lhs, reach) for lhs, _ in wide], n)
+    lcols = transpose_bits([lhs for lhs, _ in wide], n)
+    rcols = [spread(back, lcols) for back in transpose_bits(reach, n)]
     column = rcols.__getitem__
     drop = [0] * n
-    for k, (lhs, rhs) in enumerate(wide):
-        inside = reduce(and_, map(column, bit_indices(lhs))) & ~(1 << k)
+    lane = 1
+    for lhs, rhs in cuts:
+        # the reach of a lhs holds the lhs, so the AND marks the lane itself
+        inside = reduce(and_, map(column, lhs)) ^ lane
+        lane <<= 1
         if inside:
-            for c in bit_indices(rhs):
+            for c in rhs:
                 drop[c] |= inside
     gone = transpose_bits(drop, len(wide))
     tail = [(lhs, rhs & ~g) for (lhs, rhs), g in zip(wide, gone) if rhs & ~g]
@@ -308,25 +356,30 @@ def build_dbasis(ctx: Context) -> Basis:
     drops a ``c`` of ``R_A``, for the same reason.
     """
     universe = ctx.universe
-    prefix, tail = _dbasis(_search(ctx), universe.size)
+    found = _search(ctx)
+    prefix, tail = _dbasis(found.pairs, found.sliced, universe.size)
     return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
 
-def _pseudo_closed(pairs: Pairs, n: int, direct: bool = False) -> list[tuple[int, int]]:
+def _pseudo_closed(
+    pairs: Pairs, n: int, closures: list[int] | None = None, sliced: Sliced | None = None
+) -> list[tuple[int, int]]:
     """Every pseudo-closed set of the closure operator of ``pairs``, with its
     closure, in lectic order; derived from the pairs in polynomial time
     (Ganter & Obiedkov 2016).
 
     Implication ``j``, ``A_j -> B_j``, takes lane ``j``:
 
-    1. ``K_j``, the closure of ``A_j``, in all lanes at once: one
-       simultaneous round when the caller vouches that ``pairs`` is
-       ``direct``, as the cdub is, and in-order rounds to a fixpoint else.
+    1. ``K_j``, the closure of ``A_j``: the ``closures`` the caller hands
+       over, in the order of ``pairs``, as the premise search keeps them for
+       the cdub; else in-order rounds in all lanes at once, to a fixpoint.
     2. ``allowed_j``: the lanes ``q`` with ``K_j`` strictly inside ``K_q``.
-    3. ``X_q``: the closure of ``A_q`` under every ``A_j -> K_j``, where
+    3. ``X_q``: the closure of ``A_q`` under every ``A_j -> B_j``, where
        ``j`` fires only in the lanes of ``allowed_j``.  The allowed lanes sit
        in one extra column per distinct ``K_j``, added to the lhs of ``j``.
     4. Per closure ``K``, the inclusion-minimal ``X_q != K`` with ``K_q == K``.
+
+    ``sliced`` is the sliced form of ``pairs`` when the caller has it.
 
     In step 3 ``X_q`` stays inside ``K_q``, and ``j`` fires only once
     ``A_j`` lies inside ``X_q``, which puts ``K_j`` inside ``K_q``.  So the
@@ -334,6 +387,14 @@ def _pseudo_closed(pairs: Pairs, n: int, direct: bool = False) -> list[tuple[int
     attribute outside ``K_j``.  An implication whose column marks no lane,
     as when ``K_j`` is the whole universe, never fires, and step 3 leaves
     it out.
+
+    Step 3 reaches the same ``X_q`` as firing ``A_j -> K_j`` would, for any
+    list of pairs.  Firing ``B_j``, a part of ``K_j``, never adds more.  And
+    once allowed ``j`` fires in lane ``q``, ``K_j`` follows inside ``X_q``:
+    ``K_j`` is derived from ``A_j`` by firings of implications ``i`` with
+    ``A_i`` inside ``K_j``, so with ``K_i`` inside ``K_j``, strictly inside
+    ``K_q``; each such ``i`` is allowed in lane ``q`` too, so the fixpoint
+    holds all of ``K_j``.
 
     Each ``X_q`` is quasi-closed: the closure of a subset, if strictly inside
     ``K_q``, is reached by allowed implications only, so it stays inside
@@ -348,23 +409,28 @@ def _pseudo_closed(pairs: Pairs, n: int, direct: bool = False) -> list[tuple[int
     if not pairs:
         return []
     lanes = len(pairs)
-    sliced = slice_pairs(pairs)
+    if sliced is None:
+        sliced = slice_pairs(pairs)
     cols = transpose_bits([lhs for lhs, _ in pairs], n)
-    k_cols = sliced_round(cols, sliced, ordered=False) if direct else sliced_fixpoint(cols, sliced)
-    ks = transpose_bits(k_cols, lanes)
+    if closures is None:
+        k_cols = sliced_fixpoint(cols, sliced)
+        ks = transpose_bits(k_cols, lanes)
+    else:
+        ks = closures
+        k_cols = transpose_bits(ks, n)
     mask = (1 << n) - 1
-    # per distinct closure: its fence column and its attributes, or None
-    # when its column marks no lane
-    fence: dict[int, tuple[int, tuple[int, ...]] | None] = {}
+    # per distinct closure: its fence column, or None when the column
+    # marks no lane
+    fence: dict[int, int | None] = dict.fromkeys(ks)
     fences: list[int] = []
-    for k in ks:
-        if k not in fence:
-            fence[k] = None
-            allowed = reduce(or_, [k_cols[a] for a in bit_indices(mask & ~k)], 0)
-            if allowed:
-                fence[k] = (n + len(fences), bit_indices(k))
-                fences.append(allowed)
-    fenced = [(lhs + (f[0],), f[1]) for (lhs, _), k in zip(sliced, ks) if (f := fence[k])]
+    for k in fence:
+        allowed = reduce(or_, [k_cols[a] for a in bit_indices(mask & ~k)], 0)
+        if allowed:
+            fence[k] = n + len(fences)
+            fences.append(allowed)
+    fenced = [
+        (lhs + (f,), rhs) for (lhs, rhs), k in zip(sliced, ks) if (f := fence[k]) is not None
+    ]
     xs = transpose_bits(sliced_fixpoint(cols + fences, fenced)[:n], lanes)
     classes: dict[int, set[int]] = {}
     for x, k in zip(xs, ks):
@@ -385,13 +451,14 @@ def build_dg(ctx: Context) -> Basis:
     """Minimum-cardinality basis of a standard context.
 
     ``P -> closure(P) \\ P`` per pseudo-closed set ``P``, in lectic order,
-    derived from the cdub pairs of the shared premise search, whose closures
-    one round reaches.  In a standard context the empty set is closed, so
-    no left-hand side is empty.
+    derived from the cdub pairs of the shared premise search, from the lhs
+    closures that search kept and from the slicing the dbasis shares.  In a
+    standard context the empty set is closed, so no left-hand side is empty.
     """
     universe = ctx.universe
-    found = _pseudo_closed(_search(ctx), universe.size, direct=True)
-    return Basis._from_pairs([(p, c & ~p) for p, c in found], BasisKind.DG, universe=universe)
+    found = _search(ctx)
+    pseudo = _pseudo_closed(found.pairs, universe.size, found.closures, found.sliced)
+    return Basis._from_pairs([(p, c & ~p) for p, c in pseudo], BasisKind.DG, universe=universe)
 
 
 #: Every builder by the kind it makes, in the order the command line lists them.

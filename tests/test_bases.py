@@ -25,6 +25,7 @@ from conftest import (
 from implbase.bases import (
     EXHAUSTIVE_LIMIT,
     SAMPLES,
+    _pseudo_closed,
     _search,
     build_cdub,
     build_dbasis,
@@ -615,7 +616,7 @@ def chain_context(order: list[int]) -> Context:
 def test_a_dbasis_with_only_singleton_premises_has_no_tail(order, size):
     ctx = chain_context([a for a in order if a < size])
     n = ctx.universe.size
-    assert all(lhs & (lhs - 1) == 0 for lhs, _ in _search(ctx))
+    assert all(lhs & (lhs - 1) == 0 for lhs, _ in _search(ctx).pairs)
     single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
     assert scalar_dbasis_tail(premise_families(ctx), single_closures, n) == []
     dbasis = build_dbasis(ctx)
@@ -654,7 +655,7 @@ def searches(monkeypatch) -> list[Context]:
     seen: list[Context] = []
     search = implbase.bases._premises
 
-    def counted(ctx: Context) -> dict[int, int]:
+    def counted(ctx: Context) -> tuple[dict[int, int], dict[int, int]]:
         seen.append(ctx)
         return search(ctx)
 
@@ -732,7 +733,7 @@ def test_a_cold_search_keys_each_cdub_pair_once(monkeypatch):
 
     monkeypatch.setattr(implbase.bases, "lectic_key", counted)
     ctx = gen_synthetic(15, 19, 0.3, 0)
-    pairs = _search(ctx)
+    pairs = _search(ctx).pairs
     assert sorted(keyed) == sorted(lhs for lhs, _ in pairs)
     # a premise of several attributes is one pair: sorting the premises
     # would key several times as many sets
@@ -746,6 +747,61 @@ def test_cold_dg_equals_warm_dg():
         cold = build_dg(unseen(ctx))
         build_cdub(ctx)
         assert build_dg(ctx) == cold
+
+
+# The search keeps each cdub lhs's closure beside its pair, and build_dg
+# starts its derivation from those closures instead of recomputing them.
+
+
+def assert_kept_closures_hold(ctx: Context) -> None:
+    found = _search(unseen(ctx))
+    assert found.closures == [ctx.closure_bits(lhs) for lhs, _ in found.pairs]
+    n = ctx.universe.size
+    derived = _pseudo_closed(found.pairs, n, found.closures, found.sliced)
+    assert derived == _pseudo_closed(found.pairs, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(1, 12),
+    hierarchy=st.booleans(),
+)
+def test_the_kept_closures_are_the_lhs_closures(ctx_seed, attributes, hierarchy):
+    make = hierarchy_context if hierarchy else random_standard_context
+    assert_kept_closures_hold(make(random.Random(ctx_seed), attributes))
+
+
+def test_the_kept_closures_are_the_lhs_closures_on_a_wide_context():
+    assert_kept_closures_hold(gen_synthetic(60, 32, 0.3, 1))
+
+
+@pytest.fixture
+def rounds(monkeypatch) -> list[bool]:
+    """The ``ordered`` flag of every sliced round, from bases.py and from
+    the fixpoint in bits.py."""
+    flags: list[bool] = []
+    real = implbase.bits.sliced_round
+
+    def counted(cols, sliced, ordered):
+        flags.append(ordered)
+        return real(cols, sliced, ordered)
+
+    monkeypatch.setattr(implbase.bases, "sliced_round", counted)
+    monkeypatch.setattr(implbase.bits, "sliced_round", counted)
+    return flags
+
+
+def test_the_builders_slice_the_cdub_pairs_once(slicings, rounds):
+    ctx = unseen(gen_synthetic(15, 19, 0.3, 0))
+    build_cdub(ctx)
+    assert slicings == []  # the cdub alone pays for no derivation
+    build_dbasis(ctx)
+    build_dg(ctx)
+    assert list(map(id, slicings)) == [id(_search(ctx).pairs)]
+    # the closures come from the search: the fixpoint of step 3 runs
+    # in-order rounds only
+    assert rounds and all(rounds)
 
 
 # -- the pseudo-closed derivation against the subset lattice ------------------------
@@ -827,9 +883,19 @@ def test_pseudo_closed_walk_matches_the_lattice_on_built_bases(ctx_seed, attribu
         assert_walk_matches_lattice(shuffled_raw(basis, seed))
 
 
+def raw_pairs(n: int, *pairs: tuple[int, int]) -> Basis:
+    return Basis._from_pairs(pairs, BasisKind.RAW, universe=Universe(size=n))
+
+
 @settings(max_examples=150, deadline=None)
 @given(raw_bases())
 @example(Basis([], universe=Universe(size=3)))
+# chained bases, not direct: step 3 fires B_j, not K_j, and some K_j is
+# reached only through further fenced firings; in the lane of {1, 4},
+# {1} -> {2} reaches its K = {1, 2, 3} only through {2} -> {3}
+@example(raw_pairs(4, (1, 2), (2, 4), (0b101, 8)))
+@example(raw_pairs(5, (1, 2), (2, 4), (4, 8), (0b1001, 16), (0b10010, 1)))
+@example(raw_pairs(5, (0b10010, 1), (0b1001, 16), (4, 8), (2, 4), (1, 2)))
 def test_pseudo_closed_walk_matches_the_lattice_on_raw_bases(basis):
     assert_walk_matches_lattice(basis)
 
@@ -999,7 +1065,7 @@ def check_sequence(bases: list[Basis]) -> None:
 def test_one_check_slices_each_basis_once(slicings):
     ctx = gen_synthetic(15, 19, 0.3, 0)
     bases = [build(ctx) for build in BUILDERS]
-    slicings.clear()  # build_dg slices the cdub pairs for its derivation
+    slicings.clear()  # the derivations slice the cdub pairs once
     check_sequence(bases)
     # three equivalences and three directness checks slice twice each
     # without the memo
@@ -1186,7 +1252,7 @@ def test_minimal_transversals_search_deeper_than_the_recursion_limit():
 def test_search_equals_the_folded_per_attribute_searches(ctx_seed, attributes, hierarchy):
     make = hierarchy_context if hierarchy else random_standard_context
     ctx = make(random.Random(ctx_seed), attributes)
-    got = dict(_search(ctx))
+    got = dict(_search(ctx).pairs)
     assert got == folded_pairs(premise_families(ctx))
     if ctx.universe.size <= 8:
         assert got == folded_pairs(premise_families(ctx, berge_minimal_transversals))
@@ -1200,7 +1266,7 @@ def test_search_equals_the_folded_per_attribute_searches(ctx_seed, attributes, h
 def test_search_equals_the_folded_mmcs_families_on_wide_and_dense_contexts(shape, size):
     # the dense shapes have several free sets per (premise, attribute) unit
     ctx = gen_synthetic(*shape, 1)
-    got = dict(_search(ctx))
+    got = dict(_search(ctx).pairs)
     assert got == folded_pairs(premise_families(ctx))
     assert size is None or len(got) == size
 
@@ -1209,4 +1275,4 @@ def test_an_attribute_no_object_has_is_a_premise_of_every_other():
     # c has an empty extent, so its closure is the whole universe and no
     # free set holds it with another attribute
     ctx = ctx_from_rows(["a", "b", "c"], ["a b", "a", "b"])
-    assert dict(_search(ctx)) == {0b100: 0b011} == folded_pairs(premise_families(ctx))
+    assert dict(_search(ctx).pairs) == {0b100: 0b011} == folded_pairs(premise_families(ctx))
