@@ -31,8 +31,10 @@ al., DKE 42, 2002).  Its work grows with the free sets rather than with the
 (premise, attribute) units that a per-attribute transversal search lists:
 less on sparse and wide contexts, but more on dense ones, where free sets
 outnumber the units (1,449 to 327 on ``gen_synthetic(50, 12, 0.6, 1)``).
-Verification keeps the sliced form of the last three bases it checked and
-the candidate sets of the last width it checked for directness, each bounded.
+The search also keeps the lectic key of each lhs, made in one bulk call, and
+the dbasis tail sorts on the kept keys.  Verification keeps the sliced form of
+the last three bases it checked and the candidate columns of the last eight
+widths it checked for directness, each bounded.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -50,6 +52,7 @@ from .bits import (
     Pairs,
     Sliced,
     bit_indices,
+    lectic_keys,
     slice_pairs,
     sliced_fixpoint,
     sliced_round,
@@ -58,7 +61,7 @@ from .bits import (
 )
 from .context import Context, require_standard
 from .errors import UniverseMismatch
-from .sets import AttributeSet, Basis, BasisKind, lectic_key
+from .sets import AttributeSet, Basis, BasisKind
 
 __all__ = [
     "PseudoClosedWitness",
@@ -206,12 +209,14 @@ def _premises(ctx: Context) -> tuple[dict[int, int], dict[int, int]]:
 @dataclass(eq=False)
 class _Search:
     """The merged cdub pairs ``A -> R_A`` of one context in basis order, the
-    closure ``A''`` of each lhs in the same order, and the sliced pairs, made
-    on first read, so only the derivations of the other bases pay for them."""
+    closure ``A''`` and the lectic key of each lhs in the same order, and the
+    sliced pairs, made on first read, so only the derivations of the other
+    bases pay for them."""
 
     ctx: Context
     pairs: list[tuple[int, int]]
     closures: list[int]
+    keys: list[int]
 
     @cached_property
     def sliced(self) -> Sliced:
@@ -251,8 +256,8 @@ def _search(ctx: Context) -> _Search:
     The cdub pairs go by the first attribute whose premises hold the lhs,
     then in lectic order of the lhs.  That first attribute is the lowest bit
     of the merged rhs, so one sort of the merged pairs on one int key, that
-    bit's position above the ``n`` bits of the lectic key, keys each pair
-    once.
+    bit's position above the lectic key, orders them.  One bulk call keys
+    every lhs; the keys lie below ``1 << max(n, 64)``.
     """
     global _searched
     last = _searched
@@ -260,11 +265,15 @@ def _search(ctx: Context) -> _Search:
         require_standard(ctx)
         n = ctx.universe.size
         merged, closures = _premises(ctx)
-        pairs = sorted(
-            merged.items(),
-            key=lambda pair: (pair[1] & -pair[1]).bit_length() << n | lectic_key(pair[0], n),
+        keys = lectic_keys(merged, n)
+        shift = max(n, 64)
+        order = [(r & -r).bit_length() << shift | key for r, key in zip(merged.values(), keys)]
+        ranks = sorted(range(len(order)), key=order.__getitem__)
+        items = list(merged.items())
+        pairs = [items[i] for i in ranks]
+        last = _searched = _Search(
+            ctx, pairs, [closures[lhs] for lhs, _ in pairs], [keys[i] for i in ranks]
         )
-        last = _searched = _Search(ctx, pairs, [closures[lhs] for lhs, _ in pairs])
     return last
 
 
@@ -281,12 +290,13 @@ def build_cdub(ctx: Context) -> Basis:
 
 
 def _dbasis(
-    pairs: Pairs, sliced: Sliced, n: int
+    pairs: Pairs, sliced: Sliced, keys: list[int], n: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The binary prefix and the merged tail of the ordered direct basis,
     derived from the merged cdub pairs ``A -> R_A``, where ``R_A`` holds the
-    attributes that ``A`` is a minimal generator of, and from their sliced
-    form ``sliced``.
+    attributes that ``A`` is a minimal generator of, from their sliced form
+    ``sliced`` and from the lectic ``keys`` of their left-hand sides, on
+    which the tail is sorted.
 
     ``reach[a]`` is ``a`` with the rhs of the pair ``{a}``: the closure of
     ``a``, as the empty set is closed in a standard context.  The prefix is
@@ -309,10 +319,12 @@ def _dbasis(
     reach = [1 << a for a in range(n)]
     wide: list[tuple[int, int]] = []
     cuts: Sliced = []
-    for pair, cut in zip(pairs, sliced):
+    wide_keys: list[int] = []
+    for pair, cut, key in zip(pairs, sliced, keys):
         if len(cut[0]) > 1:
             wide.append(pair)
             cuts.append(cut)
+            wide_keys.append(key)
         else:
             reach[cut[0][0]] |= pair[1]
     prefix = [(1 << a, 1 << c) for a in range(n) for c in bit_indices(reach[a] & ~(1 << a))]
@@ -329,9 +341,11 @@ def _dbasis(
             for c in rhs:
                 drop[c] |= inside
     gone = transpose_bits(drop, len(wide))
-    tail = [(lhs, rhs & ~g) for (lhs, rhs), g in zip(wide, gone) if rhs & ~g]
-    tail.sort(key=lambda pair: lectic_key(pair[0], n))
-    return prefix, tail
+    tail = [
+        (key, (lhs, rhs & ~g)) for (lhs, rhs), g, key in zip(wide, gone, wide_keys) if rhs & ~g
+    ]
+    tail.sort()
+    return prefix, [pair for _, pair in tail]
 
 
 def build_dbasis(ctx: Context) -> Basis:
@@ -357,7 +371,7 @@ def build_dbasis(ctx: Context) -> Basis:
     """
     universe = ctx.universe
     found = _search(ctx)
-    prefix, tail = _dbasis(found.pairs, found.sliced, universe.size)
+    prefix, tail = _dbasis(found.pairs, found.sliced, found.keys, universe.size)
     return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
 
@@ -443,8 +457,8 @@ def _pseudo_closed(
             if not any(p & x == p for p in least):
                 least.append(x)
         found.extend((p, k) for p in least)
-    found.sort(key=lambda pk: lectic_key(pk[0], n))
-    return found
+    keys = lectic_keys([p for p, _ in found], n)
+    return [found[i] for i in sorted(range(len(found)), key=keys.__getitem__)]
 
 
 def build_dg(ctx: Context) -> Basis:
@@ -554,25 +568,28 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     return _entails(b1, _sliced(b2)) and _entails(b2, _sliced(b1))
 
 
-@lru_cache(maxsize=1)
-def _candidates(n: int) -> tuple[list[int], list[int], str]:
-    """The candidate sets of the directness check over ``n`` attributes, their
-    columns and their scope in words, kept for the last width checked, so
-    every basis checked at it reuses them.  The whole powerset in counting
-    order up to ``EXHAUSTIVE_LIMIT`` attributes, ``SAMPLES`` sets drawn
-    from ``_SEED`` beyond: one bit-sliced chunk either way."""
+@lru_cache(maxsize=8)
+def _candidates(n: int) -> tuple[list[int], str]:
+    """The columns of the candidate sets of the directness check over ``n``
+    attributes, set ``q`` in lane ``q``, and their scope in words, kept for
+    the last eight widths checked, so every basis checked at one of them
+    reuses them.  The whole powerset in counting order up to
+    ``EXHAUSTIVE_LIMIT`` attributes, ``SAMPLES`` sets drawn from ``_SEED``
+    beyond: one bit-sliced chunk either way.  Only the columns are kept; a
+    witness is read back from its lane."""
     if n <= EXHAUSTIVE_LIMIT:
-        sets, scope = list(range(1 << n)), f"exhaustive, {1 << n} sets"
+        sets: range | list[int] = range(1 << n)
+        scope = f"exhaustive, {1 << n} sets"
     else:
         rng = random.Random(_SEED)
         sets = [rng.getrandbits(n) for _ in range(SAMPLES)]
         scope = f"sampled, {SAMPLES} sets, seed {_SEED}"
-    return sets, transpose_bits(sets, n), scope
+    return transpose_bits(sets, n), scope
 
 
 def direct_scope(size: int) -> str:
     """The scope of :func:`direct_witness` over ``size`` attributes."""
-    return _candidates(size)[2]
+    return _candidates(size)[1]
 
 
 def direct_witness(basis: Basis) -> AttributeSet | None:
@@ -583,15 +600,21 @@ def direct_witness(basis: Basis) -> AttributeSet | None:
     those of :func:`_candidates`, checked all at once, one per lane: one
     round reaches the closure iff its result is closed, because the closure
     is the least closed superset, and the lanes left unclosed are those a
-    second simultaneous round grows.  The sliced basis is kept as
+    second simultaneous round grows.  The witness is read back from the
+    lowest such lane of the candidate columns.  The sliced basis is kept as
     :func:`check_equiv` keeps it, so one context's check slices each basis
-    once and draws and transposes its candidates once.
+    once, and draws and transposes the candidates of a width once while that
+    width stays among the last eight checked.
     """
-    sets, cols, _ = _candidates(basis.universe.size)
+    cols, _ = _candidates(basis.universe.size)
     sliced = _sliced(basis)
     once = sliced_round(cols, sliced, basis.kind is BasisKind.DBASIS)
     bad = reduce(or_, map(xor, sliced_round(once, sliced, ordered=False), once))
-    return AttributeSet(basis.universe, sets[(bad & -bad).bit_length() - 1]) if bad else None
+    if not bad:
+        return None
+    lane = (bad & -bad).bit_length() - 1
+    witness = sum(1 << a for a, col in enumerate(cols) if col >> lane & 1)
+    return AttributeSet(basis.universe, witness)
 
 
 def verify_direct(basis: Basis) -> bool:

@@ -11,13 +11,24 @@ holds that attribute.  An implication then fires in every lane at once: its
 fire mask is the AND of its lhs columns, and that mask is ORed into its rhs
 columns.  Sliced pairs list attribute indices instead of bits; left-hand
 sides are never empty, so every AND has a first operand.
+
+Sets of up to 64 attributes are laid out many at once: one ``struct.pack``
+writes them as little-endian words of the narrowest machine width that holds
+them (8, 16, 32 or 64 bits), and :func:`transpose_bits` and
+:func:`lectic_keys` read all of them from that one buffer.  Wider sets take
+one call per set, as no machine word holds them.  In this package those are
+the columns of many lanes turned back into one set per lane (the dropped
+attributes in the dbasis derivation, the closures of the pseudo-closed
+derivation), the columns of a context of more than 64 objects, and the sets
+of a universe of more than 64 attributes.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import reduce, wraps
 from operator import and_
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Collection, Sequence, TypeVar
 
 __all__ = [
     "Sliced",
@@ -26,6 +37,7 @@ __all__ = [
     "round_bits",
     "fixpoint_bits",
     "transpose_bits",
+    "lectic_keys",
     "slice_pairs",
     "sliced_round",
     "sliced_fixpoint",
@@ -92,18 +104,64 @@ def fixpoint_bits(bits: int, pairs: Pairs) -> int:
         bits = nxt
 
 
+#: The ``struct`` codes of the little-endian words, narrowest first, by width.
+_WORDS = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
+def _packed(sets: Collection[int], n: int) -> tuple[bytes, int, str]:
+    """The ``n``-attribute sets, ``n <= 64``, as one buffer of little-endian
+    words of the narrowest width that holds ``n`` bits, with that width and
+    its ``struct`` code."""
+    width, code = next(word for word in _WORDS if n <= word[0])
+    return struct.pack(f"<{len(sets)}{code}", *sets), width, code
+
+
 def transpose_bits(sets: Sequence[int], n: int) -> list[int]:
     """Columns of a list of ``n``-attribute sets, set ``q`` in lane ``q``.
 
-    One binary string per set, written last set first, so that the strided
-    slice of attribute ``a`` reads as an int with set 0 in its lowest bit.
-    No sets give ``n`` empty columns.
+    One binary string, last set first, so that the strided slice of
+    attribute ``a`` reads as an int with set 0 in its lowest bit.  Up to 64
+    attributes the string is the packed words read as one int, each set
+    padded to its word; wider sets are formatted one by one.  No sets give
+    ``n`` empty columns.
     """
     if not sets:
         return [0] * n
-    spec = f"0{n}b"
-    text = "".join([format(bits, spec) for bits in reversed(sets)])
-    return [int(text[n - 1 - a :: n], 2) for a in range(n)]
+    if n <= 64:
+        data, width, _ = _packed(sets, n)
+        text = format(int.from_bytes(data, "little"), f"0{8 * len(data)}b")
+    else:
+        width, spec = n, f"0{n}b"
+        text = "".join([format(bits, spec) for bits in reversed(sets)])
+    return [int(text[width - 1 - a :: width], 2) for a in range(n)]
+
+
+#: Each byte with its eight bits in reverse order.
+_MIRROR = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
+def _lectic_key(bits: int, n: int) -> int:
+    """``bits`` mirrored over ``n`` positions: each little-endian byte
+    mirrored through ``_MIRROR``, read big-endian, shifted past the
+    padding."""
+    nb = (n + 7) >> 3
+    return int.from_bytes(bits.to_bytes(nb, "little").translate(_MIRROR), "big") >> (8 * nb - n)
+
+
+def lectic_keys(sets: Collection[int], n: int) -> Sequence[int]:
+    """Sort keys of the ``n``-attribute sets that order them as
+    ``sets.lectic_key`` does.
+
+    Up to 64 attributes the sets are packed little-endian, every byte is
+    mirrored through ``_MIRROR`` and the words are read back big-endian, so
+    each key is the lectic key shifted left past the ``width - n`` bits of
+    padding of its word, and lies below ``1 << 64``.  Wider sets are keyed
+    one by one, each key the lectic key itself, below ``1 << n``.
+    """
+    if n <= 64:
+        data, _, code = _packed(sets, n)
+        return struct.unpack(f">{len(sets)}{code}", data.translate(_MIRROR))
+    return [_lectic_key(bits, n) for bits in sets]
 
 
 def slice_pairs(pairs: Pairs) -> Sliced:

@@ -26,7 +26,7 @@ from operator import or_
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from .bits import bit_indices, memo, spread, transpose_bits
+from .bits import _lectic_key, bit_indices, memo, spread, transpose_bits
 from .errors import (
     EmptyLhs,
     ImplicationSyntaxError,
@@ -209,23 +209,16 @@ def _trusted_set(universe: Universe, bits: int) -> AttributeSet:
     return result
 
 
-#: Each byte with its eight bits in reverse order.
-_MIRROR = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
-
-
 def lectic_key(bits: int, size: int) -> int:
     """Sort key realising the lectic order on subsets.
 
     Earlier attribute positions weigh more, so ``sorted(..., key=...)`` lists
     sets exactly in ascending lectic order: of two distinct sets the smaller
     is the one missing the smallest attribute in which they differ.  The
-    key is ``bits`` mirrored over ``size`` positions: each little-endian
-    byte mirrored through ``_MIRROR``, read big-endian, shifted past the
-    padding.
+    key is ``bits`` mirrored over ``size`` positions; ``bits.lectic_keys``
+    keys many sets at once in the same order.
     """
-    nb = (size + 7) >> 3
-    mirrored = bits.to_bytes(nb, "little").translate(_MIRROR)
-    return int.from_bytes(mirrored, "big") >> (8 * nb - size)
+    return _lectic_key(bits, size)
 
 
 @dataclass(frozen=True, slots=True)

@@ -725,13 +725,13 @@ def test_cdub_pairs_match_the_per_attribute_sorted_reference(ctx_seed, attribute
 
 def test_a_cold_search_keys_each_cdub_pair_once(monkeypatch):
     keyed: list[int] = []
-    real = implbase.bases.lectic_key
+    real = implbase.bits.lectic_keys
 
-    def counted(bits: int, size: int) -> int:
-        keyed.append(bits)
-        return real(bits, size)
+    def counted(sets, size):
+        keyed.extend(sets)
+        return real(sets, size)
 
-    monkeypatch.setattr(implbase.bases, "lectic_key", counted)
+    monkeypatch.setattr(implbase.bases, "lectic_keys", counted)
     ctx = gen_synthetic(15, 19, 0.3, 0)
     pairs = _search(ctx).pairs
     assert sorted(keyed) == sorted(lhs for lhs, _ in pairs)
@@ -1019,22 +1019,46 @@ def test_a_repeat_check_equiv_transposes_nothing(transposes, ex51):
 
 def test_a_repeat_direct_witness_at_one_policy_transposes_nothing(transposes):
     # the width is the whole policy: its candidates are drawn and transposed
-    # once, for the witness and the scope alike, until another width comes
+    # once, for the witness and the scope alike, while the width stays among
+    # the last eight checked
+    implbase.bases._candidates.cache_clear()
     wide, wider = chain(19), chain(20)
     u = wide.universe
     direct = Basis([Implication(u.subset(["m0"]), u.subset(["m1"]))], universe=u)
     want = scalar_direct_witness(wide)
-    assert witness_bits(direct_witness(wide)) == want
+    for basis in (wide, wider, wide):
+        assert witness_bits(direct_witness(basis)) == scalar_direct_witness(basis)
+    assert transposes == [19, 20]
     transposes.clear()
     assert witness_bits(direct_witness(wide)) == want
     assert witness_bits(direct_witness(retagged_raw(wide))) == want
     assert direct_witness(direct) is None
     assert direct_scope(19) == f"sampled, {SAMPLES} sets, seed 0"
     assert transposes == []
-    for basis in (wider, wide):
-        transposes.clear()
-        assert witness_bits(direct_witness(basis)) == scalar_direct_witness(basis)
-        assert transposes == [basis.universe.size]
+    # seven more widths fill the memo's eight places and evict width 19,
+    # the oldest, while width 20, read again meanwhile, stays
+    for width in range(21, 28):
+        direct_witness(wider)
+        assert witness_bits(direct_witness(chain(width))) == scalar_direct_witness(chain(width))
+    assert transposes == list(range(21, 28))
+    transposes.clear()
+    assert witness_bits(direct_witness(wider)) == scalar_direct_witness(wider)
+    assert transposes == []
+    assert witness_bits(direct_witness(wide)) == want
+    assert transposes == [19]
+
+
+@pytest.mark.parametrize("width", [*range(3, EXHAUSTIVE_LIMIT + 1), 13, 19, 40, 64, 65, 70])
+def test_a_witness_read_back_from_the_columns_is_the_scalar_one(width):
+    rng = random.Random(width)
+    bases = [chain(width), retagged_raw(chain(width)), *short_bases(rng, width)]
+    seen = 0
+    for basis in bases:
+        want = scalar_direct_witness(basis)
+        assert witness_bits(direct_witness(basis)) == want
+        seen += want is not None
+    # chain(width) is not direct, so at least its two kinds have a witness
+    assert seen >= 2
 
 
 @pytest.fixture

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from implbase.bits import (
     bit_indices,
     fixpoint_bits,
+    lectic_keys,
     memo,
     slice_pairs,
     sliced_fixpoint,
     spread,
     transpose_bits,
 )
+from implbase.sets import lectic_key
 
 N = 9
 SETS = st.integers(min_value=0, max_value=(1 << N) - 1)
@@ -57,6 +62,51 @@ def test_transpose_bits_matches_a_per_bit_loop(sets, n):
             if bits >> a & 1:
                 expected[a] |= 1 << q
     assert transpose_bits(sets, n) == expected
+
+
+#: Widths on both sides of each packed word (8, 16, 32 and 64 bits) and past
+#: the widest, where sets are formatted one by one.
+BOUNDARIES = [1, 8, 9, 16, 17, 32, 33, 64, 65, 100]
+
+
+def per_bit_columns(sets: list[int], n: int) -> list[int]:
+    cols = [0] * n
+    for q, bits in enumerate(sets):
+        for a in range(n):
+            if bits >> a & 1:
+                cols[a] |= 1 << q
+    return cols
+
+
+@pytest.mark.parametrize("n", BOUNDARIES)
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 9, 63, 64, 65, 300])
+def test_transpose_bits_matches_a_per_bit_loop_at_every_word_boundary(n, count):
+    rng = random.Random(1000 * n + count)
+    full = (1 << n) - 1
+    sets = [rng.getrandbits(n) for _ in range(count)]
+    # all-ones sets, the empty set and the single top and bottom bits
+    sets[::3] = [full] * len(sets[::3])
+    sets[1::7] = [0] * len(sets[1::7])
+    sets[2::11] = [1 << (n - 1)] * len(sets[2::11])
+    sets[3::13] = [1] * len(sets[3::13])
+    assert transpose_bits(sets, n) == per_bit_columns(sets, n)
+    assert transpose_bits([full] * count, n) == [(1 << count) - 1] * n
+
+
+@pytest.mark.parametrize("n", range(1, 71))
+def test_lectic_keys_order_sets_as_lectic_key_does(n):
+    rng = random.Random(n)
+    full = (1 << n) - 1
+    sets = [rng.getrandbits(n) for _ in range(200)] + [0, full, 1, 1 << (n - 1)]
+    sets += sets[:20]  # repeats sort alike under either key
+    keys = lectic_keys(sets, n)
+    assert [sets[i] for i in sorted(range(len(sets)), key=keys.__getitem__)] == sorted(
+        sets, key=lambda bits: lectic_key(bits, n)
+    )
+    # a packed key is the lectic key shifted past its word's padding
+    width = next((w for w in (8, 16, 32, 64) if n <= w), n)
+    assert list(keys) == [lectic_key(bits, n) << (width - n) for bits in sets]
+    assert not lectic_keys([], n)
 
 
 @given(
