@@ -15,26 +15,25 @@ attribute is implied by the empty set:
   pseudo-closed set, derived from the cdub in polynomial time by the same
   derivation that serves the pseudo-closed predicates below.
 
-One premise search per context serves all three builders, each a function
-of its merged cdub pairs: the last context built keeps those pairs until
-another context is built.  The search is one levelwise walk over the free
-sets of the context (:func:`_premises`), which finds each left-hand side
-``A`` once with its whole ``R_A`` and its closure ``A''``.  The walk hands
-those closures and one slicing of the pairs, made by the first derivation
-that needs it, to the dbasis and dg derivations, so neither recomputes what
-the walk found.  Its correctness rests on four facts:
-proper premises are free; free sets are closed under subsets; a free set
-whose closure is the whole universe has no free superset; and
+One premise search per context serves all three builders: the last context
+built keeps its cdub, a :class:`Basis`, until another context is built.  The
+search is one levelwise walk over the free sets of the context
+(:func:`_premises`), which finds each left-hand side ``A`` once with its
+whole ``R_A`` and its closure ``A''``.  The walk hands those closures to the
+dg derivation, so it does not recompute them.  Its correctness rests on four
+facts: proper premises are free; free sets are closed under subsets; a free
+set whose closure is the whole universe has no free superset; and
 ``R_A = A'' - (A | U (A - a)'')`` over the facets of ``A`` (Ryssel, Distel
 & Borchmann, AMAI 70, 2014).  TITANIC walks the free sets alike (Stumme et
 al., DKE 42, 2002).  Its work grows with the free sets rather than with the
 (premise, attribute) units that a per-attribute transversal search lists:
 less on sparse and wide contexts, but more on dense ones, where free sets
 outnumber the units (1,449 to 327 on ``gen_synthetic(50, 12, 0.6, 1)``).
-The search also keeps the lectic key of each lhs, made in one bulk call, and
-the dbasis tail sorts on the kept keys.  Verification keeps the sliced form of
-the last three bases it checked and the candidate columns of the last eight
-widths it checked for directness, each bounded.
+The sliced form of the last three bases sliced is kept in one bounded memo,
+:func:`_sliced`: the dbasis and dg derivations read the cdub's from it, and
+verification reads every basis's, so a cold check slices each of its three
+bases once.  The candidate columns of the last eight widths checked for
+directness are kept in another.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import and_, or_, xor
 from typing import Callable
 
@@ -134,14 +133,14 @@ def _premises(ctx: Context) -> tuple[dict[int, int], dict[int, int]]:
     ``C''`` is the meet of the rows of the extent ``A' & b'``, memoised per
     extent, as closed sets are far fewer than free sets.  Level 0 is the
     empty set, whose extent is every object and whose closure is empty in a
-    standard context, so each single attribute is free.  One level is kept
-    at a time.  The closure of each premise is returned beside it, as the
-    derivations of the other bases start from it.
+    standard context, so each single attribute is free, with its column of
+    :meth:`Context.column_bits` as its extent.  One level is kept at a time.
+    The closure of each premise is returned beside it, as the dg derivation
+    starts from it.
     """
     mask = ctx.universe.mask
     rows = ctx.row_bits()
-    # not the column_bits memo: it would stay on every context searched
-    cols = transpose_bits(rows, ctx.universe.size)
+    cols = ctx.column_bits()
     tables = list(enumerate(_meet_tables(rows, mask)))
     closures: dict[int, int] = {}
     memo = closures.get
@@ -208,38 +207,31 @@ def _premises(ctx: Context) -> tuple[dict[int, int], dict[int, int]]:
 
 @dataclass(eq=False)
 class _Search:
-    """The merged cdub pairs ``A -> R_A`` of one context in basis order, the
-    closure ``A''`` and the lectic key of each lhs in the same order, and the
-    sliced pairs, made on first read, so only the derivations of the other
-    bases pay for them."""
+    """One context, its cdub (the merged pairs ``A -> R_A`` in basis
+    order), and the closure ``A''`` of each lhs in the cdub's order."""
 
     ctx: Context
-    pairs: list[tuple[int, int]]
+    cdub: Basis
     closures: list[int]
-    keys: list[int]
-
-    @cached_property
-    def sliced(self) -> Sliced:
-        return slice_pairs(self.pairs)
 
 
-#: The last context searched, with its cdub pairs.  It keeps one context
-#: alive at most, and the three builders of one context share one premise
-#: search and one slicing.  A hand-rolled slot, as a ``functools`` memo
-#: matches by equality and hashes the rows on each call: this one matches by
-#: identity, so an equal twin context searches anew
+#: The last context searched, with its cdub.  It keeps one context alive at
+#: most, and the three builders of one context share one premise search.
+#: A hand-rolled slot, as a ``functools`` memo matches by equality and
+#: hashes the rows on each call: this one matches by identity, so an equal
+#: twin context searches anew
 #: (``test_interleaved_builders_match_builds_on_unseen_contexts`` pins it).
 _searched: _Search | None = None
 
 
 def _search(ctx: Context) -> _Search:
-    """The merged cdub pairs ``A -> R_A`` of ``ctx`` with their lhs
-    closures, searched once while ``ctx`` stays the last context a builder
-    was called on.  One walk over the free sets of ``ctx``
-    (:func:`_premises`) finds each proper premise ``A`` once with its
-    ``R_A`` and its closure; a minimal transversal search per attribute
-    would list ``A`` once per attribute of ``R_A``.  Standardness is checked
-    on each search, so a context that fails it is never kept.
+    """The cdub of ``ctx`` with its lhs closures, searched once while ``ctx``
+    stays the last context a builder was called on.  One walk over the free
+    sets of ``ctx`` (:func:`_premises`) finds each proper premise ``A`` once
+    with its ``R_A`` and its closure; a minimal transversal search per
+    attribute would list ``A`` once per attribute of ``R_A``.  Standardness
+    is checked on each search, so a context that fails it is never kept;
+    that check builds the context's column memo, which the walk reads.
 
     The walk lists every proper premise and no other set, by the four facts
     that :func:`_premises` states.  A proper premise is free (Ryssel, Distel
@@ -257,7 +249,8 @@ def _search(ctx: Context) -> _Search:
     then in lectic order of the lhs.  That first attribute is the lowest bit
     of the merged rhs, so one sort of the merged pairs on one int key, that
     bit's position above the lectic key, orders them.  One bulk call keys
-    every lhs; the keys lie below ``1 << max(n, 64)``.
+    every lhs; the keys lie below ``1 << max(n, 64)``.  The sorted pairs
+    are checked and stored once, as the cdub that every builder reads.
     """
     global _searched
     last = _searched
@@ -271,9 +264,8 @@ def _search(ctx: Context) -> _Search:
         ranks = sorted(range(len(order)), key=order.__getitem__)
         items = list(merged.items())
         pairs = [items[i] for i in ranks]
-        last = _searched = _Search(
-            ctx, pairs, [closures[lhs] for lhs, _ in pairs], [keys[i] for i in ranks]
-        )
+        cdub = Basis._from_pairs(pairs, BasisKind.CDUB, universe=ctx.universe)
+        last = _searched = _Search(ctx, cdub, [closures[lhs] for lhs, _ in pairs])
     return last
 
 
@@ -286,17 +278,17 @@ def build_cdub(ctx: Context) -> Basis:
     left-hand side.  The result is direct: one simultaneous round reaches
     any closure.
     """
-    return Basis._from_pairs(_search(ctx).pairs, BasisKind.CDUB, universe=ctx.universe)
+    return _search(ctx).cdub
 
 
 def _dbasis(
-    pairs: Pairs, sliced: Sliced, keys: list[int], n: int
+    pairs: Pairs, sliced: Sliced, n: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The binary prefix and the merged tail of the ordered direct basis,
     derived from the merged cdub pairs ``A -> R_A``, where ``R_A`` holds the
-    attributes that ``A`` is a minimal generator of, from their sliced form
-    ``sliced`` and from the lectic ``keys`` of their left-hand sides, on
-    which the tail is sorted.
+    attributes that ``A`` is a minimal generator of, and from their sliced
+    form ``sliced``.  The tail is keyed in one bulk call and sorted into
+    lectic order of its left-hand sides.
 
     ``reach[a]`` is ``a`` with the rhs of the pair ``{a}``: the closure of
     ``a``, as the empty set is closed in a standard context.  The prefix is
@@ -319,12 +311,10 @@ def _dbasis(
     reach = [1 << a for a in range(n)]
     wide: list[tuple[int, int]] = []
     cuts: Sliced = []
-    wide_keys: list[int] = []
-    for pair, cut, key in zip(pairs, sliced, keys):
+    for pair, cut in zip(pairs, sliced):
         if len(cut[0]) > 1:
             wide.append(pair)
             cuts.append(cut)
-            wide_keys.append(key)
         else:
             reach[cut[0][0]] |= pair[1]
     prefix = [(1 << a, 1 << c) for a in range(n) for c in bit_indices(reach[a] & ~(1 << a))]
@@ -341,11 +331,9 @@ def _dbasis(
             for c in rhs:
                 drop[c] |= inside
     gone = transpose_bits(drop, len(wide))
-    tail = [
-        (key, (lhs, rhs & ~g)) for (lhs, rhs), g, key in zip(wide, gone, wide_keys) if rhs & ~g
-    ]
-    tail.sort()
-    return prefix, [pair for _, pair in tail]
+    tail = [(lhs, rhs & ~g) for (lhs, rhs), g in zip(wide, gone) if rhs & ~g]
+    keys = lectic_keys([lhs for lhs, _ in tail], n)
+    return prefix, [tail[i] for i in sorted(range(len(tail)), key=keys.__getitem__)]
 
 
 def build_dbasis(ctx: Context) -> Basis:
@@ -361,26 +349,27 @@ def build_dbasis(ctx: Context) -> Basis:
     lectic order of the left-hand side, right-hand sides merged within the
     tail only, so the prefix stays in unit form.
 
-    Both are derived from the cdub pairs of the shared premise search by
-    :func:`_dbasis`, which keeps ``R_A`` less the ``R_B`` of every other
-    lhs ``B`` of two or more attributes inside the prefix reach of ``A``.
-    That is the rule above.  For ``|A| >= 2`` its first clause always holds:
-    ``c`` in the closure of some ``a`` in ``A`` would make ``{a}`` a smaller
-    generator of ``c``.  A singleton ``B`` inside the reach of ``A`` never
-    drops a ``c`` of ``R_A``, for the same reason.
+    Both are derived from the cdub of the shared premise search and its
+    :func:`_sliced` form by :func:`_dbasis`, which keeps ``R_A`` less the
+    ``R_B`` of every other lhs ``B`` of two or more attributes inside the
+    prefix reach of ``A``.  That is the rule above.  For ``|A| >= 2`` its
+    first clause always holds: ``c`` in the closure of some ``a`` in ``A``
+    would make ``{a}`` a smaller generator of ``c``.  A singleton ``B``
+    inside the reach of ``A`` never drops a ``c`` of ``R_A``, for the same
+    reason.
     """
     universe = ctx.universe
-    found = _search(ctx)
-    prefix, tail = _dbasis(found.pairs, found.sliced, found.keys, universe.size)
+    cdub = _search(ctx).cdub
+    prefix, tail = _dbasis(cdub.pairs(), _sliced(cdub), universe.size)
     return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
 
 def _pseudo_closed(
-    pairs: Pairs, n: int, closures: list[int] | None = None, sliced: Sliced | None = None
+    pairs: Pairs, sliced: Sliced, n: int, closures: list[int] | None = None
 ) -> list[tuple[int, int]]:
     """Every pseudo-closed set of the closure operator of ``pairs``, with its
-    closure, in lectic order; derived from the pairs in polynomial time
-    (Ganter & Obiedkov 2016).
+    closure, in lectic order; derived from the pairs and their sliced form
+    ``sliced`` in polynomial time (Ganter & Obiedkov 2016).
 
     Implication ``j``, ``A_j -> B_j``, takes lane ``j``:
 
@@ -392,8 +381,6 @@ def _pseudo_closed(
        ``j`` fires only in the lanes of ``allowed_j``.  The allowed lanes sit
        in one extra column per distinct ``K_j``, added to the lhs of ``j``.
     4. Per closure ``K``, the inclusion-minimal ``X_q != K`` with ``K_q == K``.
-
-    ``sliced`` is the sliced form of ``pairs`` when the caller has it.
 
     In step 3 ``X_q`` stays inside ``K_q``, and ``j`` fires only once
     ``A_j`` lies inside ``X_q``, which puts ``K_j`` inside ``K_q``.  So the
@@ -423,8 +410,6 @@ def _pseudo_closed(
     if not pairs:
         return []
     lanes = len(pairs)
-    if sliced is None:
-        sliced = slice_pairs(pairs)
     cols = transpose_bits([lhs for lhs, _ in pairs], n)
     if closures is None:
         k_cols = sliced_fixpoint(cols, sliced)
@@ -465,13 +450,15 @@ def build_dg(ctx: Context) -> Basis:
     """Minimum-cardinality basis of a standard context.
 
     ``P -> closure(P) \\ P`` per pseudo-closed set ``P``, in lectic order,
-    derived from the cdub pairs of the shared premise search, from the lhs
-    closures that search kept and from the slicing the dbasis shares.  In a
-    standard context the empty set is closed, so no left-hand side is empty.
+    derived from the cdub of the shared premise search, from the lhs
+    closures that search kept and from the :func:`_sliced` form of the cdub
+    that the dbasis reads too.  In a standard context the empty set is
+    closed, so no left-hand side is empty.
     """
     universe = ctx.universe
     found = _search(ctx)
-    pseudo = _pseudo_closed(found.pairs, universe.size, found.closures, found.sliced)
+    cdub = found.cdub
+    pseudo = _pseudo_closed(cdub.pairs(), _sliced(cdub), universe.size, found.closures)
     return Basis._from_pairs([(p, c & ~p) for p, c in pseudo], BasisKind.DG, universe=universe)
 
 
@@ -510,7 +497,8 @@ def is_pseudo_closed(x: AttributeSet, basis: Basis) -> bool:
     if x.universe != basis.universe:
         raise UniverseMismatch("set universe differs from basis universe")
     inside = [(lhs, rhs) for lhs, rhs in basis.pairs() if lhs & x.bits == lhs]
-    return any(p == x.bits for p, _ in _pseudo_closed(inside, x.universe.size))
+    pseudo = _pseudo_closed(inside, slice_pairs(inside), x.universe.size)
+    return any(p == x.bits for p, _ in pseudo)
 
 
 def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
@@ -519,15 +507,17 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     universe = basis.universe
     return [
         PseudoClosedWitness(AttributeSet(universe, p), AttributeSet(universe, c))
-        for p, c in _pseudo_closed(basis.pairs(), universe.size)
+        for p, c in _pseudo_closed(basis.pairs(), _sliced(basis), universe.size)
     ]
 
 
 @lru_cache(maxsize=len(BUILDERS))
 def _sliced(basis: Basis) -> Sliced:
     """The sliced form of the basis, kept for the last three bases sliced,
-    so one context's check slices each of its bases once.  Bounded because
-    callers may keep every basis alive."""
+    so one context's builds and check slice each of its bases once: the
+    dbasis and dg derivations read the cdub's, and the check hits that entry
+    with any equal cdub.  Bounded because callers may keep every basis
+    alive."""
     return slice_pairs(basis.pairs())
 
 

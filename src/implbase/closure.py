@@ -93,13 +93,6 @@ class Metrics:
     outer_loops: int = 0
     elapsed_ns: int = 0
 
-    def add(self, other: Metrics) -> None:
-        self.deps += other.deps
-        self.attribute_ops += other.attribute_ops
-        self.inner_loops += other.inner_loops
-        self.outer_loops += other.outer_loops
-        self.elapsed_ns += other.elapsed_ns
-
     def counters(self) -> tuple[int, int, int, int]:
         """The deterministic part, excluding wall time."""
         return (self.deps, self.attribute_ops, self.inner_loops, self.outer_loops)

@@ -24,7 +24,7 @@ from functools import reduce
 from itertools import chain
 from operator import or_
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .bits import _lectic_key, bit_indices, memo, spread, transpose_bits
 from .errors import (
@@ -279,11 +279,8 @@ class Basis:
     Derived read-only structures (the implications, per-attribute occurrence
     lists and masks of the left-hand sides, per-attribute masks of the
     right-hand sides, left-hand-side sizes, reachability over the binary
-    prefix) are built lazily once and then shared; they never mutate the
-    logical value.  One walk over the pairs builds the occurrence lists and
-    the lhs masks together when the lists are asked for first, as the
-    counting algorithms do; the lhs masks asked for first, as on the check
-    path, are one transpose, and the lists are then still built by the walk.
+    prefix) are built lazily once, each by its own method, and then shared;
+    they never mutate the logical value.
     """
 
     __slots__ = ("_pairs", "kind", "sigma0_len", "universe", "_cache")
@@ -407,22 +404,12 @@ class Basis:
 
     @memo
     def attr_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Per attribute: indices of implications whose lhs contains it.
-
-        One walk over the pairs appends each implication to the list of
-        every attribute of its lhs and ORs its bit into that attribute's
-        lhs mask; the masks become the :meth:`attr_masks` memo unless that
-        was built first.
-        """
-        n = self.universe.size
-        lists: list[list[int]] = [[] for _ in range(n)]
-        masks = [0] * n
+        """Per attribute: indices of implications whose lhs contains it, in
+        one walk over the pairs."""
+        lists: list[list[int]] = [[] for _ in range(self.universe.size)]
         for i, (lhs, _) in enumerate(self._pairs):
-            bit = 1 << i
             for a in bit_indices(lhs):
                 lists[a].append(i)
-                masks[a] |= bit
-        self._cache.setdefault("attr_masks", tuple(masks))
         return tuple(map(tuple, lists))
 
     @memo
@@ -434,12 +421,8 @@ class Basis:
     @memo
     def attr_masks(self) -> tuple[int, ...]:
         """Per attribute: bit mask over implication indices, same content as
-        :meth:`attr_lists` but usable with int arithmetic.
-
-        Built by :meth:`attr_lists`'s walk when the lists come first;
-        asked for first, as on the check path that never reads the lists,
-        the masks are one :func:`transpose_bits` of the left-hand sides.
-        """
+        :meth:`attr_lists` but usable with int arithmetic; one
+        :func:`transpose_bits` of the left-hand sides."""
         lhs_bits = [lhs for lhs, _ in self.pairs()]
         return tuple(transpose_bits(lhs_bits, self.universe.size))
 
@@ -597,9 +580,19 @@ def _declare(declared: Universe, expected: Universe | None) -> Universe:
     return declared
 
 
-def _named(names: Iterable[str], source: str) -> Universe:
-    """The universe of the names a basis file gives, with repeated names or
-    more than ``MAX_UNIVERSE_SIZE`` of them refused as a syntax error."""
+def _named(names: Collection[str], source: str) -> Universe:
+    """The universe of the names a basis file gives, with repeated names,
+    more than ``MAX_UNIVERSE_SIZE`` of them, or a name that
+    :func:`render_basis` refuses refused as a syntax error: such a name
+    makes the file misread a line, as a comment, as the universe line, or
+    at its arrow."""
+    # one scan of the joined names; only a hit looks at them one by one
+    joined = " ".join(names)
+    if ARROW in joined or "#" in joined or "universe:" in joined.lower():
+        for name in names:
+            reason = _unrenderable_reason(name)
+            if reason is not None:
+                raise ImplicationSyntaxError(f"{source}: bad attribute name {name!r}: {reason}")
     try:
         return Universe(names=names)
     except ValueError as exc:
@@ -615,7 +608,8 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     ``n`` positions; without either (and without an explicit ``universe``
     argument) the alphabet is inferred from the tokens in order of first
     appearance, and every token is then treated as a name.  Repeated names,
-    or more than ``MAX_UNIVERSE_SIZE`` of them, on the ``universe:`` line or
+    more than ``MAX_UNIVERSE_SIZE`` of them, or a name that
+    :func:`render_basis` would refuse, on the ``universe:`` line or
     inferred, are refused with :class:`ImplicationSyntaxError`.
 
     Each line is read once.  The first pass strips it, routes the comments

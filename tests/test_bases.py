@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import implbase.bases
 import implbase.bits
+import implbase.context
 import implbase.sets
 from conftest import (
     EX51_IMP,
@@ -616,7 +617,7 @@ def chain_context(order: list[int]) -> Context:
 def test_a_dbasis_with_only_singleton_premises_has_no_tail(order, size):
     ctx = chain_context([a for a in order if a < size])
     n = ctx.universe.size
-    assert all(lhs & (lhs - 1) == 0 for lhs, _ in _search(ctx).pairs)
+    assert all(lhs & (lhs - 1) == 0 for lhs, _ in _search(ctx).cdub.pairs())
     single_closures = [ctx.closure_bits(1 << a) for a in range(n)]
     assert scalar_dbasis_tail(premise_families(ctx), single_closures, n) == []
     dbasis = build_dbasis(ctx)
@@ -703,6 +704,24 @@ def test_the_dbasis_reads_the_context_through_the_premise_search_only(monkeypatc
     assert build_dbasis(ctx) == expected
 
 
+def test_a_cold_search_transposes_the_context_rows_once(monkeypatch):
+    ctx = unseen(gen_synthetic(15, 19, 0.3, 0))
+    rows = ctx.row_bits()
+    transposed: list[str] = []
+    for module in (implbase.context, implbase.bases):
+        real = module.transpose_bits
+
+        def counted(sets, n, real=real, name=module.__name__):
+            if list(sets) == list(rows):
+                transposed.append(name)
+            return real(sets, n)
+
+        monkeypatch.setattr(module, "transpose_bits", counted)
+    build_cdub(ctx)
+    # the standardness check builds the column memo, and the walk reads it
+    assert transposed == ["implbase.context"]
+
+
 def per_attribute_sorted_cdub(ctx: Context) -> list[tuple[int, int]]:
     """The cdub pairs built the long way: each attribute's premises sorted
     into lectic order, then merged in first-seen order."""
@@ -733,7 +752,7 @@ def test_a_cold_search_keys_each_cdub_pair_once(monkeypatch):
 
     monkeypatch.setattr(implbase.bases, "lectic_keys", counted)
     ctx = gen_synthetic(15, 19, 0.3, 0)
-    pairs = _search(ctx).pairs
+    pairs = _search(ctx).cdub.pairs()
     assert sorted(keyed) == sorted(lhs for lhs, _ in pairs)
     # a premise of several attributes is one pair: sorting the premises
     # would key several times as many sets
@@ -755,10 +774,11 @@ def test_cold_dg_equals_warm_dg():
 
 def assert_kept_closures_hold(ctx: Context) -> None:
     found = _search(unseen(ctx))
-    assert found.closures == [ctx.closure_bits(lhs) for lhs, _ in found.pairs]
+    pairs = found.cdub.pairs()
+    assert found.closures == [ctx.closure_bits(lhs) for lhs, _ in pairs]
     n = ctx.universe.size
-    derived = _pseudo_closed(found.pairs, n, found.closures, found.sliced)
-    assert derived == _pseudo_closed(found.pairs, n)
+    sliced = slice_pairs(pairs)
+    assert _pseudo_closed(pairs, sliced, n, found.closures) == _pseudo_closed(pairs, sliced, n)
 
 
 @settings(max_examples=80, deadline=None)
@@ -798,7 +818,7 @@ def test_the_builders_slice_the_cdub_pairs_once(slicings, rounds):
     assert slicings == []  # the cdub alone pays for no derivation
     build_dbasis(ctx)
     build_dg(ctx)
-    assert list(map(id, slicings)) == [id(_search(ctx).pairs)]
+    assert list(map(id, slicings)) == [id(_search(ctx).cdub.pairs())]
     # the closures come from the search: the fixpoint of step 3 runs
     # in-order rounds only
     assert rounds and all(rounds)
@@ -1087,12 +1107,13 @@ def check_sequence(bases: list[Basis]) -> None:
 
 
 def test_one_check_slices_each_basis_once(slicings):
-    ctx = gen_synthetic(15, 19, 0.3, 0)
+    ctx = unseen(gen_synthetic(15, 19, 0.3, 0))
     bases = [build(ctx) for build in BUILDERS]
-    slicings.clear()  # the derivations slice the cdub pairs once
     check_sequence(bases)
+    # the derivations slice the cdub, and the check slices the other two;
     # three equivalences and three directness checks slice twice each
     # without the memo
+    assert len(slicings) == 3
     assert sorted(map(id, slicings)) == sorted(id(basis.pairs()) for basis in bases)
 
 
@@ -1114,7 +1135,10 @@ def test_the_sliced_memo_lets_an_earlier_context_bases_go():
 
     first = checked(1)
     gc.collect()
-    assert all(ref() is not None for ref in first)  # the memo holds the last three
+    # the memo holds the last three: the search's cdub, whose entry the
+    # caller's equal copy hits, and the dbasis and dg copies
+    assert first[0]() is None
+    assert first[1]() is not None and first[2]() is not None
     checked(2)
     gc.collect()
     assert all(ref() is None for ref in first)
@@ -1276,7 +1300,7 @@ def test_minimal_transversals_search_deeper_than_the_recursion_limit():
 def test_search_equals_the_folded_per_attribute_searches(ctx_seed, attributes, hierarchy):
     make = hierarchy_context if hierarchy else random_standard_context
     ctx = make(random.Random(ctx_seed), attributes)
-    got = dict(_search(ctx).pairs)
+    got = dict(_search(ctx).cdub.pairs())
     assert got == folded_pairs(premise_families(ctx))
     if ctx.universe.size <= 8:
         assert got == folded_pairs(premise_families(ctx, berge_minimal_transversals))
@@ -1290,7 +1314,7 @@ def test_search_equals_the_folded_per_attribute_searches(ctx_seed, attributes, h
 def test_search_equals_the_folded_mmcs_families_on_wide_and_dense_contexts(shape, size):
     # the dense shapes have several free sets per (premise, attribute) unit
     ctx = gen_synthetic(*shape, 1)
-    got = dict(_search(ctx).pairs)
+    got = dict(_search(ctx).cdub.pairs())
     assert got == folded_pairs(premise_families(ctx))
     assert size is None or len(got) == size
 
@@ -1299,4 +1323,4 @@ def test_an_attribute_no_object_has_is_a_premise_of_every_other():
     # c has an empty extent, so its closure is the whole universe and no
     # free set holds it with another attribute
     ctx = ctx_from_rows(["a", "b", "c"], ["a b", "a", "b"])
-    assert dict(_search(ctx).pairs) == {0b100: 0b011} == folded_pairs(premise_families(ctx))
+    assert dict(_search(ctx).cdub.pairs()) == {0b100: 0b011} == folded_pairs(premise_families(ctx))

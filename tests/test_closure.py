@@ -250,14 +250,6 @@ def test_elapsed_time_is_recorded(ex51_dbasis):
     assert len(result.metrics.counters()) == 4  # wall time stays out
 
 
-def test_metrics_add_accumulates():
-    total = Metrics()
-    total.add(Metrics(1, 2, 3, 4, 5))
-    total.add(Metrics(10, 20, 30, 40, 50))
-    assert total.counters() == (11, 22, 33, 44)
-    assert total.elapsed_ns == 55
-
-
 # -- the pre-closure bypass ---------------------------------------------------------
 
 

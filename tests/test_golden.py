@@ -25,6 +25,11 @@ BUILDERS = (build_cdub, build_dbasis, build_dg)
 
 #: (objects, attributes, density) of the seeded synthetic contexts; seeds 0-3.
 SHAPES = ((8, 6, 0.5), (12, 9, 0.6), (12, 10, 0.35), (15, 12, 0.3), (20, 14, 0.3), (25, 16, 0.3))
+#: (objects, attributes, density, seed) of wider single contexts: the
+#: ``build`` benchmark's shape (17 attributes after reduction), 21 attributes,
+#: and 76 objects by 68 attributes, past the 64 bits up to which sets are
+#: packed into machine words.
+WIDE = ((15, 19, 0.3, 0), (20, 24, 0.2, 0), (100, 80, 0.03, 1))
 
 GOLDEN = {
     "ex51": ("717763370a4f2041", "8100ec9530c0d2cc", "3402b18aaf6895c4"),
@@ -53,6 +58,9 @@ GOLDEN = {
     "gen-25x16-0.3-s1": ("b3d9cb853d10dd67", "5298f12bfcc3edae", "daaaaa9bd605518f"),
     "gen-25x16-0.3-s2": ("804a0d5e865fecc5", "1568af41ead64ff7", "3da85b4941df6144"),
     "gen-25x16-0.3-s3": ("96cf94e530a8b786", "d8a4922dd1d6c2f3", "a66ff436628a0ff9"),
+    "gen-15x19-0.3-s0": ("b22b85fb5d712c19", "268d517b55576a4d", "67eea689d346a062"),
+    "gen-20x24-0.2-s0": ("14f8e2574b533bdb", "088273bb27320c7f", "7be57ec1b34dc450"),
+    "gen-100x80-0.03-s1": ("f3f36bae83fd8017", "1126822961047036", "98bab9774a9a690a"),
 }
 
 #: The pseudo-closed sets of each context: ``premise -> closure`` per line.
@@ -83,6 +91,9 @@ PSEUDO_CLOSED = {
     "gen-25x16-0.3-s1": "8228a553fe893ce1",
     "gen-25x16-0.3-s2": "8b0b198b9e80d37d",
     "gen-25x16-0.3-s3": "0bce798b32b878f0",
+    "gen-15x19-0.3-s0": "0fcbcb748e58896d",
+    "gen-20x24-0.2-s0": "6dc2989f983fc7f1",
+    "gen-100x80-0.03-s1": "4ffdb113ae14ff8b",
 }
 
 
@@ -91,10 +102,10 @@ def corpus() -> dict[str, Context]:
         "ex51": parse_cxt(EX51_CXT.read_text(encoding="utf-8")),
         "chain3": ctx_from_rows(["a", "b", "c"], ["", "a", "a b"]),
     }
-    for objects, attributes, density in SHAPES:
-        for seed in range(4):
-            name = f"gen-{objects}x{attributes}-{density}-s{seed}"
-            out[name] = gen_synthetic(objects, attributes, density, seed)
+    seeded = [(*shape, seed) for shape in SHAPES for seed in range(4)]
+    for objects, attributes, density, seed in seeded + list(WIDE):
+        name = f"gen-{objects}x{attributes}-{density}-s{seed}"
+        out[name] = gen_synthetic(objects, attributes, density, seed)
     return out
 
 

@@ -169,6 +169,63 @@ def test_every_functools_memo_of_the_package_is_bounded():
     assert not unbounded, f"unbounded functools memos: {unbounded}"
 
 
+#: Methods of a dict that change it.
+DICT_WRITES = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def is_cache(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "_cache"
+
+
+def writes_cache(node: ast.AST) -> bool:
+    """Does the node write into some object's ``_cache`` dict: by item
+    assignment or deletion, by a method that changes a dict, by an augmented
+    assignment, or by binding it to anything but an empty ``{}``?"""
+    if isinstance(node, ast.Subscript):
+        return is_cache(node.value) and not isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Call):
+        method = node.func
+        return isinstance(method, ast.Attribute) and is_cache(method.value) and (
+            method.attr in DICT_WRITES
+        )
+    if isinstance(node, ast.AugAssign):
+        return is_cache(node.target)
+    if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        empty = isinstance(node.value, ast.Dict) and not node.value.keys
+        return not empty and any(map(is_cache, targets))
+    return False
+
+
+def cache_writers(tree: ast.Module) -> set[str]:
+    """The dotted name, through its classes and functions, of each function
+    that writes into some object's ``_cache`` dict."""
+    writers = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, (*scope, child.name))
+                continue
+            if writes_cache(child):
+                writers.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, ())
+    return writers
+
+
+def test_only_the_memo_decorator_and_the_basis_constructor_write_a_cache():
+    # each memo builds its own entry: one that fills another's would give
+    # that form a second owner, and the two could disagree
+    writers = {
+        f"{path.name}:{name}"
+        for path in PACKAGE
+        for name in cache_writers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {"bits.py:memo.cached", "sets.py:Basis.__init__"}
+
+
 def run_probe(code: str) -> str:
     """What a fresh interpreter prints to stdout after running ``code``
     against this package."""

@@ -536,12 +536,41 @@ WIDE = " ".join(f"x{i}" for i in range(MAX_UNIVERSE_SIZE + 1))
 
 @pytest.mark.parametrize(
     "text",
-    ["universe: a b a\na -> b\n", f"universe: {WIDE}\nx0 -> x1\n", f"{WIDE} -> y\n"],
-    ids=["repeated-names", "wide-universe-line", "wide-inferred-universe"],
+    [
+        "universe: a b a\na -> b\n",
+        f"universe: {WIDE}\nx0 -> x1\n",
+        f"{WIDE} -> y\n",
+        "universe: #a b c\n#a -> b\n",
+        "universe: a -> b\na -> b\n",
+        "a -> #b\n",
+    ],
+    ids=[
+        "repeated-names",
+        "wide-universe-line",
+        "wide-inferred-universe",
+        "comment-name",
+        "arrow-name",
+        "inferred-comment-name",
+    ],
 )
 def test_parse_basis_refuses_a_universe_it_cannot_build(text):
     with pytest.raises(ImplicationSyntaxError, match="universe"):
         parse_basis(text)
+
+
+def test_parse_basis_names_the_name_it_refuses_and_why():
+    # read as a comment, the line "#a -> b" would be dropped without an error
+    with pytest.raises(ImplicationSyntaxError, match="'#a': a line starting with it"):
+        parse_basis("universe: #a b c\n#a -> b\n")
+    with pytest.raises(ImplicationSyntaxError, match="'->': it contains"):
+        parse_basis("universe: a -> b\na -> b\n")
+
+
+def test_parse_basis_reads_a_name_with_a_hash_inside():
+    for text in ("universe: a b#c\na -> b#c\n", "a -> b#c\n"):
+        basis = parse_basis(text)
+        assert basis.universe.names == ("a", "b#c")
+        assert basis.pairs() == ((0b01, 0b10),)
 
 
 def test_basis_file_round_trip(tmp_path):
