@@ -1,12 +1,12 @@
 """Deterministic closure benchmarks over basis/algorithm combinations.
 
 A workload draws a seeded sequence of random query sets and replays the
-*same* sequence against every requested combination, so comparisons are
+*same* sequence against every combination it runs, so comparisons are
 paired.  Counters are summed per repetition and must agree bit for bit
 across repetitions (the algorithms are deterministic); only wall time is
-averaged.  Combinations follow the supported pairing table: single-round
-algorithms run against the ``cdub`` and ``dbasis`` kinds, iterate-until-
-stable algorithms against ``dg``.
+averaged.  The combinations are those of :data:`TABLE_COMBOS`, the one
+pairing table: single-round algorithms run against the ``cdub`` and
+``dbasis`` kinds, iterate-until-stable algorithms against ``dg``.
 
 Reports serialise to CSV with a fixed header; given the same inputs and
 seed, two runs differ at most in the ``time_ms`` column.
@@ -72,20 +72,18 @@ def valid_combo(kind: BasisKind, algorithm: str) -> bool:
     return algorithm in TABLE_COMBOS.get(kind, ())
 
 
-def default_combos(
-    kinds: Iterable[BasisKind] = tuple(TABLE_COMBOS),
-) -> tuple[tuple[BasisKind, str], ...]:
-    return tuple((kind, algo) for kind in kinds for algo in TABLE_COMBOS[kind])
+def default_combos() -> tuple[tuple[BasisKind, str], ...]:
+    """Every pairing of :data:`TABLE_COMBOS`, in table order."""
+    return tuple((kind, algo) for kind, algos in TABLE_COMBOS.items() for algo in algos)
 
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """What to run: query count, repetitions, seed, combos, query density."""
+    """How to run the pairings: query count, repetitions, seed, query density."""
 
     queries: int = 50_000
     repetitions: int = 3
     seed: int = 0
-    combos: tuple[tuple[BasisKind, str], ...] | None = None
     query_density: float = 0.5
 
     def __post_init__(self) -> None:
@@ -169,31 +167,27 @@ def run_workload(
     spec: WorkloadSpec,
     dataset_id: str = "dataset",
 ) -> list[ComboReport]:
-    """Run every requested combination over the same seeded query sequence.
+    """Run every :data:`TABLE_COMBOS` pairing of the given kinds, in table
+    order, over the same seeded query sequence.
 
     ``source`` is either a standard context (all three bases are then built
-    here, outside any measurement) or a ready mapping of kind to basis.
-    Counters must agree across repetitions; a mismatch would mean a
-    non-deterministic algorithm and raises ``RuntimeError``.
+    here, outside any measurement) or a ready mapping of kind to basis.  A
+    kind the table pairs with no algorithm raises :class:`InvalidCombo`
+    before any query is drawn.  Counters must agree across repetitions; a
+    mismatch would mean a non-deterministic algorithm and raises
+    ``RuntimeError``.
     """
     bases = _bases_from(source)
-    if spec.combos is None:
-        combos = default_combos(kinds=[k for k in TABLE_COMBOS if k in bases])
-    else:
-        combos = tuple((BasisKind(kind), algo) for kind, algo in spec.combos)
+    for kind in bases:
+        if kind not in TABLE_COMBOS:
+            raise InvalidCombo(
+                f"the bench pairs no algorithm with a {kind.value} basis; "
+                f"it pairs {', '.join(k.value for k in TABLE_COMBOS)}"
+            )
+    combos = [combo for combo in default_combos() if combo[0] in bases]
     universes = {basis.universe for basis in bases.values()}
     if len(universes) > 1:
         raise UniverseMismatch("bases of one workload must share a universe")
-    for kind, algo in combos:
-        if algo not in ALGORITHMS:
-            raise InvalidCombo(f"unknown algorithm {algo!r}")
-        if not valid_combo(kind, algo):
-            raise InvalidCombo(
-                f"{kind.value} is not paired with {algo}; "
-                f"supported: {', '.join(TABLE_COMBOS[kind])}"
-            )
-        if kind not in bases:
-            raise InvalidCombo(f"no {kind.value} basis available in this workload")
     if not universes:
         raise InvalidCombo("a workload needs at least one basis")
     (universe,) = universes
@@ -327,6 +321,7 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
         if next(reader, None) != header:
             raise MalformedReport("unexpected CSV header")
         reports = []
+        seen: set[tuple[str, BasisKind, str]] = set()
         for row in reader:
             if len(row) != len(header):
                 raise MalformedReport(f"expected {len(header)} CSV cells, found {len(row)}")
@@ -344,6 +339,12 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
                     f"CSV cells basis_kind and algorithm are not a pairing the bench runs: "
                     f"{kind!r}, {algorithm!r}"
                 )
+            key = (dataset, basis_kind, algorithm)
+            if key in seen:
+                raise MalformedReport(
+                    f"CSV repeats the row of dataset {dataset!r}, pairing {kind}:{algorithm}"
+                )
+            seen.add(key)
             totals = Metrics(*map(int, counters), elapsed_ns=_time_ns(time_ms))
             reports.append(
                 ComboReport(
@@ -417,14 +418,6 @@ class RatioBucket:
     datasets: int
     wins_a: int
     wins_b: int
-
-    @property
-    def share_a(self) -> float:
-        return self.wins_a / self.datasets if self.datasets else 0.0
-
-    @property
-    def share_b(self) -> float:
-        return self.wins_b / self.datasets if self.datasets else 0.0
 
 
 #: The head-to-head combinations of :func:`size_ratio_report`, ``a`` then ``b``,

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .closure import ALGORITHMS
-from .errors import ImplbaseError, InvalidCombo, IoError
+from .errors import ImplbaseError, InvalidCombo, IoError, WrongBasisKind
 from .sets import BasisKind
 
 # Each command imports what it runs, so ``closure`` loads no builder, no
@@ -114,7 +114,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
     the whole call for the uncounted oracle)."""
     from time import perf_counter_ns
 
-    from .closure import _DIRECT_KINDS, oracle_closure
+    from .closure import oracle_closure
     from .sets import read_basis
 
     start = perf_counter_ns()
@@ -127,11 +127,12 @@ def cmd_closure(args: argparse.Namespace) -> int:
         answer_ns = perf_counter_ns() - loaded
         load_ns = loaded - start
     else:
-        if algorithm.endswith("-direct") and basis.kind not in _DIRECT_KINDS:
+        try:
+            result = ALGORITHMS[algorithm](x, basis)
+        except WrongBasisKind:
             raise InvalidCombo(
                 f"{algorithm} requires a cdub or dbasis, got a {basis.kind.value} basis"
-            )
-        result = ALGORITHMS[algorithm](x, basis)
+            ) from None
         answer_ns = result.metrics.elapsed_ns
         load_ns = perf_counter_ns() - start - answer_ns
         closure = result.closure

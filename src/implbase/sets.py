@@ -619,13 +619,10 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     well formed.  After the universe is known, the second pass ORs each
     side straight into an int through one label-to-bit table; a side with a
     token the table lacks (a position such as ``007``, or an unknown name)
-    resolves through :meth:`Universe.subset` instead.  A dict for this
-    parse maps each rhs text that the table resolves to its bits, so a
-    later line with the same text reuses them without a split; a text the
-    table cannot resolve is never kept, so an unknown token raises on each
-    line that holds it, the first one first.  A line that is not well formed
-    (no arrow, a second arrow, or an empty lhs) goes to :func:`_split` in
-    that pass, which raises its error in line order.
+    resolves through :meth:`Universe.subset` instead, which refuses an
+    unknown token.  A line that is not well formed (no arrow, a second
+    arrow, or an empty lhs) goes to :func:`_split` in that pass, so every
+    error is raised in line order.
     """
     kind = BasisKind.RAW
     sigma0_len = 0
@@ -675,7 +672,6 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
         universe = _named(seen, "inferred universe")
     bit = {universe.label(i): 1 << i for i in range(universe.size)}
-    rhs_of: dict[str, int] = {}
     pairs = []
     for line, lhs_tokens, tail, ok in body:
         if not ok:
@@ -684,12 +680,9 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             lhs = 0
             for token in lhs_tokens:
                 lhs |= bit[token]
-            rhs = rhs_of.get(tail)
-            if rhs is None:
-                rhs = 0
-                for token in tail.split():
-                    rhs |= bit[token]
-                rhs_of[tail] = rhs
+            rhs = 0
+            for token in tail.split():
+                rhs |= bit[token]
         except KeyError:
             lhs = universe.subset(lhs_tokens).bits
             rhs = universe.subset(tail.split()).bits

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
+from implbase import bench
 from implbase.bench import (
     ALGORITHMS,
     CSV_HEADER,
@@ -33,7 +34,8 @@ from implbase.bench import (
 )
 from implbase.closure import Metrics
 from implbase.errors import ImplbaseError, InvalidCombo, MalformedReport, UniverseMismatch
-from implbase.sets import BasisKind, parse_basis, render_basis
+from implbase.context import gen_synthetic
+from implbase.sets import Basis, BasisKind, parse_basis, render_basis
 
 SPEC = WorkloadSpec(queries=200, repetitions=2, seed=11)
 
@@ -72,25 +74,33 @@ def test_combo_table_pairs_direct_with_direct():
     assert len(default_combos()) == 9
 
 
-def test_invalid_combo_is_rejected(ex51):
-    for combos in (
-        ((BasisKind.DG, "classic-direct"),),
-        ((BasisKind.CDUB, "classic"),),
-        ((BasisKind.DBASIS, "lin"),),
-        ((BasisKind.CDUB, "bogus"),),
-    ):
-        spec = WorkloadSpec(queries=5, repetitions=1, combos=combos)
-        with pytest.raises(InvalidCombo):
-            run_workload(ex51, spec)
+def test_a_kind_the_table_does_not_pair_is_refused(ex51, monkeypatch):
+    # a raw basis, alone or beside a cdub, would run nothing or be dropped
+    cdub = build_cdub(ex51)
+    raw = Basis(cdub.implications, BasisKind.RAW)
+    spec = WorkloadSpec(queries=5, repetitions=1)
+
+    def no_draw(*args):
+        raise AssertionError("queries drawn for a workload that is refused")
+
+    monkeypatch.setattr(bench, "_draw_queries", no_draw)
+    for bases in ({BasisKind.RAW: raw}, {BasisKind.CDUB: cdub, BasisKind.RAW: raw}):
+        with pytest.raises(InvalidCombo, match="pairs no algorithm with a raw basis"):
+            run_workload(bases, spec)
 
 
-def test_missing_kind_is_rejected(ex51):
-    bases = {BasisKind.CDUB: build_cdub(ex51)}
-    spec = WorkloadSpec(
-        queries=5, repetitions=1, combos=((BasisKind.DG, "classic"),)
-    )
-    with pytest.raises(InvalidCombo):
-        run_workload(bases, spec)
+def test_a_workload_runs_the_table_pairings_of_its_kinds(ex51):
+    bases = {BasisKind.DG: build_dg(ex51), BasisKind.CDUB: build_cdub(ex51)}
+    reports = run_workload(bases, WorkloadSpec(queries=5, repetitions=1))
+    # table order, whatever the order of the mapping
+    assert [(r.basis_kind.value, r.algorithm) for r in reports] == [
+        ("cdub", "classic-direct"),
+        ("cdub", "lin-direct"),
+        ("cdub", "wild-direct"),
+        ("dg", "classic"),
+        ("dg", "lin"),
+        ("dg", "wild"),
+    ]
 
 
 def test_mixed_universes_are_rejected(ex51, chain3):
@@ -252,7 +262,6 @@ def test_workload_spec_defaults():
     assert spec.queries == 50_000
     assert spec.repetitions == 3
     assert spec.seed == 0
-    assert spec.combos is None
     assert spec.query_density == 0.5
 
 
@@ -377,6 +386,30 @@ def test_csv_refusals_are_malformed_reports(ex51):
         assert isinstance(caught.value, ValueError)
 
 
+def test_csv_refuses_a_repeated_pairing_row(ex51):
+    # ranking would count the repeat as a second win, and size_ratio_report
+    # would keep only its last copy
+    other = gen_synthetic(16, 9, 0.3, 1)
+    reports = run_workload(ex51, SPEC, dataset_id="ex51")
+    reports += run_workload(other, SPEC, dataset_id="gen")
+    buffer = io.StringIO()
+    write_reports_csv(reports, buffer)
+    text = buffer.getvalue()
+    assert len(read_reports_csv(io.StringIO(text))) == 18
+    (repeat,) = [
+        line
+        for line in text.splitlines()
+        if line.startswith("ex51,") and ",dbasis," in line and ",lin-direct," in line
+    ]
+    with pytest.raises(
+        MalformedReport, match="repeats the row of dataset 'ex51', pairing dbasis:lin-direct"
+    ):
+        read_reports_csv(io.StringIO(f"{text}{repeat}\n"))
+    # the same pairing under another dataset name is no repeat
+    copied = read_reports_csv(io.StringIO(f"{text}copy{repeat[4:]}\n"))
+    assert [r.dataset for r in copied[-2:]] == ["gen", "copy"]
+
+
 # -- aggregation ------------------------------------------------------------------------
 
 
@@ -429,7 +462,6 @@ def test_size_ratio_buckets_use_integer_boundaries():
     assert rows[2.4].wins_a == 1 and rows[2.4].wins_b == 0
     assert rows[1.3].wins_a == 0 and rows[1.3].wins_b == 1
     assert rows[1.4].wins_a == 1 and rows[1.4].wins_b == 1
-    assert rows[1.4].share_a == rows[1.4].share_b == 1.0
 
 
 def test_size_ratio_skips_incomplete_datasets():

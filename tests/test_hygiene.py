@@ -5,7 +5,9 @@ public names."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -334,6 +336,27 @@ def test_the_bench_harness_runs_the_closure_algorithms_table():
     from implbase import bench, closure
 
     assert bench.ALGORITHMS is closure.ALGORITHMS
+
+
+def test_the_pairing_table_is_the_only_pairing_source_of_the_harness():
+    from implbase.bench import WorkloadSpec, default_combos
+
+    names = [field.name for field in dataclasses.fields(WorkloadSpec)]
+    assert names == ["queries", "repetitions", "seed", "query_density"]
+    assert not inspect.signature(default_combos).parameters
+
+
+def test_the_cli_imports_no_private_name_of_the_closure_layer():
+    # which kinds a direct algorithm takes is decided in closure.py alone
+    tree = ast.parse((Path(implbase.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "closure"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"cli.py imports {private} from closure"
 
 
 #: What the innermost loop of a timed closure kernel may update in place:
