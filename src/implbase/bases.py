@@ -29,11 +29,17 @@ al., DKE 42, 2002).  Its work grows with the free sets rather than with the
 (premise, attribute) units that a per-attribute transversal search lists:
 less on sparse and wide contexts, but more on dense ones, where free sets
 outnumber the units (1,449 to 327 on ``gen_synthetic(50, 12, 0.6, 1)``).
-The sliced form of the last three bases sliced is kept in one bounded memo,
-:func:`_sliced`: the dbasis and dg derivations read the cdub's from it, and
-verification reads every basis's, so a cold check slices each of its three
-bases once.  The candidate columns of the last eight widths checked for
-directness are kept in another.
+The record of the last three bases sliced is kept in one bounded memo,
+:func:`_sliced`: the dbasis and dg derivations read the cdub's sliced pairs
+from it, and verification reads every basis's, so a cold check slices each
+of its three bases once.  The candidate columns of the last eight widths
+checked for directness are kept in another.  Verification keeps what it has
+proven in the records: each equivalence it computes joins the two bases in
+one class, a union-find forest (Tarjan, JACM 22, 1975) whose root is the
+record of the class's smallest basis.  A later equivalence within a class
+is not recomputed, and a directness check tests closedness with the root's
+implications, or against the candidates' closure once a check of the class
+has found it.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -360,7 +366,7 @@ def build_dbasis(ctx: Context) -> Basis:
     """
     universe = ctx.universe
     cdub = _search(ctx).cdub
-    prefix, tail = _dbasis(cdub.pairs(), _sliced(cdub), universe.size)
+    prefix, tail = _dbasis(cdub.pairs(), _sliced(cdub).sliced, universe.size)
     return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
 
 
@@ -458,7 +464,7 @@ def build_dg(ctx: Context) -> Basis:
     universe = ctx.universe
     found = _search(ctx)
     cdub = found.cdub
-    pseudo = _pseudo_closed(cdub.pairs(), _sliced(cdub), universe.size, found.closures)
+    pseudo = _pseudo_closed(cdub.pairs(), _sliced(cdub).sliced, universe.size, found.closures)
     return Basis._from_pairs([(p, c & ~p) for p, c in pseudo], BasisKind.DG, universe=universe)
 
 
@@ -507,18 +513,43 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     universe = basis.universe
     return [
         PseudoClosedWitness(AttributeSet(universe, p), AttributeSet(universe, c))
-        for p, c in _pseudo_closed(basis.pairs(), _sliced(basis), universe.size)
+        for p, c in _pseudo_closed(basis.pairs(), _sliced(basis).sliced, universe.size)
     ]
 
 
+@dataclass(eq=False)
+class _Record:
+    """What verification keeps of one basis: its sliced pairs and its size;
+    ``peer``, a link towards the record of a basis proven equivalent; and,
+    on the root of a class, ``closed``, the closure columns of the
+    directness candidates beside the candidate columns they close.  It
+    holds no :class:`Basis`, so a caller's bases are free to go."""
+
+    sliced: Sliced
+    size: int
+    peer: _Record | None = None
+    closed: tuple[list[int], list[int]] | None = None
+
+
 @lru_cache(maxsize=len(BUILDERS))
-def _sliced(basis: Basis) -> Sliced:
-    """The sliced form of the basis, kept for the last three bases sliced,
-    so one context's builds and check slice each of its bases once: the
-    dbasis and dg derivations read the cdub's, and the check hits that entry
-    with any equal cdub.  Bounded because callers may keep every basis
-    alive."""
-    return slice_pairs(basis.pairs())
+def _sliced(basis: Basis) -> _Record:
+    """The record of the basis, kept for the last three bases sliced, so one
+    context's builds and check slice each of its bases once: the dbasis and
+    dg derivations read the cdub's, and the check hits that entry with any
+    equal cdub.  Bounded because callers may keep every basis alive; a
+    record that drops out is reached only through the links of the records
+    still kept, which point towards their roots."""
+    return _Record(slice_pairs(basis.pairs()), len(basis))
+
+
+def _root(record: _Record) -> _Record:
+    """The root of the record's class, with the path to it compressed."""
+    root = record
+    while root.peer is not None:
+        root = root.peer
+    while record is not root:
+        record.peer, record = root, record.peer
+    return root
 
 
 def _entails(basis: Basis, other: Sliced) -> bool:
@@ -552,10 +583,25 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
 
     Each implication of one must follow from the other: its rhs must be
     contained in the closure of its lhs computed under the other basis.
+
+    A computed ``True`` links the roots of the two records, the larger
+    basis's root under the smaller's, so each root is the record of the
+    smallest basis of its class; a ``False`` links nothing.  Two bases whose
+    records share a root are equivalent without a round: each link is a
+    computed equivalence, equal bases share one record, and equivalence is
+    transitive, so a path of links joins two bases of one closure operator.
     """
     if b1.universe != b2.universe:
         raise UniverseMismatch("bases live in different universes")
-    return _entails(b1, _sliced(b2)) and _entails(b2, _sliced(b1))
+    r1, r2 = _sliced(b1), _sliced(b2)
+    root1, root2 = _root(r1), _root(r2)
+    if root1 is root2:
+        return True
+    if not (_entails(b1, r2.sliced) and _entails(b2, r1.sliced)):
+        return False
+    small, large = (root1, root2) if root1.size <= root2.size else (root2, root1)
+    large.peer = small
+    return True
 
 
 @lru_cache(maxsize=8)
@@ -589,17 +635,31 @@ def direct_witness(basis: Basis) -> AttributeSet | None:
     for every other kind it is the simultaneous round.  The candidates are
     those of :func:`_candidates`, checked all at once, one per lane: one
     round reaches the closure iff its result is closed, because the closure
-    is the least closed superset, and the lanes left unclosed are those a
-    second simultaneous round grows.  The witness is read back from the
-    lowest such lane of the candidate columns.  The sliced basis is kept as
-    :func:`check_equiv` keeps it, so one context's check slices each basis
-    once, and draws and transposes the candidates of a width once while that
-    width stays among the last eight checked.
+    is the least closed superset.  The witness is read back from the lowest
+    lane left unclosed.  The sliced basis is kept as :func:`check_equiv`
+    keeps it, so one context's check slices each basis once, and draws and
+    transposes the candidates of a width once while that width stays among
+    the last eight checked.
+
+    Closedness belongs to the closure operator, not to the basis, so it is
+    tested at the root of the basis's class, the smallest basis proven
+    equivalent.  If the root keeps the closure of these very candidate
+    columns, the lanes left unclosed are those where the round differs from
+    it; else they are those that one simultaneous round of the root's
+    implications grows.  A round that leaves no lane unclosed has reached
+    the candidates' closure, which the root then keeps.  Either way the
+    unclosed lanes, and so the witness, are those of the basis's own rounds.
     """
     cols, _ = _candidates(basis.universe.size)
-    sliced = _sliced(basis)
-    once = sliced_round(cols, sliced, basis.kind is BasisKind.DBASIS)
-    bad = reduce(or_, map(xor, sliced_round(once, sliced, ordered=False), once))
+    record = _sliced(basis)
+    once = sliced_round(cols, record.sliced, basis.kind is BasisKind.DBASIS)
+    root = _root(record)
+    if root.closed is not None and root.closed[0] is cols:
+        bad = reduce(or_, map(xor, once, root.closed[1]))
+    else:
+        bad = reduce(or_, map(xor, sliced_round(once, root.sliced, ordered=False), once))
+        if not bad:
+            root.closed = (cols, once)
     if not bad:
         return None
     lane = (bad & -bad).bit_length() - 1

@@ -957,6 +957,8 @@ def check_equiv_rounds(b1: Basis, b2: Basis) -> tuple[bool, int, int]:
         rounds.append(1)
         return sliced_round(cols, sliced, ordered)
 
+    # a cold memo: a verdict derived from earlier ones would count no round
+    implbase.bases._sliced.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(implbase.bases, "sliced_round", counted)
         got = check_equiv(b1, b2)
@@ -1096,12 +1098,17 @@ def slicings(monkeypatch) -> list[tuple[tuple[int, int], ...]]:
     return calls
 
 
-def check_sequence(bases: list[Basis]) -> None:
-    """What ``check`` verifies on one context's bases: each pair equivalent,
-    then each basis direct."""
+def check_pairs(bases: list[Basis]) -> None:
+    """Each pair of one context's bases equivalent, in pair order."""
     for i, b1 in enumerate(bases):
         for b2 in bases[i + 1 :]:
             assert check_equiv(b1, b2)
+
+
+def check_sequence(bases: list[Basis]) -> None:
+    """What ``check`` verifies on one context's bases: each pair equivalent,
+    then each basis direct."""
+    check_pairs(bases)
     for basis in bases:
         direct_witness(basis)
 
@@ -1324,3 +1331,112 @@ def test_an_attribute_no_object_has_is_a_premise_of_every_other():
     # free set holds it with another attribute
     ctx = ctx_from_rows(["a", "b", "c"], ["a b", "a", "b"])
     assert dict(_search(ctx).cdub.pairs()) == {0b100: 0b011} == folded_pairs(premise_families(ctx))
+
+
+# -- the check path keeps what it has proven --------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 8),
+    drop=st.integers(0, 2**16),
+    order=st.randoms(use_true_random=False),
+)
+def test_verdicts_on_a_warm_memo_match_the_scalar_closures(ctx_seed, attributes, drop, order):
+    # the memo keeps its records and their links from one call to the next,
+    # so a later verdict may be derived from the earlier ones
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    family = equiv_family([build(ctx) for build in BUILDERS], drop)
+    pairs = [(b1, b2) for b1 in family for b2 in family]
+    order.shuffle(pairs)
+    for b1, b2 in pairs:
+        assert check_equiv(b1, b2) == scalar_check_equiv(b1, b2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 8),
+    drop=st.integers(0, 2**16),
+    picks=st.lists(st.integers(0, 8), min_size=3, max_size=3),
+)
+def test_direct_witness_cold_and_after_the_pair_checks_is_the_scalar_one(
+    ctx_seed, attributes, drop, picks
+):
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    family = equiv_family([build(ctx) for build in BUILDERS], drop)
+    group = [family[i % len(family)] for i in picks]
+    want = [scalar_direct_witness(basis) for basis in group]
+    for basis, witness in zip(group, want):
+        # cold: a record of its own, with no link and nothing kept
+        implbase.bases._sliced.cache_clear()
+        assert witness_bits(direct_witness(basis)) == witness
+    # three records fit the memo: the pair checks link the equivalent ones,
+    # the first witness of a class is tested at its root, which keeps the
+    # closures when no lane is left unclosed, and later ones read them
+    implbase.bases._sliced.cache_clear()
+    for b1 in group:
+        for b2 in group:
+            check_equiv(b1, b2)
+    for _ in range(2):
+        for basis, witness in zip(group, want):
+            assert witness_bits(direct_witness(basis)) == witness
+
+
+def test_the_non_direct_dg_keeps_its_witness_under_the_kept_closures(ex51, rounds):
+    implbase.bases._sliced.cache_clear()
+    bases = [build(ex51) for build in BUILDERS]
+    dg = bases[2]
+    assert witness_bits(direct_witness(dg)) == aset(ex51.universe, "a d").bits
+    implbase.bases._sliced.cache_clear()
+    check_sequence(bases)
+    # the cdub's check found the closures and its root, the dg's record,
+    # keeps them, so the dg's own round is its only one
+    rounds.clear()
+    witness = direct_witness(dg)
+    assert len(rounds) == 1
+    assert str(witness) == "a d"
+    assert witness_bits(witness) == scalar_direct_witness(dg)
+
+
+def test_one_check_runs_four_entailments_and_four_directness_rounds(monkeypatch, rounds):
+    implbase.bases._sliced.cache_clear()
+    bases = [build(unseen(gen_synthetic(15, 19, 0.3, 0))) for build in BUILDERS]
+    entailed: list[BasisKind] = []
+    real = implbase.bases._entails
+
+    def counted(basis, other):
+        entailed.append(basis.kind)
+        return real(basis, other)
+
+    monkeypatch.setattr(implbase.bases, "_entails", counted)
+    check_pairs(bases)
+    # cdub~dbasis and cdub~dg run both directions and link the three bases,
+    # so dbasis~dg is derived; the root is the record of the dg, the smallest
+    assert entailed == [BasisKind.CDUB, BasisKind.DBASIS, BasisKind.CDUB, BasisKind.DG]
+    records = [implbase.bases._sliced(basis) for basis in bases]
+    assert [implbase.bases._root(record) for record in records] == [records[2]] * 3
+    rounds.clear()
+    assert [direct_witness(basis) is None for basis in bases] == [True, True, False]
+    # each basis's own round, and one closedness round of the root, the dg,
+    # which then keeps the closures for the other two
+    assert rounds == [False, False, True, False]
+
+
+def test_kept_closures_serve_only_the_candidate_columns_they_close(ex51, rounds):
+    implbase.bases._sliced.cache_clear()
+    cdub = build_cdub(ex51)
+    assert direct_witness(cdub) is None
+    rounds.clear()
+    assert direct_witness(cdub) is None
+    assert len(rounds) == 1
+    # new candidate columns of the same sets: the kept closures are not
+    # theirs, so the closedness round runs again and its result is kept
+    implbase.bases._candidates.cache_clear()
+    rounds.clear()
+    assert direct_witness(cdub) is None
+    assert len(rounds) == 2
+    rounds.clear()
+    assert direct_witness(cdub) is None
+    assert len(rounds) == 1

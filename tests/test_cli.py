@@ -346,6 +346,55 @@ def test_check_directness_verdicts_on_both_sides_of_the_limit(
     ]
 
 
+def gen13(capsys, tmp_path: Path) -> Path:
+    """The golden 13-attribute context, one past the exhaustive limit."""
+    target = tmp_path / "gen13.cxt"
+    run(
+        capsys, "gen", "--objects", "16", "--attributes", "13", "--density", "0.3",
+        "--seed", "1", "-o", str(target),
+    )
+    return target
+
+
+def test_check_asks_the_dg_pairs_first(capsys, tmp_path, monkeypatch):
+    target = gen13(capsys, tmp_path)
+    entailed: list[BasisKind] = []
+    real = implbase.bases._entails
+
+    def counted(basis, other):
+        entailed.append(basis.kind)
+        return real(basis, other)
+
+    monkeypatch.setattr(implbase.bases, "_entails", counted)
+    implbase.bases._sliced.cache_clear()
+    code, out, _ = run(capsys, "check", "--in", str(target))
+    assert code == 0
+    # cdub~dg and dbasis~dg run both directions each; cdub~dbasis follows
+    # from them without a round
+    assert entailed == [BasisKind.CDUB, BasisKind.DG, BasisKind.DBASIS, BasisKind.DG]
+    assert [line for line in out.splitlines() if line.startswith("equivalent")] == [
+        "equivalent cdub~dbasis: yes",
+        "equivalent cdub~dg: yes",
+        "equivalent dbasis~dg: yes",
+    ]
+
+
+def test_check_verbose_notes_say_where_the_time_went(capsys, tmp_path):
+    target = gen13(capsys, tmp_path)
+    code, out, err = run(capsys, "--verbose", "check", "--in", str(target))
+    assert code == 0
+    quiet = run(capsys, "check", "--in", str(target))
+    assert quiet == (0, out, "")
+    ms = r"\d+\.\d{3} ms"
+    phases = [rf"build {kind}: \d+ implications, {ms}" for kind in ("cdub", "dbasis", "dg")]
+    phases += [rf"equivalence {pair}: {ms}" for pair in ("cdub~dg", "dbasis~dg", "cdub~dbasis")]
+    phases += [rf"directness {kind}: {ms}" for kind in ("cdub", "dbasis", "dg")]
+    lines = err.splitlines()
+    assert len(lines) == len(phases)
+    for line, phase in zip(lines, phases):
+        assert re.fullmatch(phase, line)
+
+
 # -- bench and report ----------------------------------------------------------------
 
 
