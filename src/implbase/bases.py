@@ -39,7 +39,9 @@ one class, a union-find forest (Tarjan, JACM 22, 1975) whose root is the
 record of the class's smallest basis.  A later equivalence within a class
 is not recomputed, and a directness check tests closedness with the root's
 implications, or against the candidates' closure once a check of the class
-has found it.
+has found it.  An equivalence it does compute takes no round for an
+implication whose rhs lies inside its lhs and the rhs that the other basis
+gives the same lhs, so a cdub settles its dbasis with no round.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -395,6 +397,18 @@ def _pseudo_closed(
     as when ``K_j`` is the whole universe, never fires, and step 3 leaves
     it out.
 
+    Step 3 puts the fence column first in each lhs, so an implication whose
+    fence marks none of the lanes its first lhs column holds costs one AND in
+    a round (:func:`sliced_round` stops at the first empty AND).  It fires
+    the implications in ascending order of ``|K_j|``: the firings that
+    derive ``K_j`` from ``A_j`` are of implications whose closures lie
+    inside ``K_j``, so they tend to come first, one in-order sweep gets
+    further, and the fixpoint takes fewer rounds.  The order cannot change
+    ``X_q``.  No rhs writes a fence column, so each fenced implication is a
+    fixed monotone rule on the lane columns, and in-order rounds in any
+    order end at the least columns that hold the start and are closed under
+    every rule.
+
     Step 3 reaches the same ``X_q`` as firing ``A_j -> K_j`` would, for any
     list of pairs.  Firing ``B_j``, a part of ``K_j``, never adds more.  And
     once allowed ``j`` fires in lane ``q``, ``K_j`` follows inside ``X_q``:
@@ -433,8 +447,9 @@ def _pseudo_closed(
         if allowed:
             fence[k] = n + len(fences)
             fences.append(allowed)
+    by_size = sorted(range(lanes), key=lambda j: ks[j].bit_count())
     fenced = [
-        (lhs + (f,), rhs) for (lhs, rhs), k in zip(sliced, ks) if (f := fence[k]) is not None
+        ((f,) + sliced[j][0], sliced[j][1]) for j in by_size if (f := fence[ks[j]]) is not None
     ]
     xs = transpose_bits(sliced_fixpoint(cols + fences, fenced)[:n], lanes)
     classes: dict[int, set[int]] = {}
@@ -552,27 +567,42 @@ def _root(record: _Record) -> _Record:
     return root
 
 
-def _entails(basis: Basis, other: Sliced) -> bool:
-    """Does each implication of ``basis`` follow from the sliced ``other``?
+def _entails(basis: Basis, other: Basis, sliced: Sliced) -> bool:
+    """Does each implication of ``basis`` follow from ``other``, whose sliced
+    pairs are ``sliced``?
+
+    First by same-lhs subsumption, with no round: ``merged`` ORs the rhs of
+    every pair of ``other`` per lhs, and ``A -> B`` follows from ``A -> B'``
+    for every ``B`` inside ``A | B'``, as the closure of ``A`` holds both.
+    So only the part of each rhs outside ``A | merged[A]`` is left to show.
+    Every pair of a dbasis is a pair of its cdub with a smaller rhs, or a
+    unit of the prefix inside a singleton pair of the cdub, so a cdub
+    settles its dbasis this way with nothing left.
 
     Every lhs takes one lane: the columns start as the memoised
-    :meth:`Basis.attr_masks` and each rhs is read from the memoised
-    :meth:`Basis.rhs_masks`.  In-order rounds under ``other`` grow all lanes
-    together until each rhs is contained or the columns stop changing.
-
-    The verdict is each lane's exact one.  A round only adds the rhs of an
-    implication whose lhs the lane already holds, so every lane grows and
-    stays inside the closure of its lhs; a contained rhs follows.  A round
-    that changes nothing tested every lhs against the final columns, so
-    each lane is then closed, hence equal to that closure, and a rhs still
-    missing does not follow.
+    :meth:`Basis.attr_masks`, and each lane needs the part of its rhs left
+    to show.  In-order rounds under ``other`` grow all lanes together until
+    each part left is contained or the columns stop changing.  The verdict
+    is each lane's exact one.  A round only adds the rhs of an implication
+    whose lhs the lane already holds, so every lane grows and stays inside
+    the closure of its lhs; a contained part follows.  A round that changes
+    nothing tested every lhs against the final columns, so each lane is
+    then closed, hence equal to that closure, and a part still missing does
+    not follow.
     """
+    merged: dict[int, int] = {}
+    for lhs, rhs in other.pairs():
+        merged[lhs] = merged.get(lhs, 0) | rhs
+    get = merged.get
     cols = list(basis.attr_masks())
-    need = basis.rhs_masks()
+    left = [rhs & ~(lhs | get(lhs, 0)) for lhs, rhs in basis.pairs()]
+    if not any(left):
+        return True
+    need = transpose_bits(left, basis.universe.size)
     while True:
         if not any(w & ~c for w, c in zip(need, cols)):
             return True
-        grown = sliced_round(cols, other, ordered=True)
+        grown = sliced_round(cols, sliced, ordered=True)
         if grown == cols:
             return False
         cols = grown
@@ -597,7 +627,7 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     root1, root2 = _root(r1), _root(r2)
     if root1 is root2:
         return True
-    if not (_entails(b1, r2.sliced) and _entails(b2, r1.sliced)):
+    if not (_entails(b1, b2, r2.sliced) and _entails(b2, b1, r1.sliced)):
         return False
     small, large = (root1, root2) if root1.size <= root2.size else (root2, root1)
     large.peer = small

@@ -9,8 +9,8 @@ The bit-sliced kernels process many sets at once by storing them column-wise:
 one int per attribute, whose bit ``q`` (lane ``q``) is set iff set ``q``
 holds that attribute.  An implication then fires in every lane at once: its
 fire mask is the AND of its lhs columns, and that mask is ORed into its rhs
-columns.  Sliced pairs list attribute indices instead of bits; left-hand
-sides are never empty, so every AND has a first operand.
+columns.  Sliced pairs list attribute indices instead of bits, and their
+left-hand sides are never empty.
 
 Sets of up to 64 attributes are laid out many at once: one ``struct.pack``
 writes them as little-endian words of the narrowest machine width that holds
@@ -26,8 +26,7 @@ of a universe of more than 64 attributes.
 from __future__ import annotations
 
 import struct
-from functools import reduce, wraps
-from operator import and_
+from functools import wraps
 from typing import Callable, Collection, Sequence, TypeVar
 
 __all__ = [
@@ -172,13 +171,23 @@ def slice_pairs(pairs: Pairs) -> Sliced:
 def sliced_round(cols: list[int], sliced: Sliced, ordered: bool) -> list[int]:
     """One round in every lane.  Simultaneous: every lhs is tested against the
     input columns.  Ordered: against the columns grown so far, as in one
-    in-order sweep."""
+    in-order sweep.
+
+    An implication's lhs columns are ANDed one at a time, and the AND stops
+    at the first empty result: no lane can fire, whatever the columns left,
+    so the rhs ORs are skipped too.  Neither round's result depends on the
+    stop, and an implication that fires nowhere costs only the ANDs it
+    takes to see that.
+    """
     out = list(cols)
     src = out if ordered else cols
-    get = src.__getitem__
     for lhs, rhs in sliced:
-        fire = reduce(and_, map(get, lhs))
-        if fire:
+        fire = -1
+        for a in lhs:
+            fire &= src[a]
+            if not fire:
+                break
+        else:
             for b in rhs:
                 out[b] |= fire
     return out

@@ -277,10 +277,10 @@ class Basis:
       left-hand sides of at least two attributes.
 
     Derived read-only structures (the implications, per-attribute occurrence
-    lists and masks of the left-hand sides, per-attribute masks of the
-    right-hand sides, left-hand-side sizes, reachability over the binary
-    prefix) are built lazily once, each by its own method, and then shared;
-    they never mutate the logical value.
+    lists and masks of the left-hand sides, left-hand-side sizes,
+    reachability over the binary prefix, the hash) are built lazily once,
+    each by its own method, and then shared; they never mutate the logical
+    value.
     """
 
     __slots__ = ("_pairs", "kind", "sigma0_len", "universe", "_cache")
@@ -382,6 +382,13 @@ class Basis:
         )
 
     def __hash__(self) -> int:
+        return self._hash()
+
+    @memo
+    def _hash(self) -> int:
+        """The hash of the kind, ``sigma0_len`` and pairs, kept from the first
+        call on: memos keyed by a basis look it up on every call, and the
+        pairs tuple of a large basis takes milliseconds to hash."""
         return hash((self.kind, self.sigma0_len, self._pairs))
 
     def __repr__(self) -> str:
@@ -425,13 +432,6 @@ class Basis:
         :func:`transpose_bits` of the left-hand sides."""
         lhs_bits = [lhs for lhs, _ in self.pairs()]
         return tuple(transpose_bits(lhs_bits, self.universe.size))
-
-    @memo
-    def rhs_masks(self) -> tuple[int, ...]:
-        """Per attribute: bit mask over indices of implications whose rhs
-        contains it."""
-        rhs_bits = [rhs for _, rhs in self.pairs()]
-        return tuple(transpose_bits(rhs_bits, self.universe.size))
 
     @memo
     def binary_reach(self) -> tuple[int, ...]:

@@ -38,7 +38,13 @@ from implbase.bases import (
     is_pseudo_closed,
     verify_direct,
 )
-from implbase.bits import fixpoint_bits, slice_pairs, sliced_round, transpose_bits
+from implbase.bits import (
+    fixpoint_bits,
+    slice_pairs,
+    sliced_fixpoint,
+    sliced_round,
+    transpose_bits,
+)
 from implbase.closure import oracle_closure
 from implbase.context import Context, clarify, context_closure, gen_synthetic, reduce
 from implbase.errors import DegenerateContext, NotStandardContext, UniverseMismatch
@@ -1011,6 +1017,110 @@ def test_in_order_entailment_saves_rounds_on_uniform_contexts():
     assert in_order < simultaneous
 
 
+# -- rounds skipped where their result is known -------------------------------------------
+#
+# _entails settles a lane with no round when the other basis has a pair of
+# the same lhs whose rhs, with the lhs, holds the lane's rhs; the dg
+# derivation runs its fenced implications in ascending order of closure size.
+
+
+def altered(bases: list[Basis], drop: int) -> list[Basis]:
+    """Each basis retagged raw twice over: with the lowest attribute of one
+    rhs removed, and with the lowest attribute outside one lhs added."""
+    out = []
+    for basis in bases:
+        if not len(basis):
+            continue
+        at = drop % len(basis)
+        lhs, rhs = basis.pairs()[at]
+        outside = basis.universe.mask & ~lhs
+        for pair in ((lhs, rhs & (rhs - 1)), (lhs | (outside & -outside), rhs)):
+            if pair != (lhs, rhs):
+                pairs = list(basis.pairs())
+                pairs[at] = pair
+                out.append(Basis._from_pairs(pairs, BasisKind.RAW, universe=basis.universe))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ctx_seed=st.integers(0, 2**32 - 1),
+    attributes=st.integers(2, 8),
+    drop=st.integers(0, 2**16),
+    raw=raw_bases(),
+    seed=st.integers(0, 2**16),
+)
+def test_verdicts_with_subsumed_lanes_match_the_scalar_closures(
+    ctx_seed, attributes, drop, raw, seed
+):
+    # a shrunk rhs is settled by the pair of the same lhs it was cut from,
+    # and that pair is not settled by the shrunk one; a pair whose lhs grew
+    # shares its rhs with a pair of a smaller lhs, which it must not settle
+    implbase.bases._sliced.cache_clear()
+    ctx = random_standard_context(random.Random(ctx_seed), attributes)
+    built = [build(ctx) for build in BUILDERS]
+    raws = [raw, shuffled_raw(raw, seed)]
+    for bases in (built, raws):
+        family = equiv_family(bases, drop) + altered(bases, drop)
+        for b1 in family:
+            for b2 in family:
+                assert check_equiv(b1, b2) == scalar_check_equiv(b1, b2)
+
+
+def test_the_cdub_settles_its_dbasis_without_a_round(monkeypatch, rounds):
+    calls: list[tuple[BasisKind, BasisKind, int]] = []
+    real = implbase.bases._entails
+
+    def counted(basis, other, sliced):
+        start = len(rounds)
+        got = real(basis, other, sliced)
+        calls.append((basis.kind, other.kind, len(rounds) - start))
+        return got
+
+    monkeypatch.setattr(implbase.bases, "_entails", counted)
+    for seed in range(3):
+        ctx = gen_synthetic(15, 19, 0.3, seed)
+        implbase.bases._sliced.cache_clear()
+        calls.clear()
+        assert check_equiv(build_cdub(ctx), build_dbasis(ctx))
+        assert calls[1] == (BasisKind.DBASIS, BasisKind.CDUB, 0)
+
+
+def cdub_order_fenced_rounds(ctx: Context, rounds: list[bool]) -> int:
+    """The rounds of the fenced fixpoint of the dg derivation with the
+    implications in cdub order, each fence column after its lhs columns and
+    marking exactly the lanes whose closure strictly holds the
+    implication's."""
+    found = _search(ctx)
+    n = ctx.universe.size
+    ks = found.closures
+    fences: list[int] = []
+    fenced = []
+    for (lhs, rhs), k in zip(slice_pairs(found.cdub.pairs()), ks):
+        allowed = sum(1 << q for q, kq in enumerate(ks) if k & kq == k and k != kq)
+        if allowed:
+            fenced.append((lhs + (n + len(fences),), rhs))
+            fences.append(allowed)
+    cols = transpose_bits([lhs for lhs, _ in found.cdub.pairs()], n)
+    start = len(rounds)
+    sliced_fixpoint(cols + fences, fenced)
+    return len(rounds) - start
+
+
+def test_the_dg_fixpoint_takes_no_more_rounds_than_in_cdub_order(rounds):
+    ours = theirs = 0
+    for seed in range(3):
+        ctx = unseen(gen_synthetic(15, 19, 0.3, seed))
+        build_cdub(ctx)
+        rounds.clear()
+        build_dg(ctx)
+        got, reference = len(rounds), cdub_order_fenced_rounds(ctx, rounds)
+        assert got <= reference
+        ours += got
+        theirs += reference
+    assert ours < theirs
+
+
 # -- repeat checks reuse their inputs ---------------------------------------------------
 
 
@@ -1406,9 +1516,9 @@ def test_one_check_runs_four_entailments_and_four_directness_rounds(monkeypatch,
     entailed: list[BasisKind] = []
     real = implbase.bases._entails
 
-    def counted(basis, other):
+    def counted(basis, other, sliced):
         entailed.append(basis.kind)
-        return real(basis, other)
+        return real(basis, other, sliced)
 
     monkeypatch.setattr(implbase.bases, "_entails", counted)
     check_pairs(bases)

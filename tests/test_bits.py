@@ -13,8 +13,10 @@ from implbase.bits import (
     fixpoint_bits,
     lectic_keys,
     memo,
+    round_bits,
     slice_pairs,
     sliced_fixpoint,
+    sliced_round,
     spread,
     transpose_bits,
 )
@@ -117,6 +119,43 @@ def test_lectic_keys_order_sets_as_lectic_key_does(n):
 def test_sliced_fixpoint_closes_every_lane_as_fixpoint_bits(pairs, sets):
     cols = sliced_fixpoint(transpose_bits(sets, N), slice_pairs(pairs))
     assert cols == transpose_bits([fixpoint_bits(bits, pairs) for bits in sets], N)
+
+
+def in_order_sweep(bits: int, pairs: list[tuple[int, int]]) -> int:
+    """One in-order sweep over one set: each lhs is tested against the set
+    grown so far."""
+    for lhs, rhs in pairs:
+        if lhs & bits == lhs:
+            bits |= rhs
+    return bits
+
+
+@st.composite
+def round_inputs(draw) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """A width of 1-70 attributes, implications with small left-hand sides,
+    and lanes with some attributes held by no lane: an lhs AND then comes out
+    empty at one of its columns, unless an earlier firing of an in-order
+    round filled that column."""
+    n = draw(st.integers(1, 70))
+    full = (1 << n) - 1
+    attrs = st.lists(st.integers(0, n - 1), min_size=1, max_size=3)
+    sides = st.builds(lambda idx: sum(1 << a for a in set(idx)), attrs)
+    pairs = draw(st.lists(st.tuples(sides, st.one_of(sides, st.integers(0, full))), max_size=12))
+    unheld = draw(st.integers(0, full))
+    lanes = draw(st.lists(st.integers(0, full), max_size=40))
+    return n, pairs, [bits & ~unheld for bits in lanes]
+
+
+@given(round_inputs(), st.booleans())
+# lane 0 holds a0 only: the first AND stops empty at the a1 column, the
+# in-order round then fires a0 -> a1 and the repeat fires; lane 1 is empty
+@example((3, [(0b011, 0b100), (0b001, 0b010), (0b011, 0b100)], [0b001, 0]), True)
+@example((3, [(0b011, 0b100), (0b001, 0b010), (0b011, 0b100)], [0b001, 0]), False)
+def test_sliced_round_matches_a_round_in_each_lane(inputs, ordered):
+    n, pairs, lanes = inputs
+    want = [in_order_sweep(bits, pairs) if ordered else round_bits(bits, pairs) for bits in lanes]
+    got = sliced_round(transpose_bits(lanes, n), slice_pairs(pairs), ordered)
+    assert got == transpose_bits(want, n)
 
 
 def test_memo_computes_once_per_instance():

@@ -361,9 +361,9 @@ def test_check_asks_the_dg_pairs_first(capsys, tmp_path, monkeypatch):
     entailed: list[BasisKind] = []
     real = implbase.bases._entails
 
-    def counted(basis, other):
+    def counted(basis, other, sliced):
         entailed.append(basis.kind)
-        return real(basis, other)
+        return real(basis, other, sliced)
 
     monkeypatch.setattr(implbase.bases, "_entails", counted)
     implbase.bases._sliced.cache_clear()

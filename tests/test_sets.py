@@ -286,12 +286,10 @@ def test_basis_derived_structures():
     assert basis.pairs() == ((0b1010, 0b0001), (0b1000, 0b0100))
     assert basis.attr_lists() == ((), (0,), (), (0, 1))
     assert basis.attr_masks() == (0, 0b01, 0, 0b11)
-    assert basis.rhs_masks() == (0b01, 0, 0b10, 0)
     assert basis.lhs_sizes() == (2, 1)
     empty = Basis([], universe=U4)
     assert empty.attr_lists() == ((),) * 4
     assert empty.attr_masks() == (0,) * 4
-    assert empty.rhs_masks() == (0,) * 4
     assert empty.lhs_sizes() == ()
 
 
