@@ -41,7 +41,9 @@ is not recomputed, and a directness check tests closedness with the root's
 implications, or against the candidates' closure once a check of the class
 has found it.  An equivalence it does compute takes no round for an
 implication whose rhs lies inside its lhs and the rhs that the other basis
-gives the same lhs, so a cdub settles its dbasis with no round.
+gives the same lhs, so a cdub settles its dbasis with no round; the rhs
+that a basis gives each lhs is one map kept in its record, and the rounds
+run on the lanes of the implications left alone.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -535,13 +537,16 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
 @dataclass(eq=False)
 class _Record:
     """What verification keeps of one basis: its sliced pairs and its size;
-    ``peer``, a link towards the record of a basis proven equivalent; and,
-    on the root of a class, ``closed``, the closure columns of the
-    directness candidates beside the candidate columns they close.  It
-    holds no :class:`Basis`, so a caller's bases are free to go."""
+    ``merged``, each lhs with the OR of its rhs, built by the first
+    entailment under the basis (:func:`_rhs_map`); ``peer``, a link towards
+    the record of a basis proven equivalent; and, on the root of a class,
+    ``closed``, the closure columns of the directness candidates beside the
+    candidate columns they close.  It holds no :class:`Basis`, so a caller's
+    bases are free to go."""
 
     sliced: Sliced
     size: int
+    merged: dict[int, int] | None = None
     peer: _Record | None = None
     closed: tuple[list[int], list[int]] | None = None
 
@@ -567,38 +572,54 @@ def _root(record: _Record) -> _Record:
     return root
 
 
-def _entails(basis: Basis, other: Basis, sliced: Sliced) -> bool:
-    """Does each implication of ``basis`` follow from ``other``, whose sliced
-    pairs are ``sliced``?
+def _rhs_map(basis: Basis) -> dict[int, int]:
+    """Each lhs of the basis with the OR of its rhs.  A cdub or a dg never
+    repeats a lhs (:class:`Basis` checks it), so its pairs are the map; a
+    dbasis repeats the lhs of its prefix, and a raw basis may repeat any."""
+    if basis.kind in (BasisKind.CDUB, BasisKind.DG):
+        return dict(basis.pairs())
+    merged: dict[int, int] = {}
+    for lhs, rhs in basis.pairs():
+        merged[lhs] = merged.get(lhs, 0) | rhs
+    return merged
 
-    First by same-lhs subsumption, with no round: ``merged`` ORs the rhs of
-    every pair of ``other`` per lhs, and ``A -> B`` follows from ``A -> B'``
-    for every ``B`` inside ``A | B'``, as the closure of ``A`` holds both.
-    So only the part of each rhs outside ``A | merged[A]`` is left to show.
+
+def _entails(basis: Basis, other: Basis, record: _Record) -> bool:
+    """Does each implication of ``basis`` follow from ``other``, whose record
+    is ``record``?
+
+    First by same-lhs subsumption, with no round: ``record.merged`` ORs the
+    rhs of every pair of ``other`` per lhs, built on the first entailment
+    under ``other`` and kept, and ``A -> B`` follows from ``A -> B'`` for
+    every ``B`` inside ``A | B'``, as the closure of ``A`` holds both.  So
+    only the part of each rhs outside ``A | merged[A]`` is left to show.
     Every pair of a dbasis is a pair of its cdub with a smaller rhs, or a
     unit of the prefix inside a singleton pair of the cdub, so a cdub
     settles its dbasis this way with nothing left.
 
-    Every lhs takes one lane: the columns start as the memoised
-    :meth:`Basis.attr_masks`, and each lane needs the part of its rhs left
-    to show.  In-order rounds under ``other`` grow all lanes together until
-    each part left is contained or the columns stop changing.  The verdict
-    is each lane's exact one.  A round only adds the rhs of an implication
-    whose lhs the lane already holds, so every lane grows and stays inside
-    the closure of its lhs; a contained part follows.  A round that changes
-    nothing tested every lhs against the final columns, so each lane is
-    then closed, hence equal to that closure, and a part still missing does
-    not follow.
+    Each implication with a part left takes one lane, and only those: the
+    columns start as its lhs and the part left to show, each transposed
+    once.  In-order rounds under ``other`` grow all lanes together until
+    each part left is contained or the columns stop changing.  Lanes never
+    read one another, so leaving the settled ones out changes no verdict,
+    and each lane's is its exact one.  A round only adds the rhs of an
+    implication whose lhs the lane already holds, so every lane grows and
+    stays inside the closure of its lhs; a contained part follows.  A round
+    that changes nothing tested every lhs against the final columns, so
+    each lane is then closed, hence equal to that closure, and a part still
+    missing does not follow.
     """
-    merged: dict[int, int] = {}
-    for lhs, rhs in other.pairs():
-        merged[lhs] = merged.get(lhs, 0) | rhs
+    merged = record.merged
+    if merged is None:
+        merged = record.merged = _rhs_map(other)
     get = merged.get
-    cols = list(basis.attr_masks())
-    left = [rhs & ~(lhs | get(lhs, 0)) for lhs, rhs in basis.pairs()]
-    if not any(left):
+    lanes = [(lhs, part) for lhs, rhs in basis.pairs() if (part := rhs & ~(lhs | get(lhs, 0)))]
+    if not lanes:
         return True
-    need = transpose_bits(left, basis.universe.size)
+    n = basis.universe.size
+    cols = transpose_bits([lhs for lhs, _ in lanes], n)
+    need = transpose_bits([part for _, part in lanes], n)
+    sliced = record.sliced
     while True:
         if not any(w & ~c for w, c in zip(need, cols)):
             return True
@@ -627,7 +648,7 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     root1, root2 = _root(r1), _root(r2)
     if root1 is root2:
         return True
-    if not (_entails(b1, b2, r2.sliced) and _entails(b2, b1, r1.sliced)):
+    if not (_entails(b1, b2, r2) and _entails(b2, b1, r1)):
         return False
     small, large = (root1, root2) if root1.size <= root2.size else (root2, root1)
     large.peer = small

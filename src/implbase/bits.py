@@ -15,12 +15,15 @@ left-hand sides are never empty.
 Sets of up to 64 attributes are laid out many at once: one ``struct.pack``
 writes them as little-endian words of the narrowest machine width that holds
 them (8, 16, 32 or 64 bits), and :func:`transpose_bits` and
-:func:`lectic_keys` read all of them from that one buffer.  Wider sets take
-one call per set, as no machine word holds them.  In this package those are
-the columns of many lanes turned back into one set per lane (the dropped
-attributes in the dbasis derivation, the closures of the pseudo-closed
-derivation), the columns of a context of more than 64 objects, and the sets
-of a universe of more than 64 attributes.
+:func:`lectic_keys` read all of them from that one buffer.  Wider sets are
+formatted one call per set, as no machine word holds them.  At most 64 wider
+sets have columns that each fit a machine word, so :func:`transpose_bits`
+reads those columns back as words.  In this package such sets are the columns
+of many lanes turned back into one set per lane (the dropped attributes in
+the dbasis derivation, the closures and quasi-closed sets of the
+pseudo-closed derivation) and the columns of a context of more than 64
+objects.  More than 64 wider sets, as over a universe of more than 64
+attributes, take the one-call-per-set path alone.
 """
 
 from __future__ import annotations
@@ -115,20 +118,51 @@ def _packed(sets: Collection[int], n: int) -> tuple[bytes, int, str]:
     return struct.pack(f"<{len(sets)}{code}", *sets), width, code
 
 
+#: Each binary digit mapped to the byte value it stands for.
+_ONES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _wide_columns(sets: Sequence[int], n: int) -> list[int]:
+    """Columns of at most 64 sets of ``n > 64`` attributes, each column read
+    back as one machine word.
+
+    Each set becomes one byte per attribute, 0 or 1, read as one int with
+    attribute ``a`` in byte ``a``; the eight sets of a group are shifted by
+    their place in it and ORed, so byte ``a`` of the group's int holds those
+    eight lanes of column ``a``.  The groups' bytes interleave into one
+    buffer of ``n`` little-endian words of the narrowest width that holds
+    every lane, which one ``struct.unpack`` reads.
+    """
+    width, code = next(word for word in _WORDS if len(sets) <= word[0])
+    stride = width >> 3
+    spec = f"0{n}b"
+    buffer = bytearray(n * stride)
+    for group in range(0, len(sets), 8):
+        acc = 0
+        for place, bits in enumerate(sets[group : group + 8]):
+            acc |= int.from_bytes(format(bits, spec).encode().translate(_ONES), "big") << place
+        buffer[group >> 3 :: stride] = acc.to_bytes(n, "little")
+    return list(struct.unpack(f"<{n}{code}", buffer))
+
+
 def transpose_bits(sets: Sequence[int], n: int) -> list[int]:
     """Columns of a list of ``n``-attribute sets, set ``q`` in lane ``q``.
 
     One binary string, last set first, so that the strided slice of
     attribute ``a`` reads as an int with set 0 in its lowest bit.  Up to 64
     attributes the string is the packed words read as one int, each set
-    padded to its word; wider sets are formatted one by one.  No sets give
-    ``n`` empty columns.
+    padded to its word; more than 64 wider sets are formatted one by one.
+    At most 64 wider sets give columns of at most 64 lanes, which
+    :func:`_wide_columns` reads back as machine words instead, one
+    ``struct.unpack`` for all of them.  No sets give ``n`` empty columns.
     """
     if not sets:
         return [0] * n
     if n <= 64:
         data, width, _ = _packed(sets, n)
         text = format(int.from_bytes(data, "little"), f"0{8 * len(data)}b")
+    elif len(sets) <= 64:
+        return _wide_columns(sets, n)
     else:
         width, spec = n, f"0{n}b"
         text = "".join([format(bits, spec) for bits in reversed(sets)])

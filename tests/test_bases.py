@@ -928,9 +928,9 @@ def test_pseudo_closed_walk_matches_the_lattice_on_raw_bases(basis):
 
 # -- in-order entailment against the simultaneous rounds --------------------------------
 #
-# _entails grows every lhs of one basis in in-order rounds under the other,
-# from the memoised columns of the basis.  The loop below is the earlier form:
-# fresh columns, simultaneous rounds.  Both must give the same verdict, and
+# _entails grows the lhs of one basis in in-order rounds under the other, in
+# the lanes that same-lhs subsumption leaves.  The loop below is the earlier
+# form: every lane, simultaneous rounds.  Both must give the same verdict, and
 # the in-order form never needs more rounds.
 
 
@@ -1071,9 +1071,9 @@ def test_the_cdub_settles_its_dbasis_without_a_round(monkeypatch, rounds):
     calls: list[tuple[BasisKind, BasisKind, int]] = []
     real = implbase.bases._entails
 
-    def counted(basis, other, sliced):
+    def counted(basis, other, record):
         start = len(rounds)
-        got = real(basis, other, sliced)
+        got = real(basis, other, record)
         calls.append((basis.kind, other.kind, len(rounds) - start))
         return got
 
@@ -1140,13 +1140,85 @@ def transposes(monkeypatch) -> list[int]:
 
 
 def test_a_repeat_check_equiv_transposes_nothing(transposes, ex51):
-    b1, b2 = build_cdub(ex51), build_dg(ex51)
+    implbase.bases._sliced.cache_clear()
+    n = ex51.universe.size
+    b1, b2, b3 = build_cdub(ex51), build_dg(ex51), build_dbasis(ex51)
     transposes.clear()
     assert check_equiv(b1, b2)
-    assert len(transposes) == 4  # the lhs and rhs columns of each basis
+    # the lhs and part columns of each entailment with lanes left: the cdub
+    # has two against the dg, the dg one against the cdub
+    assert transposes == [n] * 4
     transposes.clear()
     assert check_equiv(b1, b2) and check_equiv(b2, b1)
     assert transposes == []
+    # the cdub settles its dbasis with no lane left, so only the cdub's
+    # lanes against the dbasis are transposed
+    assert check_equiv(b1, b3)
+    assert transposes == [n] * 2
+    transposes.clear()
+    assert check_equiv(b3, b1) and check_equiv(b3, b2)
+    assert transposes == []
+
+
+def test_a_pair_order_check_builds_the_cdub_rhs_map_once(monkeypatch):
+    implbase.bases._sliced.cache_clear()
+    bases = [build(unseen(gen_synthetic(15, 19, 0.3, 0))) for build in BUILDERS]
+    built: list[BasisKind] = []
+    read: list[tuple[BasisKind, dict[int, int]]] = []
+    real_map, real_entails = implbase.bases._rhs_map, implbase.bases._entails
+
+    def mapped(basis):
+        built.append(basis.kind)
+        return real_map(basis)
+
+    def counted(basis, other, record):
+        got = real_entails(basis, other, record)
+        read.append((other.kind, record.merged))
+        return got
+
+    monkeypatch.setattr(implbase.bases, "_rhs_map", mapped)
+    monkeypatch.setattr(implbase.bases, "_entails", counted)
+    check_pairs(bases)
+    # the dbasis and the dg each entail once under the cdub, which builds
+    # its map on the first and keeps it for the second
+    assert built == [BasisKind.DBASIS, BasisKind.CDUB, BasisKind.DG]
+    against = [merged for kind, merged in read if kind is BasisKind.CDUB]
+    assert len(against) == 2 and against[0] is against[1]
+    assert against[0] == dict(bases[0].pairs())
+
+
+def test_a_verdict_decided_on_one_compacted_lane():
+    # the first tail pair of the dbasis whose lhs closure is not the
+    # universe gains an attribute outside that closure; same-lhs subsumption
+    # settles every other lane against the cdub, so the one round runs on
+    # the single lane left
+    ctx = gen_synthetic(15, 19, 0.3, 0)
+    cdub, dbasis = build_cdub(ctx), build_dbasis(ctx)
+    pairs = list(dbasis.pairs())
+    for at in range(dbasis.sigma0_len, len(pairs)):
+        lhs, rhs = pairs[at]
+        outside = ctx.universe.mask & ~fixpoint_bits(lhs, cdub.pairs())
+        if outside:
+            pairs[at] = (lhs, rhs | (outside & -outside))
+            break
+    mutated = Basis._from_pairs(pairs, BasisKind.RAW, universe=ctx.universe)
+    lanes: list[int] = []
+    real = implbase.bases.transpose_bits
+
+    def counted(sets, n):
+        lanes.append(len(sets))
+        return real(sets, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(implbase.bases, "transpose_bits", counted)
+        for b1, b2 in ((mutated, cdub), (cdub, mutated)):
+            implbase.bases._sliced.cache_clear()
+            assert not check_equiv(b1, b2)
+            assert not scalar_check_equiv(b1, b2)
+    # the lhs and part columns of one lane of 288; in the second order the
+    # cdub first shows 21 lanes against the mutated basis, which entails it
+    assert len(mutated) == 288
+    assert lanes == [1, 1, 21, 21, 1, 1]
 
 
 def test_a_repeat_direct_witness_at_one_policy_transposes_nothing(transposes):
@@ -1516,9 +1588,9 @@ def test_one_check_runs_four_entailments_and_four_directness_rounds(monkeypatch,
     entailed: list[BasisKind] = []
     real = implbase.bases._entails
 
-    def counted(basis, other, sliced):
+    def counted(basis, other, record):
         entailed.append(basis.kind)
-        return real(basis, other, sliced)
+        return real(basis, other, record)
 
     monkeypatch.setattr(implbase.bases, "_entails", counted)
     check_pairs(bases)

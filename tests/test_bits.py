@@ -67,8 +67,9 @@ def test_transpose_bits_matches_a_per_bit_loop(sets, n):
 
 
 #: Widths on both sides of each packed word (8, 16, 32 and 64 bits) and past
-#: the widest, where sets are formatted one by one.
-BOUNDARIES = [1, 8, 9, 16, 17, 32, 33, 64, 65, 100]
+#: the widest, where up to 64 sets are read back as words and more sets are
+#: formatted one by one.
+BOUNDARIES = [1, 8, 9, 16, 17, 32, 33, 64, 65, 100, 200]
 
 
 def per_bit_columns(sets: list[int], n: int) -> list[int]:
@@ -81,7 +82,7 @@ def per_bit_columns(sets: list[int], n: int) -> list[int]:
 
 
 @pytest.mark.parametrize("n", BOUNDARIES)
-@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 9, 63, 64, 65, 300])
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65, 300])
 def test_transpose_bits_matches_a_per_bit_loop_at_every_word_boundary(n, count):
     rng = random.Random(1000 * n + count)
     full = (1 << n) - 1
