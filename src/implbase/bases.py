@@ -573,11 +573,8 @@ def _root(record: _Record) -> _Record:
 
 
 def _rhs_map(basis: Basis) -> dict[int, int]:
-    """Each lhs of the basis with the OR of its rhs.  A cdub or a dg never
-    repeats a lhs (:class:`Basis` checks it), so its pairs are the map; a
-    dbasis repeats the lhs of its prefix, and a raw basis may repeat any."""
-    if basis.kind in (BasisKind.CDUB, BasisKind.DG):
-        return dict(basis.pairs())
+    """Each lhs of the basis with the OR of its rhs.  A dbasis repeats the lhs
+    of its prefix, and a raw basis may repeat any."""
     merged: dict[int, int] = {}
     for lhs, rhs in basis.pairs():
         merged[lhs] = merged.get(lhs, 0) | rhs

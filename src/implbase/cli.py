@@ -21,7 +21,6 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from time import perf_counter_ns
 
 from . import __version__
 from .closure import ALGORITHMS
@@ -70,24 +69,6 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _timed(call, *operands):
-    """``call(*operands)`` with its wall time as ``T ms``, the form every
-    phase note under ``--verbose`` ends in."""
-    start = perf_counter_ns()
-    result = call(*operands)
-    return result, f"{(perf_counter_ns() - start) / 1e6:.3f} ms"
-
-
-def _build(args: argparse.Namespace, kind: BasisKind, ctx):
-    """The basis of ``kind`` built from ``ctx``, with a ``--verbose`` note of
-    its size and build time."""
-    from .bases import BUILDERS
-
-    basis, took = _timed(BUILDERS[kind], ctx)
-    _note(args, f"build {kind.value}: {len(basis)} implications, {took}")
-    return basis
-
-
 def _emit(text: str, target: Path | None) -> None:
     """Write ``text`` to ``target`` and say so, or to stdout without one."""
     if target is None:
@@ -107,8 +88,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_bases(args: argparse.Namespace) -> int:
-    """Build one basis, or all three.  The ``--verbose`` note of each build
-    gives its size and its time, as ``check``'s does."""
     from .bases import BUILDERS
     from .context import read_cxt
     from .sets import render_basis
@@ -122,7 +101,9 @@ def cmd_bases(args: argparse.Namespace) -> int:
     else:
         targets = {BasisKind(args.kind): args.out}
     for kind, target in targets.items():
-        _emit(render_basis(_build(args, kind, ctx)), target)
+        basis = BUILDERS[kind](ctx)
+        _note(args, f"{kind.value}: {len(basis)} implications")
+        _emit(render_basis(basis), target)
     return 0
 
 
@@ -131,6 +112,8 @@ def cmd_closure(args: argparse.Namespace) -> int:
     and parsing the file, plus the indexes the algorithm builds before its
     kernel's clock starts) and the answer time (the kernel's own clock, or
     the whole call for the uncounted oracle)."""
+    from time import perf_counter_ns
+
     from .closure import oracle_closure
     from .sets import read_basis
 
@@ -175,12 +158,22 @@ def cmd_check(args: argparse.Namespace) -> int:
     pair order.  The ``--verbose`` notes give the time of each build, each
     equivalence and each directness check."""
     from itertools import combinations
+    from time import perf_counter_ns
 
     from .bases import BUILDERS, check_equiv, direct_scope, direct_witness
     from .context import read_cxt
 
+    def timed(call, *operands):
+        start = perf_counter_ns()
+        result = call(*operands)
+        return result, f"{(perf_counter_ns() - start) / 1e6:.3f} ms"
+
     ctx = read_cxt(args.context)
-    named = [(kind.value, _build(args, kind, ctx)) for kind in BUILDERS]
+    named = []
+    for kind, build in BUILDERS.items():
+        basis, took = timed(build, ctx)
+        _note(args, f"build {kind.value}: {len(basis)} implications, {took}")
+        named.append((kind.value, basis))
     universe = ctx.universe
     print(f"universe: {universe.full()} ({universe.size} attributes)")
     for kind, basis in named:
@@ -189,14 +182,14 @@ def cmd_check(args: argparse.Namespace) -> int:
     pairs = list(combinations(named, 2))
     verdicts = {}
     for (n1, b1), (n2, b2) in sorted(pairs, key=lambda pair: pair[1][0] != "dg"):
-        verdicts[n1, n2], took = _timed(check_equiv, b1, b2)
+        verdicts[n1, n2], took = timed(check_equiv, b1, b2)
         _note(args, f"equivalence {n1}~{n2}: {took}")
     for (n1, _), (n2, _) in pairs:
         print(f"equivalent {n1}~{n2}: {'yes' if verdicts[n1, n2] else 'NO'}")
     scope = direct_scope(universe.size)
     for kind, basis in named:
         word = "ordered-direct" if kind == "dbasis" else "direct"
-        witness, took = _timed(direct_witness, basis)
+        witness, took = timed(direct_witness, basis)
         _note(args, f"directness {kind}: {took}")
         if witness is None:
             print(f"{word} {kind}: yes ({scope})")

@@ -159,28 +159,6 @@ def test_bases_all_kinds_to_directory(capsys, tmp_path):
     assert read_basis(outdir / "dbasis.imp") == read_basis(EX51_IMP)
 
 
-def test_bases_verbose_notes_say_where_the_time_went(capsys, tmp_path):
-    loud, quiet = tmp_path / "loud", tmp_path / "quiet"
-    code, out, err = run(
-        capsys, "--verbose", "bases", "--in", str(EX51_CXT), "--kind", "all", "-o", str(loud)
-    )
-    assert code == 0
-    argv = ("bases", "--in", str(EX51_CXT), "--kind", "all", "-o", str(quiet))
-    assert run(capsys, *argv) == (0, out.replace(str(loud), str(quiet)), "")
-    for kind in ("cdub", "dbasis", "dg"):
-        assert (loud / f"{kind}.imp").read_bytes() == (quiet / f"{kind}.imp").read_bytes()
-    sizes = {kind: len(read_basis(loud / f"{kind}.imp")) for kind in ("cdub", "dbasis", "dg")}
-    lines = err.splitlines()
-    assert len(lines) == 3
-    for line, (kind, size) in zip(lines, sizes.items()):
-        assert re.fullmatch(rf"build {kind}: {size} implications, \d+\.\d{{3}} ms", line)
-    # one kind to stdout: the .imp text alone, its note on stderr
-    code, out, err = run(capsys, "--verbose", "bases", "--in", str(EX51_CXT), "--kind", "dg")
-    assert code == 0
-    assert out == (loud / "dg.imp").read_text(encoding="utf-8")
-    assert re.fullmatch(rf"build dg: {sizes['dg']} implications, \d+\.\d{{3}} ms\n", err)
-
-
 def test_bases_all_requires_out(capsys):
     code, _, err = run(capsys, "bases", "--in", str(EX51_CXT), "--kind", "all")
     assert code == 2
