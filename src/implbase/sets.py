@@ -455,12 +455,12 @@ class Basis:
         return tuple(reach)
 
 
-def _merge_pairs(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """RHS-union raw pairs that share a lhs, keeping first-seen order."""
+def _merge_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Each lhs of the raw pairs with the OR of its rhs, in first-seen order."""
     merged: dict[int, int] = {}
     for lhs, rhs in pairs:
         merged[lhs] = merged.get(lhs, 0) | rhs
-    return list(merged.items())
+    return merged
 
 
 def merge_same_lhs(basis: Basis) -> Basis:
@@ -477,9 +477,9 @@ def merge_same_lhs(basis: Basis) -> Basis:
         prefix = _merge_pairs(pairs[: basis.sigma0_len])
         tail = _merge_pairs(pairs[basis.sigma0_len :])
         return Basis._from_pairs(
-            prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe
+            [*prefix.items(), *tail.items()], BasisKind.DBASIS, len(prefix), universe=universe
         )
-    return Basis._from_pairs(_merge_pairs(pairs), basis.kind, universe=universe)
+    return Basis._from_pairs(_merge_pairs(pairs).items(), basis.kind, universe=universe)
 
 
 def unit_expand(basis: Basis) -> set[tuple[int, int]]:

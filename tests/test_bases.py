@@ -26,6 +26,7 @@ from conftest import (
 from implbase.bases import (
     EXHAUSTIVE_LIMIT,
     SAMPLES,
+    _premises,
     _pseudo_closed,
     _search,
     build_cdub,
@@ -559,7 +560,7 @@ def scalar_dbasis_tail(premises, single_closures, n):
                 continue
             tail_units.append((lhs, c))
     tail_units.sort(key=lambda unit: (lectic_key(unit[0], n), unit[1]))
-    return _merge_pairs([(lhs, 1 << c) for lhs, c in tail_units])
+    return list(_merge_pairs([(lhs, 1 << c) for lhs, c in tail_units]).items())
 
 
 def hierarchy_context(rng: random.Random, attributes: int) -> Context:
@@ -710,6 +711,18 @@ def test_the_dbasis_reads_the_context_through_the_premise_search_only(monkeypatc
     assert build_dbasis(ctx) == expected
 
 
+def test_the_walk_reads_the_context_through_its_columns_only(monkeypatch):
+    ctx = unseen(gen_synthetic(300, 14, 0.3, 1))
+    expected = _premises(unseen(ctx))
+    ctx.column_bits()
+
+    def refused(self):
+        raise AssertionError("the walk read the rows of the context")
+
+    monkeypatch.setattr(Context, "row_bits", refused)
+    assert _premises(ctx) == expected
+
+
 def test_a_cold_search_transposes_the_context_rows_once(monkeypatch):
     ctx = unseen(gen_synthetic(15, 19, 0.3, 0))
     rows = ctx.row_bits()
@@ -733,7 +746,7 @@ def per_attribute_sorted_cdub(ctx: Context) -> list[tuple[int, int]]:
     into lectic order, then merged in first-seen order."""
     n = ctx.universe.size
     premises = [sorted(found, key=lambda b: lectic_key(b, n)) for found in premise_families(ctx)]
-    return _merge_pairs([(lhs, 1 << m) for m in range(n) for lhs in premises[m]])
+    return list(_merge_pairs([(lhs, 1 << m) for m in range(n) for lhs in premises[m]]).items())
 
 
 @settings(max_examples=80, deadline=None)
@@ -792,14 +805,24 @@ def assert_kept_closures_hold(ctx: Context) -> None:
     ctx_seed=st.integers(0, 2**32 - 1),
     attributes=st.integers(1, 12),
     hierarchy=st.booleans(),
+    objects=st.integers(3, 150),
 )
-def test_the_kept_closures_are_the_lhs_closures(ctx_seed, attributes, hierarchy):
-    make = hierarchy_context if hierarchy else random_standard_context
-    assert_kept_closures_hold(make(random.Random(ctx_seed), attributes))
+def test_the_kept_closures_are_the_lhs_closures(ctx_seed, attributes, hierarchy, objects):
+    rng = random.Random(ctx_seed)
+    if hierarchy:
+        ctx = hierarchy_context(rng, attributes)
+    else:
+        # up to 150 drawn objects leave some standard contexts with more
+        # than 64, so extents wider than a machine word
+        ctx = random_standard_context(rng, attributes, objects=objects)
+    assert_kept_closures_hold(ctx)
 
 
-def test_the_kept_closures_are_the_lhs_closures_on_a_wide_context():
-    assert_kept_closures_hold(gen_synthetic(60, 32, 0.3, 1))
+# the tall context has 162 objects after standardisation: extents wider
+# than a machine word and not a whole number of bytes
+@pytest.mark.parametrize("shape", [(60, 32, 0.3), (300, 14, 0.3)], ids=["wide", "tall"])
+def test_the_kept_closures_are_the_lhs_closures_on_a_large_context(shape):
+    assert_kept_closures_hold(gen_synthetic(*shape, 1))
 
 
 @pytest.fixture
@@ -1165,18 +1188,19 @@ def test_a_pair_order_check_builds_the_cdub_rhs_map_once(monkeypatch):
     bases = [build(unseen(gen_synthetic(15, 19, 0.3, 0))) for build in BUILDERS]
     built: list[BasisKind] = []
     read: list[tuple[BasisKind, dict[int, int]]] = []
-    real_map, real_entails = implbase.bases._rhs_map, implbase.bases._entails
+    real_map, real_entails = implbase.bases._merge_pairs, implbase.bases._entails
+    kinds = {id(basis.pairs()): basis.kind for basis in bases}
 
-    def mapped(basis):
-        built.append(basis.kind)
-        return real_map(basis)
+    def mapped(pairs):
+        built.append(kinds[id(pairs)])
+        return real_map(pairs)
 
     def counted(basis, other, record):
         got = real_entails(basis, other, record)
         read.append((other.kind, record.merged))
         return got
 
-    monkeypatch.setattr(implbase.bases, "_rhs_map", mapped)
+    monkeypatch.setattr(implbase.bases, "_merge_pairs", mapped)
     monkeypatch.setattr(implbase.bases, "_entails", counted)
     check_pairs(bases)
     # the dbasis and the dg each entail once under the cdub, which builds
