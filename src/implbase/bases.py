@@ -15,35 +15,19 @@ attribute is implied by the empty set:
   pseudo-closed set, derived from the cdub in polynomial time by the same
   derivation that serves the pseudo-closed predicates below.
 
-One premise search per context serves all three builders: the last context
-built keeps its cdub, a :class:`Basis`, until another context is built.  The
-search is one levelwise walk over the free sets of the context
-(:func:`_premises`), which finds each left-hand side ``A`` once with its
-whole ``R_A`` and its closure ``A''``.  The walk hands those closures to the
-dg derivation, so it does not recompute them.  Its correctness rests on four
-facts: proper premises are free; free sets are closed under subsets; a free
-set whose closure is the whole universe has no free superset; and
-``R_A = A'' - (A | U (A - a)'')`` over the facets of ``A`` (Ryssel, Distel
-& Borchmann, AMAI 70, 2014).  TITANIC walks the free sets alike (Stumme et
-al., DKE 42, 2002).  Its work grows with the free sets rather than with the
-(premise, attribute) units that a per-attribute transversal search lists:
-less on sparse and wide contexts, but more on dense ones, where free sets
-outnumber the units (1,449 to 327 on ``gen_synthetic(50, 12, 0.6, 1)``).
-The record of the last three bases sliced is kept in one bounded memo,
-:func:`_sliced`: the dbasis and dg derivations read the cdub's sliced pairs
-from it, and verification reads every basis's, so a cold check slices each
-of its three bases once.  The candidate columns of the last eight widths
-checked for directness are kept in another.  Verification keeps what it has
-proven in the records: each equivalence it computes joins the two bases in
-one class, a union-find forest (Tarjan, JACM 22, 1975) whose root is the
-record of the class's smallest basis.  A later equivalence within a class
-is not recomputed, and a directness check tests closedness with the root's
-implications, or against the candidates' closure once a check of the class
-has found it.  An equivalence it does compute takes no round for an
-implication whose rhs lies inside its lhs and the rhs that the other basis
-gives the same lhs, so a cdub settles its dbasis with no round; the rhs
-that a basis gives each lhs is one map kept in its record, and the rounds
-run on the lanes of the implications left alone.
+Where each part is described:
+
+* the premise search that serves all three builders, searched once per
+  context: :func:`_search`; the walk it runs, the facts it rests on and
+  what it costs: :func:`_premises`;
+* the derivations of the dbasis and the dg from the cdub: :func:`_dbasis`
+  and :func:`_pseudo_closed`;
+* the bounded memo of one record per basis, which the derivations and
+  verification share: :func:`_sliced`; what a record holds:
+  :class:`_Record`;
+* what verification keeps and reuses of what it has proven: equivalence
+  in :func:`check_equiv` and :func:`_entails`, directness in
+  :func:`direct_witness` and its candidates in :func:`_candidates`.
 
 Plus the predicates that tests and the command line lean on: pseudo-closed
 membership, basis equivalence, and directness verification.
@@ -61,7 +45,7 @@ from .bits import (
     Pairs,
     Sliced,
     bit_indices,
-    lectic_keys,
+    lectic_sorted,
     slice_pairs,
     sliced_fixpoint,
     sliced_round,
@@ -136,6 +120,13 @@ def _premises(ctx: Context) -> tuple[dict[int, int], dict[int, int]]:
     column as its extent.  One level is kept at a time.  The closure of
     each premise is returned beside it, as the dg derivation starts from
     it.
+
+    A minimal transversal search per attribute lists each premise ``A`` once
+    per attribute of ``R_A``, so its work grows with the (premise,
+    attribute) units; the walk's grows with the free sets.  The walk does
+    less on sparse and wide contexts, and more on dense ones, where free
+    sets outnumber the units (1,449 to 327 on
+    ``gen_synthetic(50, 12, 0.6, 1)``).
     """
     mask = ctx.universe.mask
     cols = ctx.column_bits()
@@ -227,29 +218,15 @@ def _search(ctx: Context) -> _Search:
     """The cdub of ``ctx`` with its lhs closures, searched once while ``ctx``
     stays the last context a builder was called on.  One walk over the free
     sets of ``ctx`` (:func:`_premises`) finds each proper premise ``A`` once
-    with its ``R_A`` and its closure; a minimal transversal search per
-    attribute would list ``A`` once per attribute of ``R_A``.  Standardness
-    is checked on each search, so a context that fails it is never kept;
-    that check builds the context's column memo, which the walk reads.
-
-    The walk lists every proper premise and no other set, by the four facts
-    that :func:`_premises` states.  A proper premise is free (Ryssel, Distel
-    & Borchmann, AMAI 70, 2014).  Free sets are closed under subsets, and a
-    free set whose closure is the whole universe has no free superset, so
-    the walk reaches every free set that may lie under a premise, level by
-    level as TITANIC does (Stumme et al., DKE 42, 2002).  The facet formula
-    ``R_A = A'' - (A | U (A - a)'')`` gives exactly the attributes ``A`` is
-    a minimal generator of.  The walk's work grows with the free sets, a
-    per-attribute search's with the (premise, attribute) units, so on dense
-    contexts, where free sets outnumber the units, as on
-    ``gen_synthetic(50, 12, 0.6)``, the walk is the slower of the two.
+    with its ``R_A`` and its closure.  Standardness is checked on each
+    search, so a context that fails it is never kept; that check builds the
+    context's column memo, which the walk reads.
 
     The cdub pairs go by the first attribute whose premises hold the lhs,
     then in lectic order of the lhs.  That first attribute is the lowest bit
-    of the merged rhs, so one sort of the merged pairs on one int key, that
-    bit's position above the lectic key, orders them.  One bulk call keys
-    every lhs; the keys lie below ``1 << max(n, 64)``.  The sorted pairs
-    are checked and stored once, as the cdub that every builder reads.
+    of the merged rhs, so a stable sort on that bit of the pairs in lectic
+    order (:func:`lectic_sorted`) orders them.  The sorted pairs are checked
+    and stored once, as the cdub that every builder reads.
     """
     global _searched
     last = _searched
@@ -257,12 +234,8 @@ def _search(ctx: Context) -> _Search:
         require_standard(ctx)
         n = ctx.universe.size
         merged, closures = _premises(ctx)
-        keys = lectic_keys(merged, n)
-        shift = max(n, 64)
-        order = [(r & -r).bit_length() << shift | key for r, key in zip(merged.values(), keys)]
-        ranks = sorted(range(len(order)), key=order.__getitem__)
-        items = list(merged.items())
-        pairs = [items[i] for i in ranks]
+        pairs = lectic_sorted(list(merged.items()), n)
+        pairs.sort(key=lambda pair: pair[1] & -pair[1])
         cdub = Basis._from_pairs(pairs, BasisKind.CDUB, universe=ctx.universe)
         last = _searched = _Search(ctx, cdub, [closures[lhs] for lhs, _ in pairs])
     return last
@@ -286,8 +259,8 @@ def _dbasis(
     """The binary prefix and the merged tail of the ordered direct basis,
     derived from the merged cdub pairs ``A -> R_A``, where ``R_A`` holds the
     attributes that ``A`` is a minimal generator of, and from their sliced
-    form ``sliced``.  The tail is keyed in one bulk call and sorted into
-    lectic order of its left-hand sides.
+    form ``sliced``.  The tail is sorted into lectic order of its left-hand
+    sides.
 
     ``reach[a]`` is ``a`` with the rhs of the pair ``{a}``: the closure of
     ``a``, as the empty set is closed in a standard context.  The prefix is
@@ -331,8 +304,7 @@ def _dbasis(
                 drop[c] |= inside
     gone = transpose_bits(drop, len(wide))
     tail = [(lhs, rhs & ~g) for (lhs, rhs), g in zip(wide, gone) if rhs & ~g]
-    keys = lectic_keys([lhs for lhs, _ in tail], n)
-    return prefix, [tail[i] for i in sorted(range(len(tail)), key=keys.__getitem__)]
+    return prefix, lectic_sorted(tail, n)
 
 
 def build_dbasis(ctx: Context) -> Basis:
@@ -454,8 +426,7 @@ def _pseudo_closed(
             if not any(p & x == p for p in least):
                 least.append(x)
         found.extend((p, k) for p in least)
-    keys = lectic_keys([p for p, _ in found], n)
-    return [found[i] for i in sorted(range(len(found)), key=keys.__getitem__)]
+    return lectic_sorted(found, n)
 
 
 def build_dg(ctx: Context) -> Basis:
@@ -525,17 +496,16 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
 
 @dataclass(eq=False)
 class _Record:
-    """What verification keeps of one basis: its sliced pairs and its size;
-    ``merged``, each lhs with the OR of its rhs (:func:`_merge_pairs`, as a
-    dbasis repeats the lhs of its prefix and a raw basis may repeat any),
-    built by the first entailment under the basis; ``peer``, a link towards
-    the record of a basis proven equivalent; and, on the root of a class,
-    ``closed``, the closure columns of the directness candidates beside the
-    candidate columns they close.  It holds no :class:`Basis`, so a caller's
-    bases are free to go."""
+    """What verification keeps of one basis: its sliced pairs, one per pair
+    of the basis, so their count is its size; ``merged``, each lhs with the
+    OR of its rhs (:func:`_merge_pairs`, as a dbasis repeats the lhs of its
+    prefix and a raw basis may repeat any), built by the first entailment
+    under the basis; ``peer``, a link towards the record of a basis proven
+    equivalent; and, on the root of a class, ``closed``, the closure columns
+    of the directness candidates beside the candidate columns they close.
+    It holds no :class:`Basis`, so a caller's bases are free to go."""
 
     sliced: Sliced
-    size: int
     merged: dict[int, int] | None = None
     peer: _Record | None = None
     closed: tuple[list[int], list[int]] | None = None
@@ -549,7 +519,7 @@ def _sliced(basis: Basis) -> _Record:
     equal cdub.  Bounded because callers may keep every basis alive; a
     record that drops out is reached only through the links of the records
     still kept, which point towards their roots."""
-    return _Record(slice_pairs(basis.pairs()), len(basis))
+    return _Record(slice_pairs(basis.pairs()))
 
 
 def _root(record: _Record) -> _Record:
@@ -614,7 +584,8 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
     contained in the closure of its lhs computed under the other basis.
 
     A computed ``True`` links the roots of the two records, the larger
-    basis's root under the smaller's, so each root is the record of the
+    basis's root under the smaller's, so the records form a union-find
+    forest (Tarjan, JACM 22, 1975) and each root is the record of the
     smallest basis of its class; a ``False`` links nothing.  Two bases whose
     records share a root are equivalent without a round: each link is a
     computed equivalence, equal bases share one record, and equivalence is
@@ -628,7 +599,7 @@ def check_equiv(b1: Basis, b2: Basis) -> bool:
         return True
     if not (_entails(b1, b2, r2) and _entails(b2, b1, r1)):
         return False
-    small, large = (root1, root2) if root1.size <= root2.size else (root2, root1)
+    small, large = (root1, root2) if len(root1.sliced) <= len(root2.sliced) else (root2, root1)
     large.peer = small
     return True
 
@@ -665,10 +636,7 @@ def direct_witness(basis: Basis) -> AttributeSet | None:
     those of :func:`_candidates`, checked all at once, one per lane: one
     round reaches the closure iff its result is closed, because the closure
     is the least closed superset.  The witness is read back from the lowest
-    lane left unclosed.  The sliced basis is kept as :func:`check_equiv`
-    keeps it, so one context's check slices each basis once, and draws and
-    transposes the candidates of a width once while that width stays among
-    the last eight checked.
+    lane left unclosed.  The basis's record comes from :func:`_sliced`.
 
     Closedness belongs to the closure operator, not to the basis, so it is
     tested at the root of the basis's class, the smallest basis proven

@@ -39,7 +39,7 @@ __all__ = [
     "round_bits",
     "fixpoint_bits",
     "transpose_bits",
-    "lectic_keys",
+    "lectic_sorted",
     "slice_pairs",
     "sliced_round",
     "sliced_fixpoint",
@@ -195,6 +195,14 @@ def lectic_keys(sets: Collection[int], n: int) -> Sequence[int]:
         data, _, code = _packed(sets, n)
         return struct.unpack(f">{len(sets)}{code}", data.translate(_MIRROR))
     return [_lectic_key(bits, n) for bits in sets]
+
+
+def lectic_sorted(pairs: Pairs, n: int) -> list[tuple[int, int]]:
+    """The pairs in lectic order of their ``n``-attribute left-hand sides,
+    pairs with equal left-hand sides in their given order, keyed by one
+    :func:`lectic_keys` call."""
+    keys = lectic_keys([lhs for lhs, _ in pairs], n)
+    return [pairs[i] for i in sorted(range(len(pairs)), key=keys.__getitem__)]
 
 
 def slice_pairs(pairs: Pairs) -> Sliced:

@@ -69,6 +69,24 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _timed(call, *operands):
+    """The result of ``call(*operands)`` and its wall time in words."""
+    from time import perf_counter_ns
+
+    start = perf_counter_ns()
+    result = call(*operands)
+    return result, f"{(perf_counter_ns() - start) / 1e6:.3f} ms"
+
+
+def _build(args: argparse.Namespace, ctx, kind: BasisKind):
+    """The basis of ``kind`` of ``ctx``, noted with its size and build time."""
+    from .bases import BUILDERS
+
+    basis, took = _timed(BUILDERS[kind], ctx)
+    _note(args, f"build {kind.value}: {len(basis)} implications, {took}")
+    return basis
+
+
 def _emit(text: str, target: Path | None) -> None:
     """Write ``text`` to ``target`` and say so, or to stdout without one."""
     if target is None:
@@ -101,9 +119,7 @@ def cmd_bases(args: argparse.Namespace) -> int:
     else:
         targets = {BasisKind(args.kind): args.out}
     for kind, target in targets.items():
-        basis = BUILDERS[kind](ctx)
-        _note(args, f"{kind.value}: {len(basis)} implications")
-        _emit(render_basis(basis), target)
+        _emit(render_basis(_build(args, ctx, kind)), target)
     return 0
 
 
@@ -152,44 +168,29 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    """Cross-validate the three bases of a context.  The two pairs with the
-    dg, the smallest basis, are checked first: when both hold, the library
-    derives cdub~dbasis from them without a round.  The verdicts print in
-    pair order.  The ``--verbose`` notes give the time of each build, each
-    equivalence and each directness check."""
+    """Cross-validate the three bases of a context, pair by pair.  The
+    ``--verbose`` notes give the time of each build, each equivalence and
+    each directness check."""
     from itertools import combinations
-    from time import perf_counter_ns
 
     from .bases import BUILDERS, check_equiv, direct_scope, direct_witness
     from .context import read_cxt
 
-    def timed(call, *operands):
-        start = perf_counter_ns()
-        result = call(*operands)
-        return result, f"{(perf_counter_ns() - start) / 1e6:.3f} ms"
-
     ctx = read_cxt(args.context)
-    named = []
-    for kind, build in BUILDERS.items():
-        basis, took = timed(build, ctx)
-        _note(args, f"build {kind.value}: {len(basis)} implications, {took}")
-        named.append((kind.value, basis))
+    named = [(kind.value, _build(args, ctx, kind)) for kind in BUILDERS]
     universe = ctx.universe
     print(f"universe: {universe.full()} ({universe.size} attributes)")
     for kind, basis in named:
         suffix = f" (sigma0 {basis.sigma0_len})" if kind == "dbasis" else ""
         print(f"{kind}: {len(basis)} implications{suffix}")
-    pairs = list(combinations(named, 2))
-    verdicts = {}
-    for (n1, b1), (n2, b2) in sorted(pairs, key=lambda pair: pair[1][0] != "dg"):
-        verdicts[n1, n2], took = timed(check_equiv, b1, b2)
+    for (n1, b1), (n2, b2) in combinations(named, 2):
+        same, took = _timed(check_equiv, b1, b2)
         _note(args, f"equivalence {n1}~{n2}: {took}")
-    for (n1, _), (n2, _) in pairs:
-        print(f"equivalent {n1}~{n2}: {'yes' if verdicts[n1, n2] else 'NO'}")
+        print(f"equivalent {n1}~{n2}: {'yes' if same else 'NO'}")
     scope = direct_scope(universe.size)
     for kind, basis in named:
         word = "ordered-direct" if kind == "dbasis" else "direct"
-        witness, took = timed(direct_witness, basis)
+        witness, took = _timed(direct_witness, basis)
         _note(args, f"directness {kind}: {took}")
         if witness is None:
             print(f"{word} {kind}: yes ({scope})")

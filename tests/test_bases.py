@@ -769,7 +769,7 @@ def test_a_cold_search_keys_each_cdub_pair_once(monkeypatch):
         keyed.extend(sets)
         return real(sets, size)
 
-    monkeypatch.setattr(implbase.bases, "lectic_keys", counted)
+    monkeypatch.setattr(implbase.bits, "lectic_keys", counted)
     ctx = gen_synthetic(15, 19, 0.3, 0)
     pairs = _search(ctx).cdub.pairs()
     assert sorted(keyed) == sorted(lhs for lhs, _ in pairs)
@@ -800,21 +800,34 @@ def assert_kept_closures_hold(ctx: Context) -> None:
     assert _pseudo_closed(pairs, sliced, n, found.closures) == _pseudo_closed(pairs, sliced, n)
 
 
+def tall_context(rng: random.Random) -> Context:
+    """A uniform standard context of more than 64 objects: 150-400 drawn
+    objects over 12-16 attributes keep that many through standardisation,
+    so extents are wider than a machine word."""
+    while True:
+        try:
+            return gen_synthetic(
+                rng.randint(150, 400), rng.randint(12, 16), 0.3, rng.getrandbits(32)
+            )
+        except DegenerateContext:
+            continue
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     ctx_seed=st.integers(0, 2**32 - 1),
     attributes=st.integers(1, 12),
-    hierarchy=st.booleans(),
+    shape=st.sampled_from(["hierarchy", "uniform", "tall"]),
     objects=st.integers(3, 150),
 )
-def test_the_kept_closures_are_the_lhs_closures(ctx_seed, attributes, hierarchy, objects):
+def test_the_kept_closures_are_the_lhs_closures(ctx_seed, attributes, shape, objects):
     rng = random.Random(ctx_seed)
-    if hierarchy:
+    if shape == "hierarchy":
         ctx = hierarchy_context(rng, attributes)
-    else:
-        # up to 150 drawn objects leave some standard contexts with more
-        # than 64, so extents wider than a machine word
+    elif shape == "uniform":
         ctx = random_standard_context(rng, attributes, objects=objects)
+    else:
+        ctx = tall_context(rng)
     assert_kept_closures_hold(ctx)
 
 

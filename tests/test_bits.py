@@ -12,6 +12,7 @@ from implbase.bits import (
     bit_indices,
     fixpoint_bits,
     lectic_keys,
+    lectic_sorted,
     memo,
     round_bits,
     slice_pairs,
@@ -110,6 +111,11 @@ def test_lectic_keys_order_sets_as_lectic_key_does(n):
     width = next((w for w in (8, 16, 32, 64) if n <= w), n)
     assert list(keys) == [lectic_key(bits, n) << (width - n) for bits in sets]
     assert not lectic_keys([], n)
+    # pairs sort by their lhs, and the repeated lhs keep their given order
+    pairs = [(bits, place) for place, bits in enumerate(sets)]
+    in_order = sorted(pairs, key=lambda pair: (lectic_key(pair[0], n), pair[1]))
+    assert lectic_sorted(pairs, n) == in_order
+    assert lectic_sorted([], n) == []
 
 
 @given(
