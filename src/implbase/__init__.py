@@ -24,18 +24,14 @@ _HOMES = {
     "BasisKind": "sets",
     "Implication": "sets",
     "Universe": "sets",
-    "format_implication": "sets",
-    "lectic_key": "sets",
     "merge_same_lhs": "sets",
     "parse_basis": "sets",
     "parse_implication": "sets",
     "read_basis": "sets",
     "render_basis": "sets",
     "unit_expand": "sets",
-    "write_basis": "sets",
     "Context": "context",
     "clarify": "context",
-    "context_closure": "context",
     "gen_synthetic": "context",
     "is_clarified": "context",
     "is_reduced": "context",
@@ -45,7 +41,6 @@ _HOMES = {
     "reduce": "context",
     "render_cxt": "context",
     "require_standard": "context",
-    "write_cxt": "context",
     "ClosureResult": "closure",
     "Metrics": "closure",
     "binary_closure": "closure",
@@ -65,8 +60,6 @@ _HOMES = {
     "check_equiv": "bases",
     "direct_witness": "bases",
     "enumerate_pseudo_closed": "bases",
-    "is_pseudo_closed": "bases",
-    "verify_direct": "bases",
     "ALGORITHMS": "closure",
     "CSV_HEADER": "bench",
     "METRIC_NAMES": "bench",

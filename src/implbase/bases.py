@@ -13,7 +13,7 @@ attribute is implied by the empty set:
   first.
 * :func:`build_dg` - the minimum-cardinality basis: one implication per
   pseudo-closed set, derived from the cdub in polynomial time by the same
-  derivation that serves the pseudo-closed predicates below.
+  derivation that :func:`enumerate_pseudo_closed` runs on any basis.
 
 Where each part is described:
 
@@ -29,8 +29,8 @@ Where each part is described:
   in :func:`check_equiv` and :func:`_entails`, directness in
   :func:`direct_witness` and its candidates in :func:`_candidates`.
 
-Plus the predicates that tests and the command line lean on: pseudo-closed
-membership, basis equivalence, and directness verification.
+Plus what tests and the command line lean on: pseudo-closed enumeration,
+basis equivalence, and the directness witness.
 """
 
 from __future__ import annotations
@@ -62,10 +62,8 @@ __all__ = [
     "build_cdub",
     "build_dbasis",
     "build_dg",
-    "is_pseudo_closed",
     "enumerate_pseudo_closed",
     "check_equiv",
-    "verify_direct",
     "direct_witness",
     "direct_scope",
     "EXHAUSTIVE_LIMIT",
@@ -453,7 +451,7 @@ BUILDERS: dict[BasisKind, Callable[[Context], Basis]] = {
 }
 
 
-# -- predicates ---------------------------------------------------------------
+# -- pseudo-closed sets and verification --------------------------------------
 
 
 @dataclass(frozen=True)
@@ -462,26 +460,6 @@ class PseudoClosedWitness:
 
     pseudo_closed: AttributeSet
     closure: AttributeSet
-
-
-def is_pseudo_closed(x: AttributeSet, basis: Basis) -> bool:
-    """Is ``x`` pseudo-closed under the basis?
-
-    Derived from the implications whose lhs lies inside ``x`` alone, ``L_x``.
-    For a set ``R`` inside ``x``, the closures under ``L_x`` and under the
-    basis agree whenever one of them stays inside ``x``: the basis fires
-    nothing but ``L_x`` there, so that closure is closed under both.  Whether
-    a subset ``P`` of ``x`` is pseudo-closed depends on whether ``P`` is
-    closed and on whether the closures of its pseudo-closed proper subsets lie
-    inside ``P``; each of those tests asks whether a closure stays inside
-    ``x``, and so answers alike under both.  By induction on ``|P|``, the
-    subsets of ``x``, ``x`` among them, have the same pseudo-closed sets.
-    """
-    if x.universe != basis.universe:
-        raise UniverseMismatch("set universe differs from basis universe")
-    inside = [(lhs, rhs) for lhs, rhs in basis.pairs() if lhs & x.bits == lhs]
-    pseudo = _pseudo_closed(inside, slice_pairs(inside), x.universe.size)
-    return any(p == x.bits for p, _ in pseudo)
 
 
 def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
@@ -662,9 +640,3 @@ def direct_witness(basis: Basis) -> AttributeSet | None:
     lane = (bad & -bad).bit_length() - 1
     witness = sum(1 << a for a, col in enumerate(cols) if col >> lane & 1)
     return AttributeSet(basis.universe, witness)
-
-
-def verify_direct(basis: Basis) -> bool:
-    """Does one round always reach the closure?  See :func:`direct_witness`
-    for the round used per kind and the candidate sets."""
-    return direct_witness(basis) is None

@@ -174,8 +174,12 @@ _MIRROR = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
 def _lectic_key(bits: int, n: int) -> int:
-    """``bits`` mirrored over ``n`` positions: each little-endian byte
-    mirrored through ``_MIRROR``, read big-endian, shifted past the
+    """Sort key of the lectic order on ``n``-attribute sets: earlier
+    attribute positions weigh more, so of two distinct sets the smaller is
+    the one missing the smallest attribute in which they differ.
+
+    The key is ``bits`` mirrored over ``n`` positions: each little-endian
+    byte mirrored through ``_MIRROR``, read big-endian, shifted past the
     padding."""
     nb = (n + 7) >> 3
     return int.from_bytes(bits.to_bytes(nb, "little").translate(_MIRROR), "big") >> (8 * nb - n)
@@ -183,7 +187,7 @@ def _lectic_key(bits: int, n: int) -> int:
 
 def lectic_keys(sets: Collection[int], n: int) -> Sequence[int]:
     """Sort keys of the ``n``-attribute sets that order them as
-    ``sets.lectic_key`` does.
+    :func:`_lectic_key`, the mirrored key, does.
 
     Up to 64 attributes the sets are packed little-endian, every byte is
     mirrored through ``_MIRROR`` and the words are read back big-endian, so

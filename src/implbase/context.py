@@ -20,14 +20,12 @@ from .errors import (
     MalformedCxt,
     NotClarified,
     NotStandardContext,
-    UniverseMismatch,
     UnrenderableName,
 )
 from .sets import AttributeSet, Universe, _is_decimal
 
 __all__ = [
     "Context",
-    "context_closure",
     "is_clarified",
     "clarify",
     "is_reduced",
@@ -38,7 +36,6 @@ __all__ = [
     "parse_cxt",
     "render_cxt",
     "read_cxt",
-    "write_cxt",
 ]
 
 
@@ -115,13 +112,6 @@ class Context:
 
     def __repr__(self) -> str:
         return f"Context({self.objects} objects, {self.universe.size} attributes)"
-
-
-def context_closure(ctx: Context, x: AttributeSet) -> AttributeSet:
-    """Smallest row-intersection containing ``x``; the universe if no row does."""
-    if x.universe != ctx.universe:
-        raise UniverseMismatch("set universe differs from context universe")
-    return AttributeSet(ctx.universe, ctx.closure_bits(x.bits))
 
 
 # -- clarification and reduction --------------------------------------------
@@ -375,7 +365,3 @@ def parse_cxt(text: str) -> Context:
 
 def read_cxt(path: str | Path) -> Context:
     return parse_cxt(Path(path).read_text(encoding="utf-8"))
-
-
-def write_cxt(ctx: Context, path: str | Path) -> None:
-    Path(path).write_text(render_cxt(ctx), encoding="utf-8")

@@ -26,7 +26,7 @@ from operator import or_
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .bits import _lectic_key, bit_indices, memo, spread, transpose_bits
+from .bits import bit_indices, memo, spread, transpose_bits
 from .errors import (
     EmptyLhs,
     ImplicationSyntaxError,
@@ -209,18 +209,6 @@ def _trusted_set(universe: Universe, bits: int) -> AttributeSet:
     return result
 
 
-def lectic_key(bits: int, size: int) -> int:
-    """Sort key realising the lectic order on subsets.
-
-    Earlier attribute positions weigh more, so ``sorted(..., key=...)`` lists
-    sets exactly in ascending lectic order: of two distinct sets the smaller
-    is the one missing the smallest attribute in which they differ.  The
-    key is ``bits`` mirrored over ``size`` positions; ``bits.lectic_keys``
-    keys many sets at once in the same order.
-    """
-    return _lectic_key(bits, size)
-
-
 @dataclass(frozen=True, slots=True)
 class Implication:
     """One dependency ``lhs -> rhs`` over a shared universe.
@@ -244,7 +232,8 @@ class Implication:
         return self.lhs.universe
 
     def __str__(self) -> str:
-        return format_implication(self)
+        """The line :func:`parse_implication` reads back."""
+        return _line(str(self.lhs), str(self.rhs))
 
     def __repr__(self) -> str:
         return f"Implication({self})"
@@ -521,11 +510,6 @@ def _split(text: str) -> tuple[list[str], list[str]]:
     return lhs_tokens, tail.split()
 
 
-def format_implication(impl: Implication) -> str:
-    """Render an implication in the same shape :func:`parse_implication` reads."""
-    return _line(str(impl.lhs), str(impl.rhs))
-
-
 def _line(lhs: str, rhs: str) -> str:
     """One implication line from the two rendered sides."""
     return f"{lhs} {ARROW} {rhs}".rstrip()
@@ -694,7 +678,3 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
 
 def read_basis(path: str | Path, universe: Universe | None = None) -> Basis:
     return parse_basis(Path(path).read_text(encoding="utf-8"), universe)
-
-
-def write_basis(basis: Basis, path: str | Path) -> None:
-    Path(path).write_text(render_basis(basis), encoding="utf-8")

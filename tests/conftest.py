@@ -71,6 +71,13 @@ def random_standard_context(
             return ctx
 
 
+def lectic_key(bits: int, n: int) -> int:
+    """The lectic sort key of an ``n``-attribute set, read off its bit
+    string: ``bits`` mirrored over ``n`` positions, so earlier attributes
+    weigh more."""
+    return int(format(bits, f"0{n}b")[::-1], 2)
+
+
 def closed_family(ctx: Context) -> frozenset[int]:
     """All closed attribute sets of a small context, as raw bit masks."""
     n = ctx.universe.size

@@ -21,6 +21,7 @@ from conftest import (
     closed_family,
     contranominal,
     ctx_from_rows,
+    lectic_key,
     random_standard_context,
 )
 from implbase.bases import (
@@ -36,8 +37,6 @@ from implbase.bases import (
     direct_scope,
     direct_witness,
     enumerate_pseudo_closed,
-    is_pseudo_closed,
-    verify_direct,
 )
 from implbase.bits import (
     fixpoint_bits,
@@ -47,7 +46,7 @@ from implbase.bits import (
     transpose_bits,
 )
 from implbase.closure import oracle_closure
-from implbase.context import Context, clarify, context_closure, gen_synthetic, reduce
+from implbase.context import Context, clarify, gen_synthetic, reduce
 from implbase.errors import DegenerateContext, NotStandardContext, UniverseMismatch
 from implbase.sets import (
     AttributeSet,
@@ -56,7 +55,6 @@ from implbase.sets import (
     Implication,
     Universe,
     _merge_pairs,
-    lectic_key,
     merge_same_lhs,
     read_basis,
     unit_expand,
@@ -211,9 +209,9 @@ def test_bases_reproduce_the_context_closure_exhaustively():
         bases = [build(ctx) for build in BUILDERS]
         for bits in range(1 << u.size):
             x = AttributeSet(u, bits)
-            expected = context_closure(ctx, x)
+            expected = ctx.closure_bits(bits)
             for basis in bases:
-                assert oracle_closure(x, basis) == expected
+                assert oracle_closure(x, basis).bits == expected
 
 
 def test_cdub_premises_are_minimal_generators():
@@ -222,13 +220,12 @@ def test_cdub_premises_are_minimal_generators():
         ctx = random_standard_context(rng, rng.randint(2, 7))
         for impl in build_cdub(ctx):
             lhs = impl.lhs
-            closed = context_closure(ctx, lhs)
+            closed = ctx.closure_bits(lhs.bits)
             for m in impl.rhs:
-                assert m in closed
+                assert closed >> m & 1
                 assert m not in lhs
                 for a in lhs:
-                    smaller = AttributeSet(ctx.universe, lhs.bits & ~(1 << a))
-                    assert m not in context_closure(ctx, smaller)
+                    assert not ctx.closure_bits(lhs.bits & ~(1 << a)) >> m & 1
 
 
 def test_dbasis_units_are_a_subset_of_cdub_units():
@@ -252,9 +249,9 @@ def test_merged_sizes_are_ordered():
 
 
 def test_built_bases_directness(ex51):
-    assert verify_direct(build_cdub(ex51))
-    assert verify_direct(build_dbasis(ex51))
-    assert not verify_direct(build_dg(ex51))
+    assert direct_witness(build_cdub(ex51)) is None
+    assert direct_witness(build_dbasis(ex51)) is None
+    assert direct_witness(build_dg(ex51)) is not None
 
 
 def test_direct_scope_names_the_default_policy():
@@ -292,8 +289,8 @@ def test_random_built_bases_verify_direct():
     rng = random.Random(65)
     for _ in range(15):
         ctx = random_standard_context(rng, rng.randint(2, 7))
-        assert verify_direct(build_cdub(ctx))
-        assert verify_direct(build_dbasis(ctx))
+        assert direct_witness(build_cdub(ctx)) is None
+        assert direct_witness(build_dbasis(ctx)) is None
 
 
 def test_direct_witness_sampling_path():
@@ -320,14 +317,13 @@ def test_pseudo_closed_family_on_worked_example(ex51):
 def test_is_pseudo_closed_predicates(ex51):
     dg = build_dg(ex51)
     u = dg.universe
-    assert is_pseudo_closed(aset(u, "d"), dg)
-    assert is_pseudo_closed(aset(u, "a c d"), dg)
-    assert not is_pseudo_closed(aset(u, "b d"), dg)  # {d} closes outside of it
-    assert not is_pseudo_closed(aset(u, "c"), dg)  # already closed
-    assert not is_pseudo_closed(u.empty(), dg)
-    assert not is_pseudo_closed(u.full(), dg)
-    with pytest.raises(UniverseMismatch):
-        is_pseudo_closed(Universe(size=4).empty(), dg)
+    family = {w.pseudo_closed for w in enumerate_pseudo_closed(dg)}
+    assert aset(u, "d") in family
+    assert aset(u, "a c d") in family
+    assert aset(u, "b d") not in family  # {d} closes outside of it
+    assert aset(u, "c") not in family  # already closed
+    assert u.empty() not in family
+    assert u.full() not in family
 
 
 def test_dg_lhs_are_exactly_the_pseudo_closed_sets():
@@ -337,14 +333,11 @@ def test_dg_lhs_are_exactly_the_pseudo_closed_sets():
         dg = build_dg(ctx)
         family = {w.pseudo_closed.bits for w in enumerate_pseudo_closed(dg)}
         assert {impl.lhs.bits for impl in dg} == family
-        for impl in dg:
-            assert is_pseudo_closed(impl.lhs, dg)
 
 
 def test_dg_rhs_is_closure_minus_premise(ex51):
     for impl in build_dg(ex51):
-        closed = context_closure(ex51, impl.lhs)
-        assert impl.rhs.bits == closed.bits & ~impl.lhs.bits
+        assert impl.rhs.bits == ex51.closure_bits(impl.lhs.bits) & ~impl.lhs.bits
 
 
 # -- equivalence and minimality ------------------------------------------------------------
@@ -868,8 +861,8 @@ def test_the_builders_slice_the_cdub_pairs_once(slicings, rounds):
 
 # -- the pseudo-closed derivation against the subset lattice ------------------------
 #
-# build_dg, enumerate_pseudo_closed and is_pseudo_closed share one derivation
-# of the pseudo-closed sets from a list of implications.  The loop below
+# build_dg and enumerate_pseudo_closed share one derivation of the
+# pseudo-closed sets from a list of implications.  The loop below
 # tries every subset instead and serves as the reference.
 
 
@@ -926,9 +919,6 @@ def assert_walk_matches_lattice(basis: Basis) -> None:
     family.sort(key=lambda pc: lectic_key(pc[0], u.size))
     got = [(w.pseudo_closed.bits, w.closure.bits) for w in enumerate_pseudo_closed(basis)]
     assert got == family
-    premises = {p for p, _ in family}
-    for bits in range(1 << u.size):
-        assert is_pseudo_closed(AttributeSet(u, bits), basis) == (bits in premises)
 
 
 @settings(max_examples=40, deadline=None)

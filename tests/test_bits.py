@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from conftest import lectic_key
 from implbase.bits import (
     bit_indices,
     fixpoint_bits,
@@ -21,7 +22,6 @@ from implbase.bits import (
     spread,
     transpose_bits,
 )
-from implbase.sets import lectic_key
 
 N = 9
 SETS = st.integers(min_value=0, max_value=(1 << N) - 1)

@@ -16,7 +16,6 @@ from implbase.context import (
     _irreducible,
     _select,
     clarify,
-    context_closure,
     gen_synthetic,
     is_clarified,
     is_reduced,
@@ -26,7 +25,6 @@ from implbase.context import (
     reduce,
     render_cxt,
     require_standard,
-    write_cxt,
 )
 from implbase.errors import (
     DegenerateContext,
@@ -34,14 +32,13 @@ from implbase.errors import (
     MalformedCxt,
     NotClarified,
     NotStandardContext,
-    UniverseMismatch,
     UnrenderableName,
 )
 from implbase.sets import AttributeSet, Universe
 
 
 def closure(ctx: Context, tokens: str) -> str:
-    return str(context_closure(ctx, aset(ctx.universe, tokens)))
+    return str(AttributeSet(ctx.universe, ctx.closure_bits(aset(ctx.universe, tokens).bits)))
 
 
 # -- the closure operator -------------------------------------------------------
@@ -63,11 +60,6 @@ def test_closure_is_universe_when_no_row_contains_the_set(ex51):
     assert closure(ex51, "b c") == "a b c d"
 
 
-def test_closure_rejects_foreign_sets(ex51):
-    with pytest.raises(UniverseMismatch):
-        context_closure(ex51, Universe(size=4).empty())
-
-
 @given(
     st.lists(st.integers(0, 255), min_size=1, max_size=10),
     st.integers(0, 255),
@@ -76,15 +68,13 @@ def test_closure_rejects_foreign_sets(ex51):
 def test_closure_operator_laws(row_bits, xa, xb):
     u = Universe(size=8)
     ctx = Context(u, [AttributeSet(u, bits) for bits in row_bits])
-    a = AttributeSet(u, xa)
-    b = AttributeSet(u, xb)
-    ca = context_closure(ctx, a)
-    cb = context_closure(ctx, b)
-    assert a <= ca
-    assert context_closure(ctx, ca) == ca
-    if a <= b:
-        assert ca <= cb
-    assert context_closure(ctx, a | b) == context_closure(ctx, ca | cb)
+    ca = ctx.closure_bits(xa)
+    cb = ctx.closure_bits(xb)
+    assert xa & ca == xa
+    assert ctx.closure_bits(ca) == ca
+    if xa & xb == xa:
+        assert ca & cb == ca
+    assert ctx.closure_bits(xa | xb) == ctx.closure_bits(ca | cb)
 
 
 # -- clarification ----------------------------------------------------------------
@@ -343,7 +333,7 @@ def test_render_parse_round_trip(ex51, tmp_path):
     again = parse_cxt(text)
     assert again == ex51
     target = tmp_path / "copy.cxt"
-    write_cxt(ex51, target)
+    target.write_text(text, encoding="utf-8")
     assert read_cxt(target) == ex51
 
 
@@ -409,15 +399,12 @@ def two_by_two(objects: list[str], attributes: list[str]) -> Context:
 
 @pytest.mark.parametrize("name", BLANK_NAMES + BROKEN_NAMES)
 @pytest.mark.parametrize("role", ["object", "attribute"])
-def test_render_cxt_refuses_names_that_do_not_read_back(name, role, tmp_path):
+def test_render_cxt_refuses_names_that_do_not_read_back(name, role):
     objects, attributes = ["g1", "g2"], ["m1", "m2"]
     (objects if role == "object" else attributes)[1] = name
     ctx = two_by_two(objects, attributes)
     with pytest.raises(UnrenderableName, match=re.escape(f"cannot write {role} name {name!r}:")):
         render_cxt(ctx)
-    with pytest.raises(UnrenderableName):
-        write_cxt(ctx, tmp_path / "ctx.cxt")
-    assert not (tmp_path / "ctx.cxt").exists()
 
 
 def test_render_cxt_refuses_names_that_would_misparse_without_error():
