@@ -334,17 +334,19 @@ def build_dbasis(ctx: Context) -> Basis:
 
 
 def _pseudo_closed(
-    pairs: Pairs, sliced: Sliced, n: int, closures: list[int] | None = None
+    pairs: Pairs, sliced: Sliced, n: int, closures: list[int]
 ) -> list[tuple[int, int]]:
     """Every pseudo-closed set of the closure operator of ``pairs``, with its
-    closure, in lectic order; derived from the pairs and their sliced form
-    ``sliced`` in polynomial time (Ganter & Obiedkov 2016).
+    closure, in lectic order; derived from the pairs, their sliced form
+    ``sliced`` and the closures of their left-hand sides in polynomial time
+    (Ganter & Obiedkov 2016).
 
     Implication ``j``, ``A_j -> B_j``, takes lane ``j``:
 
-    1. ``K_j``, the closure of ``A_j``: the ``closures`` the caller hands
-       over, in the order of ``pairs``, as the premise search keeps them for
-       the cdub; else in-order rounds in all lanes at once, to a fixpoint.
+    1. ``K_j``, the closure of ``A_j``: ``closures[j]``.  The caller
+       computes them: :func:`build_dg` hands over those the premise search
+       kept for the cdub, and :func:`enumerate_pseudo_closed` runs in-order
+       rounds in all lanes at once, to a fixpoint.
     2. ``allowed_j``: the lanes ``q`` with ``K_j`` strictly inside ``K_q``.
     3. ``X_q``: the closure of ``A_q`` under every ``A_j -> B_j``, where
        ``j`` fires only in the lanes of ``allowed_j``.  The allowed lanes sit
@@ -392,29 +394,25 @@ def _pseudo_closed(
         return []
     lanes = len(pairs)
     cols = transpose_bits([lhs for lhs, _ in pairs], n)
-    if closures is None:
-        k_cols = sliced_fixpoint(cols, sliced)
-        ks = transpose_bits(k_cols, lanes)
-    else:
-        ks = closures
-        k_cols = transpose_bits(ks, n)
+    k_cols = transpose_bits(closures, n)
     mask = (1 << n) - 1
     # per distinct closure: its fence column, or None when the column
     # marks no lane
-    fence: dict[int, int | None] = dict.fromkeys(ks)
+    fence: dict[int, int | None] = dict.fromkeys(closures)
     fences: list[int] = []
     for k in fence:
         allowed = reduce(or_, [k_cols[a] for a in bit_indices(mask & ~k)], 0)
         if allowed:
             fence[k] = n + len(fences)
             fences.append(allowed)
-    by_size = sorted(range(lanes), key=lambda j: ks[j].bit_count())
+    by_size = sorted(range(lanes), key=lambda j: closures[j].bit_count())
     fenced = [
-        ((f,) + sliced[j][0], sliced[j][1]) for j in by_size if (f := fence[ks[j]]) is not None
+        ((f,) + sliced[j][0], sliced[j][1])
+        for j in by_size if (f := fence[closures[j]]) is not None
     ]
     xs = transpose_bits(sliced_fixpoint(cols + fences, fenced)[:n], lanes)
     classes: dict[int, set[int]] = {}
-    for x, k in zip(xs, ks):
+    for x, k in zip(xs, closures):
         if x != k:
             classes.setdefault(k, set()).add(x)
     found: list[tuple[int, int]] = []
@@ -464,11 +462,20 @@ class PseudoClosedWitness:
 
 def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     """Every pseudo-closed set of the basis with its closure, in lectic order,
-    derived from the basis as :func:`build_dg` derives them from the cdub."""
+    derived from the basis as :func:`build_dg` derives them from the cdub.
+
+    The closures of the left-hand sides, which :func:`_pseudo_closed` takes,
+    are computed here: in-order rounds in one lane per implication, to a
+    fixpoint."""
     universe = basis.universe
+    n = universe.size
+    pairs = basis.pairs()
+    sliced = _sliced(basis).sliced
+    lhs_cols = transpose_bits([lhs for lhs, _ in pairs], n)
+    closures = transpose_bits(sliced_fixpoint(lhs_cols, sliced), len(pairs))
     return [
         PseudoClosedWitness(AttributeSet(universe, p), AttributeSet(universe, c))
-        for p, c in _pseudo_closed(basis.pairs(), _sliced(basis).sliced, universe.size)
+        for p, c in _pseudo_closed(pairs, sliced, n, closures)
     ]
 
 

@@ -24,6 +24,7 @@ from random import Random
 from typing import ContextManager, Iterable, Mapping, Sequence, TextIO
 
 from .bases import BUILDERS
+from .bits import random_bits
 from .closure import ALGORITHMS, Metrics
 from .context import Context
 from .errors import InvalidCombo, MalformedReport, UniverseMismatch
@@ -144,13 +145,7 @@ def _draw_queries(
     hasher = hashlib.sha256()
     queries: list[AttributeSet] = []
     for _ in range(count):
-        if density == 0.5:
-            bits = rng.getrandbits(n)
-        else:
-            bits = 0
-            for j in range(n):
-                if rng.random() < density:
-                    bits |= 1 << j
+        bits = rng.getrandbits(n) if density == 0.5 else random_bits(rng, n, density)
         hasher.update(bits.to_bytes(nbytes, "big"))
         queries.append(AttributeSet(universe, bits))
     return queries, hasher.hexdigest()[:16]

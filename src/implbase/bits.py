@@ -30,12 +30,16 @@ from __future__ import annotations
 
 import struct
 from functools import wraps
-from typing import Callable, Collection, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Collection, Sequence, TypeVar
+
+if TYPE_CHECKING:
+    from random import Random
 
 __all__ = [
     "Sliced",
     "bit_indices",
     "spread",
+    "random_bits",
     "round_bits",
     "fixpoint_bits",
     "transpose_bits",
@@ -84,6 +88,17 @@ def spread(bits: int, table: Sequence[int]) -> int:
         acc |= table[low.bit_length() - 1]
         bits ^= low
     return acc
+
+
+def random_bits(rng: Random, n: int, p: float) -> int:
+    """A seeded random ``n``-attribute set: attribute ``j`` is in it iff the
+    ``j``-th of ``n`` ``rng.random()`` draws, lowest attribute first, falls
+    below ``p``."""
+    bits = 0
+    for j in range(n):
+        if rng.random() < p:
+            bits |= 1 << j
+    return bits
 
 
 def round_bits(bits: int, pairs: Pairs) -> int:

@@ -7,8 +7,7 @@ counters), ``check`` cross-validates the three bases of a context,
 ``bench`` runs the paired benchmark over a directory of contexts, and
 ``report`` aggregates a benchmark CSV.
 
-``--seed`` before the subcommand sets a default seed for the seeded
-subcommands; ``--verbose`` echoes progress detail to stderr.
+``--verbose`` before the subcommand echoes progress detail to stderr.
 
 Exit codes: 0 on success, 1 on a reported domain or I/O error, 2 on a
 usage error.  Domain errors print ``error: <ClassName>: <message>`` to
@@ -55,15 +54,6 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
-def _seed(args: argparse.Namespace) -> int:
-    """Subcommand seed, falling back to the global one, then to 0."""
-    if args.seed is not None:
-        return args.seed
-    if args.global_seed is not None:
-        return args.global_seed
-    return 0
-
-
 def _note(args: argparse.Namespace, message: str) -> None:
     if args.verbose:
         print(message, file=sys.stderr)
@@ -99,7 +89,7 @@ def _emit(text: str, target: Path | None) -> None:
 def cmd_gen(args: argparse.Namespace) -> int:
     from .context import gen_synthetic, render_cxt
 
-    ctx = gen_synthetic(args.objects, args.attributes, args.density, _seed(args))
+    ctx = gen_synthetic(args.objects, args.attributes, args.density, args.seed)
     _note(args, f"standard context: {ctx.objects} objects x {ctx.universe.size} attributes")
     _emit(render_cxt(ctx), args.out)
     return 0
@@ -211,7 +201,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     spec = WorkloadSpec(
         queries=args.queries,
         repetitions=args.reps,
-        seed=_seed(args),
+        seed=args.seed,
         query_density=args.query_density,
     )
     reports = run_bench(datasets, spec, jobs=args.jobs)
@@ -237,6 +227,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         size_ratio_report,
     )
 
+    if args.normalize and args.kind != "totals":
+        args.parser.error("--normalize rescales the totals and needs --kind totals")
     reports = read_reports_csv(args.csv)
     if args.kind == "totals":
         print("dataset combo " + " ".join(METRIC_NAMES))
@@ -279,12 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="show program's version number and exit",
     )
     parser.add_argument(
-        "--seed",
-        dest="global_seed",
-        type=int,
-        help="default seed for the seeded subcommands",
-    )
-    parser.add_argument(
         "--verbose", action="store_true", help="echo progress detail to stderr"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -293,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objects", type=int, required=True)
     p.add_argument("--attributes", type=int, required=True)
     p.add_argument("--density", type=float, default=0.3)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", type=Path, help="target .cxt file (default: stdout)")
     p.set_defaults(func=cmd_gen)
 
@@ -339,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--queries", type=int, default=1000)
     p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--query-density", type=float, default=0.5)
     p.add_argument("-o", "--out", type=Path, help="target .csv file (default: stdout)")
@@ -349,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="csv", type=Path, required=True, help="a bench CSV")
     p.add_argument("--kind", choices=["totals", "ranking", "ratio"], default="totals")
     p.add_argument("--normalize", action="store_true", help="rescale metrics onto [0, 100]")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, parser=p)
     return parser
 
 

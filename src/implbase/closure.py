@@ -109,13 +109,6 @@ def _check(x: AttributeSet, basis: Basis) -> None:
         raise UniverseMismatch("set universe differs from basis universe")
 
 
-def _require_direct_kind(basis: Basis) -> None:
-    if basis.kind not in _DIRECT_KINDS:
-        raise WrongBasisKind(
-            f"direct algorithms require a cdub or dbasis, not {basis.kind.value}"
-        )
-
-
 # -- uncounted reference operations ------------------------------------------
 
 
@@ -172,8 +165,8 @@ def _closed(
     universe = x.universe
     if universe is not basis.universe and universe != basis.universe:
         raise UniverseMismatch("set universe differs from basis universe")
-    if direct:
-        _require_direct_kind(basis)
+    if direct and basis.kind not in _DIRECT_KINDS:
+        raise WrongBasisKind(f"direct algorithms require a cdub or dbasis, not {basis.kind.value}")
     bits, deps, ops, inner, outer, elapsed = kernel(x.bits, basis, *args)
     return ClosureResult(_trusted_set(universe, bits), Metrics(deps, ops, inner, outer, elapsed))
 

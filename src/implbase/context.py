@@ -14,7 +14,7 @@ import random
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from .bits import memo, transpose_bits
+from .bits import memo, random_bits, transpose_bits
 from .errors import (
     DegenerateContext,
     MalformedCxt,
@@ -258,18 +258,19 @@ def gen_synthetic(objects: int, attributes: int, density: float, seed: int) -> C
         raise ValueError("density must lie strictly between 0 and 1")
     universe = Universe(names=[f"m{j + 1}" for j in range(attributes)])
     rng = random.Random(seed)
-    rows = []
-    for _ in range(objects):
-        bits = 0
-        for j in range(attributes):
-            if rng.random() < density:
-                bits |= 1 << j
-        rows.append(AttributeSet(universe, bits))
+    rows = [AttributeSet(universe, random_bits(rng, attributes, density)) for _ in range(objects)]
     raw = Context(universe, rows, [f"g{i + 1}" for i in range(objects)])
     return reduce(clarify(raw))
 
 
 # -- Burmeister .cxt format --------------------------------------------------
+
+#: A row's incidence cells, attribute 0 first: its bits in binary, reversed,
+#: with a set bit written ``X`` and a clear one ``.``.  ``_NOT_CELLS`` keeps
+#: only what is neither.
+_TO_CELLS = str.maketrans("10", "X.")
+_FROM_CELLS = str.maketrans("X.", "10")
+_NOT_CELLS = str.maketrans("", "", "X.")
 
 
 def _unreadable_reason(name: str) -> str | None:
@@ -306,10 +307,8 @@ def render_cxt(ctx: Context) -> str:
                 role = "object" if i < ctx.objects else "attribute"
                 raise UnrenderableName(f"cannot write {role} name {name!r}: {reason}")
     lines = ["B", "", str(ctx.objects), str(ctx.universe.size), "", *names]
-    for bits in ctx.row_bits():
-        lines.append(
-            "".join("X" if bits >> j & 1 else "." for j in range(ctx.universe.size))
-        )
+    spec = f"0{ctx.universe.size}b"
+    lines.extend([format(bits, spec)[::-1].translate(_TO_CELLS) for bits in ctx.row_bits()])
     return "\n".join(lines) + "\n"
 
 
@@ -351,13 +350,10 @@ def parse_cxt(text: str) -> Context:
             raise MalformedCxt(
                 f"row {i}: expected {n_attributes} incidence cells, found {len(line)}"
             )
-        bits = 0
-        for j, cell in enumerate(line):
-            if cell == "X":
-                bits |= 1 << j
-            elif cell != ".":
-                raise MalformedCxt(f"row {i}: unexpected cell {cell!r}")
-        rows.append(AttributeSet(universe, bits))
+        bad = line.translate(_NOT_CELLS)
+        if bad:
+            raise MalformedCxt(f"row {i}: unexpected cell {bad[0]!r}")
+        rows.append(AttributeSet(universe, int(line[::-1].translate(_FROM_CELLS), 2)))
     if next(lines, None) is not None:
         raise MalformedCxt("trailing content after incidence rows")
     return Context(universe, rows, object_names)

@@ -596,21 +596,20 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     :func:`render_basis` would refuse, on the ``universe:`` line or
     inferred, are refused with :class:`ImplicationSyntaxError`.
 
-    Each line is read once.  The first pass strips it, routes the comments
-    and the ``universe:`` line, and splits every other line at its arrow,
-    keeping the line, its lhs tokens, its rhs text (a token list per line
-    would hold more memory until the second pass) and whether the split is
-    well formed.  After the universe is known, the second pass ORs each
-    side straight into an int through one label-to-bit table; a side with a
-    token the table lacks (a position such as ``007``, or an unknown name)
-    resolves through :meth:`Universe.subset` instead, which refuses an
-    unknown token.  A line that is not well formed (no arrow, a second
-    arrow, or an empty lhs) goes to :func:`_split` in that pass, so every
-    error is raised in line order.
+    Two passes.  The first strips each line, routes the comments and the
+    ``universe:`` line, and keeps every other line as it stands.  After the
+    universe is known, the second pass splits each kept line once at its
+    arrow and ORs each side straight into an int through one label-to-bit
+    table; a side with a token the table lacks (a position such as
+    ``007``, or an unknown name) resolves through :meth:`Universe.subset`
+    instead, which refuses an unknown token.  A line whose split is not
+    well formed (no arrow, a second arrow, or an empty lhs) goes to
+    :func:`_split`, the one statement of that syntax, which raises its
+    error; so every error is raised in line order.
     """
     kind = BasisKind.RAW
     sigma0_len = 0
-    body: list[tuple[str, list[str], str, bool]] = []
+    body: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -644,21 +643,20 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
                 raise ImplicationSyntaxError("empty universe line")
             universe = _declare(_named(names, "universe line"), universe)
             continue
-        head, sep, tail = line.partition(ARROW)
-        lhs_tokens = head.split()
-        ok = ARROW not in tail if sep and lhs_tokens else False
-        body.append((line, lhs_tokens, tail, ok))
+        body.append(line)
     if universe is None:
         seen = dict.fromkeys(
-            token for line, *_ in body for token in line.replace(ARROW, " ").split()
+            token for line in body for token in line.replace(ARROW, " ").split()
         )
         if not seen:
             raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
         universe = _named(seen, "inferred universe")
     bit = {universe.label(i): 1 << i for i in range(universe.size)}
     pairs = []
-    for line, lhs_tokens, tail, ok in body:
-        if not ok:
+    for line in body:
+        head, sep, tail = line.partition(ARROW)
+        lhs_tokens = head.split()
+        if not (sep and lhs_tokens) or ARROW in tail:
             _split(line)  # raises the line's syntax error
         try:
             lhs = 0

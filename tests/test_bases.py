@@ -781,7 +781,8 @@ def test_cold_dg_equals_warm_dg():
 
 
 # The search keeps each cdub lhs's closure beside its pair, and build_dg
-# starts its derivation from those closures instead of recomputing them.
+# starts its derivation from those closures; enumerate_pseudo_closed
+# computes them by rounds to a fixpoint, and both must list the same sets.
 
 
 def assert_kept_closures_hold(ctx: Context) -> None:
@@ -790,7 +791,8 @@ def assert_kept_closures_hold(ctx: Context) -> None:
     assert found.closures == [ctx.closure_bits(lhs) for lhs, _ in pairs]
     n = ctx.universe.size
     sliced = slice_pairs(pairs)
-    assert _pseudo_closed(pairs, sliced, n, found.closures) == _pseudo_closed(pairs, sliced, n)
+    by_rounds = [(w.pseudo_closed.bits, w.closure.bits) for w in enumerate_pseudo_closed(found.cdub)]
+    assert _pseudo_closed(pairs, sliced, n, found.closures) == by_rounds
 
 
 def tall_context(rng: random.Random) -> Context:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import argparse
 import re
+import shlex
+import shutil
 from pathlib import Path
 
 import pytest
 
 import implbase
-from conftest import EX51_CXT, EX51_IMP
+from conftest import EX51_CXT, EX51_IMP, FIXTURES
 from implbase import cli
 from implbase.bases import BUILDERS, EXHAUSTIVE_LIMIT, SAMPLES
 from implbase.cli import main
@@ -78,6 +80,11 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "gen", "--objects", "5")[0] == 2  # --attributes missing
     assert run(capsys, "closure", "--basis", str(EX51_IMP))[0] == 2  # --algo missing
+    # the seed is the subcommand's alone
+    assert run(capsys, "--seed", "8", "gen", "--objects", "12", "--attributes", "5")[0] == 2
+    # --normalize rescales totals only, refused before the file (not a CSV) is read
+    for kind in ("ranking", "ratio"):
+        assert run(capsys, "report", "--in", str(EX51_CXT), "--kind", kind, "--normalize")[0] == 2
 
 
 # -- gen ----------------------------------------------------------------------------
@@ -102,16 +109,6 @@ def test_gen_to_stdout_parses(capsys):
     )
     assert code == 0
     assert parse_cxt(out).objects >= 1
-
-
-def test_gen_global_seed_equals_local_seed(capsys):
-    local = run(
-        capsys, "gen", "--objects", "12", "--attributes", "5", "--seed", "8"
-    )
-    fallback = run(
-        capsys, "--seed", "8", "gen", "--objects", "12", "--attributes", "5"
-    )
-    assert local == fallback
 
 
 def test_gen_verbose_notes_go_to_stderr(capsys):
@@ -515,3 +512,51 @@ def test_bench_requires_datasets(capsys, tmp_path):
     code, _, err = run(capsys, "bench", "--in", str(empty))
     assert code == 1
     assert err.startswith("error: IoError:")
+
+
+# -- the README's examples ----------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[tuple[list[str], list[str]]]:
+    """Each ``$`` line in the code blocks of the README's ``## Command line``
+    section, split into words, with the lines shown under it, in order."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    commands: list[tuple[list[str], list[str]]] = []
+    for block in section.split("```")[1::2]:
+        for line in block.strip("\n").splitlines():
+            if line.startswith("$ "):
+                commands.append((shlex.split(line[2:]), []))
+            else:
+                commands[-1][1].append(line)
+    return commands
+
+
+def test_the_readme_commands_run_as_shown(capsys, tmp_path, monkeypatch):
+    """Every ``implbase`` command exits 0, in a directory holding a copy of
+    ``fixtures/``.  One with lines shown under it prints exactly them, with
+    ``time_ns=`` masked; a last shown line ending in ``...`` is cut short,
+    and only what comes before the dots is compared."""
+    shutil.copytree(FIXTURES, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv, shown in readme_commands():
+        if argv[0] in ("cat", "head"):
+            continue
+        if argv[:2] == ["mkdir", "-p"]:
+            Path(argv[2]).mkdir(parents=True, exist_ok=True)
+            continue
+        assert argv[0] == "implbase", argv
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
+        ran.append(argv[1])
+        expected = "".join(f"{line}\n" for line in shown)
+        out = re.sub(r"time_ns=\d+", "time_ns=", out)
+        expected = re.sub(r"time_ns=\d+", "time_ns=", expected)
+        if expected.endswith("...\n"):
+            assert out.startswith(expected[:-4]), argv
+        elif expected:
+            assert out == expected, argv
+    assert ran == ["check", "bases", "closure", "closure", "gen", "gen", "bench", "report"]

@@ -366,23 +366,25 @@ def test_random_contexts_round_trip():
 
 
 @pytest.mark.parametrize(
-    "mangle",
+    "mangle, message",
     [
-        lambda t: t.replace("B\n", "Q\n", 1),  # wrong magic
-        lambda t: t.replace("\n4\n4\n", "\n0\n4\n", 1),  # zero objects
-        lambda t: t.replace("\n4\n4\n", "\n4\nfour\n", 1),  # non-numeric count
-        lambda t: t.replace("\n4\n4\n", "\n\u00b2\n4\n", 1),  # superscript digit count
-        lambda t: t.replace("\n4\n4\n", "\n4\n\u0661\n", 1),  # Arabic-Indic digit count
-        lambda t: t.replace("X.X.\n", "X.X\n", 1),  # short row
-        lambda t: t.replace("X.X.\n", "X?X.\n", 1),  # bad cell
-        lambda t: t + "leftover\n",  # trailing content
-        lambda t: t.replace("\nb\n", "\na\n", 1),  # duplicate attribute name
-        lambda t: "\n".join(t.splitlines()[:8]) + "\n",  # truncated
+        (lambda t: t.replace("B\n", "Q\n", 1), None),  # wrong magic
+        (lambda t: t.replace("\n4\n4\n", "\n0\n4\n", 1), None),  # zero objects
+        (lambda t: t.replace("\n4\n4\n", "\n4\nfour\n", 1), None),  # non-numeric count
+        (lambda t: t.replace("\n4\n4\n", "\n\u00b2\n4\n", 1), None),  # superscript digit count
+        (lambda t: t.replace("\n4\n4\n", "\n4\n\u0661\n", 1), None),  # Arabic-Indic digit count
+        (lambda t: t.replace("X.X.\n", "X.X\n", 1), None),  # short row
+        (lambda t: t.replace("X.X.\n", "X?X.\n", 1), "row 0: unexpected cell '\\?'"),  # bad cell
+        (lambda t: t + "leftover\n", None),  # trailing content
+        (lambda t: t.replace("\nb\n", "\na\n", 1), None),  # duplicate attribute name
+        (lambda t: "\n".join(t.splitlines()[:8]) + "\n", None),  # truncated
     ],
+    # the ids the cases had when the mangle was their one parameter
+    ids=[f"<lambda>{i}" for i in range(10)],
 )
-def test_parse_cxt_rejects_malformed_input(ex51, mangle):
+def test_parse_cxt_rejects_malformed_input(ex51, mangle, message):
     text = render_cxt(ex51)
-    with pytest.raises(MalformedCxt):
+    with pytest.raises(MalformedCxt, match=message):
         parse_cxt(mangle(text))
 
 
