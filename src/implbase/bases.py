@@ -42,7 +42,6 @@ from operator import and_, or_, xor
 from typing import Callable
 
 from .bits import (
-    Pairs,
     Sliced,
     bit_indices,
     lectic_sorted,
@@ -251,14 +250,12 @@ def build_cdub(ctx: Context) -> Basis:
     return _search(ctx).cdub
 
 
-def _dbasis(
-    pairs: Pairs, sliced: Sliced, n: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+def _dbasis(cdub: Basis) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """The binary prefix and the merged tail of the ordered direct basis,
-    derived from the merged cdub pairs ``A -> R_A``, where ``R_A`` holds the
-    attributes that ``A`` is a minimal generator of, and from their sliced
-    form ``sliced``.  The tail is sorted into lectic order of its left-hand
-    sides.
+    derived from the cdub: its merged pairs ``A -> R_A``, where ``R_A``
+    holds the attributes that ``A`` is a minimal generator of, the sliced
+    pairs of its :func:`_sliced` record and its width.  The tail is sorted
+    into lectic order of its left-hand sides.
 
     ``reach[a]`` is ``a`` with the rhs of the pair ``{a}``: the closure of
     ``a``, as the empty set is closed in a standard context.  The prefix is
@@ -278,10 +275,11 @@ def _dbasis(
     * lane ``j`` keeps its rhs less the attributes ``c`` whose ``drop[c]``
       marks ``j``: what no rhs of a lhs inside its reach holds.
     """
+    n = cdub.universe.size
     reach = [1 << a for a in range(n)]
     wide: list[tuple[int, int]] = []
     cuts: Sliced = []
-    for pair, cut in zip(pairs, sliced):
+    for pair, cut in zip(cdub.pairs(), _sliced(cdub).sliced):
         if len(cut[0]) > 1:
             wide.append(pair)
             cuts.append(cut)
@@ -318,28 +316,24 @@ def build_dbasis(ctx: Context) -> Basis:
     lectic order of the left-hand side, right-hand sides merged within the
     tail only, so the prefix stays in unit form.
 
-    Both are derived from the cdub of the shared premise search and its
-    :func:`_sliced` form by :func:`_dbasis`, which keeps ``R_A`` less the
-    ``R_B`` of every other lhs ``B`` of two or more attributes inside the
-    prefix reach of ``A``.  That is the rule above.  For ``|A| >= 2`` its
-    first clause always holds: ``c`` in the closure of some ``a`` in ``A``
-    would make ``{a}`` a smaller generator of ``c``.  A singleton ``B``
-    inside the reach of ``A`` never drops a ``c`` of ``R_A``, for the same
-    reason.
+    Both are derived from the cdub of the shared premise search by
+    :func:`_dbasis`, which keeps ``R_A`` less the ``R_B`` of every other lhs
+    ``B`` of two or more attributes inside the prefix reach of ``A``.  That
+    is the rule above.  For ``|A| >= 2`` its first clause always holds:
+    ``c`` in the closure of some ``a`` in ``A`` would make ``{a}`` a smaller
+    generator of ``c``.  A singleton ``B`` inside the reach of ``A`` never
+    drops a ``c`` of ``R_A``, for the same reason.
     """
-    universe = ctx.universe
-    cdub = _search(ctx).cdub
-    prefix, tail = _dbasis(cdub.pairs(), _sliced(cdub).sliced, universe.size)
-    return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=universe)
+    prefix, tail = _dbasis(_search(ctx).cdub)
+    return Basis._from_pairs(prefix + tail, BasisKind.DBASIS, len(prefix), universe=ctx.universe)
 
 
-def _pseudo_closed(
-    pairs: Pairs, sliced: Sliced, n: int, closures: list[int]
-) -> list[tuple[int, int]]:
-    """Every pseudo-closed set of the closure operator of ``pairs``, with its
-    closure, in lectic order; derived from the pairs, their sliced form
-    ``sliced`` and the closures of their left-hand sides in polynomial time
-    (Ganter & Obiedkov 2016).
+def _pseudo_closed(basis: Basis, closures: list[int]) -> list[tuple[int, int]]:
+    """Every pseudo-closed set of the closure operator of ``basis``, with its
+    closure, in lectic order; derived in polynomial time (Ganter & Obiedkov
+    2016) from the basis's pairs, the sliced pairs of its :func:`_sliced`
+    record, its width and ``closures``, the closures of its left-hand
+    sides in pair order.
 
     Implication ``j``, ``A_j -> B_j``, takes lane ``j``:
 
@@ -390,8 +384,11 @@ def _pseudo_closed(
     ``X_q == P`` and step 4 lists exactly them.  Left-hand sides are never
     empty, so the empty set is closed and never listed.
     """
+    pairs = basis.pairs()
     if not pairs:
         return []
+    n = basis.universe.size
+    sliced = _sliced(basis).sliced
     lanes = len(pairs)
     cols = transpose_bits([lhs for lhs, _ in pairs], n)
     k_cols = transpose_bits(closures, n)
@@ -401,7 +398,7 @@ def _pseudo_closed(
     fence: dict[int, int | None] = dict.fromkeys(closures)
     fences: list[int] = []
     for k in fence:
-        allowed = reduce(or_, [k_cols[a] for a in bit_indices(mask & ~k)], 0)
+        allowed = spread(mask & ~k, k_cols)
         if allowed:
             fence[k] = n + len(fences)
             fences.append(allowed)
@@ -429,16 +426,14 @@ def build_dg(ctx: Context) -> Basis:
     """Minimum-cardinality basis of a standard context.
 
     ``P -> closure(P) \\ P`` per pseudo-closed set ``P``, in lectic order,
-    derived from the cdub of the shared premise search, from the lhs
-    closures that search kept and from the :func:`_sliced` form of the cdub
-    that the dbasis reads too.  In a standard context the empty set is
-    closed, so no left-hand side is empty.
+    derived by :func:`_pseudo_closed` from the cdub of the shared premise
+    search and the lhs closures that search kept; the derivation reads the
+    cdub's :func:`_sliced` record, as the dbasis does.  In a standard
+    context the empty set is closed, so no left-hand side is empty.
     """
-    universe = ctx.universe
     found = _search(ctx)
-    cdub = found.cdub
-    pseudo = _pseudo_closed(cdub.pairs(), _sliced(cdub).sliced, universe.size, found.closures)
-    return Basis._from_pairs([(p, c & ~p) for p, c in pseudo], BasisKind.DG, universe=universe)
+    pseudo = _pseudo_closed(found.cdub, found.closures)
+    return Basis._from_pairs([(p, c & ~p) for p, c in pseudo], BasisKind.DG, universe=ctx.universe)
 
 
 #: Every builder by the kind it makes, in the order the command line lists them.
@@ -464,18 +459,16 @@ def enumerate_pseudo_closed(basis: Basis) -> list[PseudoClosedWitness]:
     """Every pseudo-closed set of the basis with its closure, in lectic order,
     derived from the basis as :func:`build_dg` derives them from the cdub.
 
-    The closures of the left-hand sides, which :func:`_pseudo_closed` takes,
-    are computed here: in-order rounds in one lane per implication, to a
-    fixpoint."""
+    The closures of the left-hand sides, which :func:`_pseudo_closed` takes
+    beside the basis, are computed here: in-order rounds in one lane per
+    implication over the basis's :func:`_sliced` record, to a fixpoint."""
     universe = basis.universe
-    n = universe.size
     pairs = basis.pairs()
-    sliced = _sliced(basis).sliced
-    lhs_cols = transpose_bits([lhs for lhs, _ in pairs], n)
-    closures = transpose_bits(sliced_fixpoint(lhs_cols, sliced), len(pairs))
+    lhs_cols = transpose_bits([lhs for lhs, _ in pairs], universe.size)
+    closures = transpose_bits(sliced_fixpoint(lhs_cols, _sliced(basis).sliced), len(pairs))
     return [
         PseudoClosedWitness(AttributeSet(universe, p), AttributeSet(universe, c))
-        for p, c in _pseudo_closed(pairs, sliced, n, closures)
+        for p, c in _pseudo_closed(basis, closures)
     ]
 
 

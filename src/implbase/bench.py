@@ -38,7 +38,6 @@ __all__ = [
     "ComboReport",
     "RatioBucket",
     "default_combos",
-    "valid_combo",
     "derive_seed",
     "run_workload",
     "run_bench",
@@ -67,10 +66,6 @@ CSV_HEADER = ",".join(
     ("dataset", "universe", "basis_kind", "basis_size", "algorithm", "queries", "reps")
     + METRIC_NAMES
 )
-
-
-def valid_combo(kind: BasisKind, algorithm: str) -> bool:
-    return algorithm in TABLE_COMBOS.get(kind, ())
 
 
 def default_combos() -> tuple[tuple[BasisKind, str], ...]:
@@ -329,7 +324,7 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
                 basis_kind = BasisKind(kind)
             except ValueError:
                 raise MalformedReport(f"CSV cell basis_kind is not a kind: {kind!r}") from None
-            if not valid_combo(basis_kind, algorithm):
+            if algorithm not in TABLE_COMBOS.get(basis_kind, ()):
                 raise MalformedReport(
                     f"CSV cells basis_kind and algorithm are not a pairing the bench runs: "
                     f"{kind!r}, {algorithm!r}"
@@ -360,8 +355,11 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
 # -- aggregation --------------------------------------------------------------
 
 
-def normalize_values(values: Sequence[float]) -> list[float]:
-    """Affine rescale onto [0, 100]; an all-equal column maps to all zeros."""
+def normalize(reports: Sequence[ComboReport], metric: str) -> list[float]:
+    """One metric of the given reports, affinely rescaled onto [0, 100] in
+    report order: the least value maps to 0 and the greatest to 100.  An
+    all-equal column maps to all zeros, and no reports to an empty list."""
+    values = [metric_value(r, metric) for r in reports]
     if not values:
         return []
     low = min(values)
@@ -370,11 +368,6 @@ def normalize_values(values: Sequence[float]) -> list[float]:
         return [0.0 for _ in values]
     span = high - low
     return [100.0 * (v - low) / span for v in values]
-
-
-def normalize(reports: Sequence[ComboReport], metric: str) -> list[float]:
-    """One metric of the given reports rescaled onto [0, 100], order kept."""
-    return normalize_values([metric_value(r, metric) for r in reports])
 
 
 def _by_dataset(reports: Iterable[ComboReport]) -> dict[str, list[ComboReport]]:

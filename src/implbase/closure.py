@@ -144,10 +144,11 @@ def binary_closure(x: AttributeSet, basis: Basis) -> AttributeSet:
 
 def _seed_bits(bits: int, basis: Basis, pre_close: bool) -> int:
     """Input bits for a direct run; pre-closed over the binary prefix for a
-    ``dbasis``.  The pre-closure is reusable precomputation and is charged to
-    neither the counters nor the clock."""
+    ``dbasis``, where each attribute's reach holds the attribute, so the
+    seed holds the input.  The pre-closure is reusable precomputation and is
+    charged to neither the counters nor the clock."""
     if pre_close and basis.kind is BasisKind.DBASIS:
-        return spread(bits, basis.binary_reach()) | bits
+        return spread(bits, basis.binary_reach())
     return bits
 
 

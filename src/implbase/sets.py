@@ -252,8 +252,10 @@ class Basis:
     """An ordered, immutable sequence of implications with a kind tag.
 
     The stored form is the raw ``(lhs_bits, rhs_bits)`` pairs that every
-    algorithm reads through :meth:`pairs`; :attr:`implications` is a lazy
-    view that builds the :class:`Implication` objects on first read.
+    algorithm reads through :meth:`pairs`, whichever constructor made the
+    basis; :attr:`implications` is a lazy view that builds the
+    :class:`Implication` objects on first read only, even for a basis given
+    them.
 
     ``sigma0_len`` is meaningful for :attr:`BasisKind.DBASIS` only: the first
     ``sigma0_len`` implications form the binary prefix (single-attribute
@@ -291,7 +293,6 @@ class Basis:
                 raise UniverseMismatch("implication universe differs from basis universe")
         pairs = tuple([(impl.lhs.bits, impl.rhs.bits) for impl in impls])
         self._store(pairs, kind, sigma0_len, universe)
-        self._cache["implications"] = impls
 
     @classmethod
     def _from_pairs(
@@ -370,11 +371,8 @@ class Basis:
             and self._pairs == other._pairs
         )
 
-    def __hash__(self) -> int:
-        return self._hash()
-
     @memo
-    def _hash(self) -> int:
+    def __hash__(self) -> int:
         """The hash of the kind, ``sigma0_len`` and pairs, kept from the first
         call on: memos keyed by a basis look it up on every call, and the
         pairs tuple of a large basis takes milliseconds to hash."""
@@ -586,13 +584,14 @@ def _named(names: Collection[str], source: str) -> Universe:
 def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     """Parse the text form produced by :func:`render_basis`.
 
-    ``# kind:`` and ``# sigma0_len:`` comments are honoured; other comments
-    and blank lines are ignored.  A leading ``universe:`` line fixes the
-    alphabet, and a ``# size: n`` comment fixes the unnamed universe of
-    ``n`` positions; without either (and without an explicit ``universe``
-    argument) the alphabet is inferred from the tokens in order of first
-    appearance, and every token is then treated as a name.  Repeated names,
-    more than ``MAX_UNIVERSE_SIZE`` of them, or a name that
+    ``# kind:`` and ``# sigma0_len:`` comments are honoured, and either one
+    given twice is refused with :class:`ImplicationSyntaxError`; other
+    comments and blank lines are ignored.  A leading ``universe:`` line
+    fixes the alphabet, and a ``# size: n`` comment fixes the unnamed
+    universe of ``n`` positions; without either (and without an explicit
+    ``universe`` argument) the alphabet is inferred from the tokens in order
+    of first appearance, and every token is then treated as a name.
+    Repeated names, more than ``MAX_UNIVERSE_SIZE`` of them, or a name that
     :func:`render_basis` would refuse, on the ``universe:`` line or
     inferred, are refused with :class:`ImplicationSyntaxError`.
 
@@ -607,8 +606,8 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     :func:`_split`, the one statement of that syntax, which raises its
     error; so every error is raised in line order.
     """
-    kind = BasisKind.RAW
-    sigma0_len = 0
+    kind: BasisKind | None = None
+    sigma0_len: int | None = None
     body: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -620,11 +619,15 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             key = key.strip().lower()
             value = value.strip()
             if key == "kind" and value:
+                if kind is not None:
+                    raise ImplicationSyntaxError("repeated '# kind:' header")
                 try:
                     kind = BasisKind(value.lower())
                 except ValueError as exc:
                     raise ImplicationSyntaxError(f"unknown basis kind {value!r}") from exc
             elif key == "sigma0_len" and value:
+                if sigma0_len is not None:
+                    raise ImplicationSyntaxError("repeated '# sigma0_len:' header")
                 if not _is_decimal(value):
                     raise ImplicationSyntaxError(f"bad sigma0_len {value!r}")
                 sigma0_len = int(value)
@@ -670,8 +673,8 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             rhs = universe.subset(tail.split()).bits
         pairs.append((lhs, rhs))
     if kind is not BasisKind.DBASIS:
-        sigma0_len = 0
-    return Basis._from_pairs(pairs, kind, sigma0_len, universe=universe)
+        return Basis._from_pairs(pairs, kind or BasisKind.RAW, universe=universe)
+    return Basis._from_pairs(pairs, kind, sigma0_len or 0, universe=universe)
 
 
 def read_basis(path: str | Path, universe: Universe | None = None) -> Basis:

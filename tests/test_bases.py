@@ -789,10 +789,8 @@ def assert_kept_closures_hold(ctx: Context) -> None:
     found = _search(unseen(ctx))
     pairs = found.cdub.pairs()
     assert found.closures == [ctx.closure_bits(lhs) for lhs, _ in pairs]
-    n = ctx.universe.size
-    sliced = slice_pairs(pairs)
     by_rounds = [(w.pseudo_closed.bits, w.closure.bits) for w in enumerate_pseudo_closed(found.cdub)]
-    assert _pseudo_closed(pairs, sliced, n, found.closures) == by_rounds
+    assert _pseudo_closed(found.cdub, found.closures) == by_rounds
 
 
 def tall_context(rng: random.Random) -> Context:

@@ -531,6 +531,11 @@ def test_parse_basis_errors():
             parse_basis(f"# size: {size}\n0 -> 1\n")
     with pytest.raises(ImplicationSyntaxError):
         parse_basis("")
+    # a repeated header would let the last one win silently
+    with pytest.raises(ImplicationSyntaxError, match="repeated '# kind:' header"):
+        parse_basis("# kind: dbasis\n# kind: dg\nuniverse: a b\na b -> b\n")
+    with pytest.raises(ImplicationSyntaxError, match="repeated '# sigma0_len:' header"):
+        parse_basis("# kind: dbasis\n# sigma0_len: 0\n# sigma0_len: 1\nuniverse: a b\na -> b\n")
 
 
 WIDE = " ".join(f"x{i}" for i in range(MAX_UNIVERSE_SIZE + 1))
@@ -729,11 +734,13 @@ def test_parse_basis_agrees_with_the_per_line_parse(case):
 
 
 def two_loop_parse_basis(text: str, universe: Universe | None = None) -> Basis:
-    """The two-loop parse kept verbatim as the reference: the first loop
-    routes comments and the ``universe:`` line and keeps each body line
-    whole, the second splits each line through ``_split``."""
+    """The two-loop parse kept as the reference: the first loop routes
+    comments and the ``universe:`` line, refuses a repeated header and
+    keeps each body line whole, the second splits each line through
+    ``_split``."""
     kind = BasisKind.RAW
     sigma0_len = 0
+    headers: set[str] = set()
     body: list[str] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -744,6 +751,10 @@ def two_loop_parse_basis(text: str, universe: Universe | None = None) -> Basis:
             key, _, value = comment.partition(":")
             key = key.strip().lower()
             value = value.strip()
+            if key in ("kind", "sigma0_len") and value:
+                if key in headers:
+                    raise ImplicationSyntaxError(f"repeated '# {key}:' header")
+                headers.add(key)
             if key == "kind" and value:
                 try:
                     kind = BasisKind(value.lower())
