@@ -22,9 +22,10 @@ Every algorithm fills a :class:`Metrics` record:
   per call),
 * ``elapsed_ns`` - monotonic wall time of the computation phase only: the
   algorithm and its firings, nothing else.  Per-attribute occurrence lists,
-  left-hand-side sizes and binary-prefix reachability are reusable
-  precomputation and are excluded; the per-call counter initialisation of
-  the counting variants (a copy of the memoised lhs sizes) is included.
+  left-hand-side sizes, the lhs and rhs columns over the implication indices
+  and binary-prefix reachability are reusable precomputation and are
+  excluded; the per-call counter initialisation of the counting variants (a
+  copy of the memoised lhs sizes) is included.
 
 Each public algorithm is one call to a shared checked entry, which checks
 the universe, refuses a non-direct kind for the single-round three, runs
@@ -32,7 +33,7 @@ the algorithm's private kernel on ``x.bits`` and wraps what it returns.  A
 kernel has the signature ``(bits, basis[, pre_close])`` and returns the
 tuple ``(closure_bits, deps, attribute_ops, inner_loops, outer_loops,
 elapsed_ns)``.  It reads the basis's pairs, occurrence lists, lhs sizes or
-masks and the pre-closed seed before starting its clock.
+lhs and rhs masks and the pre-closed seed before starting its clock.
 
 Inside the clock a kernel runs its loop with one ``deps`` tick per firing;
 the other counters are closed forms of the loop's end state, computed after
@@ -47,7 +48,10 @@ implications and ``|L(a)|`` the length of attribute ``a``'s occurrence list:
   exactly once);
 * classic: ``inner`` grows by the number of implications left once per
   pass, and ``ops = inner + deps``;
-* wild and wild-direct count once per pass, which their loops do anyway.
+* wild and wild-direct count once per pass, which their loops do anyway:
+  ``ops`` keeps the paper's cost model of one difference per pass plus one
+  union per fired implication, while the union itself is taken by rhs
+  columns, each missing attribute tested once against the fire mask.
 """
 
 from __future__ import annotations
@@ -233,8 +237,9 @@ def _lin(bits: int, basis: Basis) -> _Run:
         low = update & -update
         update ^= low
         for idx in lists[low.bit_length() - 1]:
-            count[idx] -= 1
-            if count[idx] == 0:
+            left = count[idx] - 1
+            count[idx] = left
+            if not left:
                 deps += 1
                 add = pairs[idx][1] & ~bits
                 bits |= add
@@ -254,19 +259,25 @@ def _occurrences(bits: int, lists: Sequence[Sequence[int]]) -> int:
 def _wild_round(
     bits: int,
     alive: int,
-    pairs: Sequence[tuple[int, int]],
     masks: Sequence[int],
+    rhs_masks: Sequence[int],
     full: int,
 ) -> tuple[int, int]:
     """One Wild pass: every ``alive`` implication whose lhs avoids the
     complement of ``bits`` fires.  Returns the grown bits and the fire mask;
-    the caller charges one difference plus one union per fired implication."""
-    fire = alive & ~spread(full & ~bits, masks)
-    rest = fire
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        bits |= pairs[low.bit_length() - 1][1]
+    the caller charges the paper's one difference plus one union per fired
+    implication.
+
+    Both steps read columns over the implication indices.  The selection
+    ORs the lhs columns of the missing attributes; the union adds each
+    missing attribute whose rhs column meets the fire mask, which is the OR
+    of the fired right-hand sides without taking each one out of ``fire``."""
+    missing = full & ~bits
+    fire = alive & ~spread(missing, masks)
+    if fire:
+        for b in bit_indices(missing):
+            if fire & rhs_masks[b]:
+                bits |= 1 << b
     return bits, fire
 
 
@@ -278,15 +289,15 @@ def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
 
 
 def _wild(bits: int, basis: Basis) -> _Run:
-    pairs = basis.pairs()
     masks = basis.attr_masks()
+    rhs_masks = basis.rhs_masks()
     full = basis.universe.mask
+    alive = (1 << len(basis)) - 1
     deps = ops = inner = outer = 0
     start = time.perf_counter_ns()
-    alive = (1 << len(pairs)) - 1
     while True:
         outer += 1
-        bits, fire = _wild_round(bits, alive, pairs, masks, full)
+        bits, fire = _wild_round(bits, alive, masks, rhs_masks, full)
         fired = fire.bit_count()
         deps += fired
         inner += fired
@@ -352,8 +363,9 @@ def _lin_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
         low = update & -update
         update ^= low
         for idx in lists[low.bit_length() - 1]:
-            count[idx] -= 1
-            if count[idx] == 0:
+            left = count[idx] - 1
+            count[idx] = left
+            if not left:
                 deps += 1
                 add |= pairs[idx][1]
     bits |= add
@@ -377,12 +389,13 @@ def wild_closure_direct(
 
 
 def _wild_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
-    pairs = basis.pairs()
     masks = basis.attr_masks()
+    rhs_masks = basis.rhs_masks()
     full = basis.universe.mask
+    alive = (1 << len(basis)) - 1
     seed = _seed_bits(bits, basis, pre_close)
     start = time.perf_counter_ns()
-    bits, fire = _wild_round(seed, (1 << len(pairs)) - 1, pairs, masks, full)
+    bits, fire = _wild_round(seed, alive, masks, rhs_masks, full)
     fired = fire.bit_count()
     return bits, fired, 1 + fired, fired, 1, time.perf_counter_ns() - start
 

@@ -268,7 +268,8 @@ class Basis:
       left-hand sides of at least two attributes.
 
     Derived read-only structures (the implications, per-attribute occurrence
-    lists and masks of the left-hand sides, left-hand-side sizes,
+    lists and masks of the left-hand sides, per-attribute masks of the
+    right-hand sides, left-hand-side sizes,
     reachability over the binary prefix, the hash) are built lazily once,
     each by its own method, and then shared; they never mutate the logical
     value.
@@ -419,6 +420,14 @@ class Basis:
         :func:`transpose_bits` of the left-hand sides."""
         lhs_bits = [lhs for lhs, _ in self.pairs()]
         return tuple(transpose_bits(lhs_bits, self.universe.size))
+
+    @memo
+    def rhs_masks(self) -> tuple[int, ...]:
+        """Per attribute: bit mask over the indices of the implications whose
+        rhs contains it; one :func:`transpose_bits` of the right-hand sides,
+        as :meth:`attr_masks` is of the left."""
+        rhs_bits = [rhs for _, rhs in self.pairs()]
+        return tuple(transpose_bits(rhs_bits, self.universe.size))
 
     @memo
     def binary_reach(self) -> tuple[int, ...]:
@@ -585,8 +594,10 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
     """Parse the text form produced by :func:`render_basis`.
 
     ``# kind:`` and ``# sigma0_len:`` comments are honoured, and either one
-    given twice is refused with :class:`ImplicationSyntaxError`; other
-    comments and blank lines are ignored.  A leading ``universe:`` line
+    given twice is refused with :class:`ImplicationSyntaxError`, and a
+    non-zero ``# sigma0_len:`` under any kind but ``dbasis`` is refused with
+    :class:`InvalidBasis`, as :class:`Basis` refuses it; other comments and
+    blank lines are ignored.  A leading ``universe:`` line
     fixes the alphabet, and a ``# size: n`` comment fixes the unnamed
     universe of ``n`` positions; without either (and without an explicit
     ``universe`` argument) the alphabet is inferred from the tokens in order
@@ -672,9 +683,7 @@ def parse_basis(text: str, universe: Universe | None = None) -> Basis:
             lhs = universe.subset(lhs_tokens).bits
             rhs = universe.subset(tail.split()).bits
         pairs.append((lhs, rhs))
-    if kind is not BasisKind.DBASIS:
-        return Basis._from_pairs(pairs, kind or BasisKind.RAW, universe=universe)
-    return Basis._from_pairs(pairs, kind, sigma0_len or 0, universe=universe)
+    return Basis._from_pairs(pairs, kind or BasisKind.RAW, sigma0_len or 0, universe=universe)
 
 
 def read_basis(path: str | Path, universe: Universe | None = None) -> Basis:

@@ -46,10 +46,27 @@ def test_bit_indices_lists_the_set_bits_lowest_first(bits):
     assert bit_indices(bits) == tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-@given(SETS, st.lists(SETS, min_size=N, max_size=N))
+#: Table length of the spread test: sets reach past the 24 bits of the
+#: byte tables.
+SPREAD_WIDTH = 40
+
+
+@given(
+    st.one_of(
+        SETS,
+        st.integers(min_value=0, max_value=(1 << 24) - 1),
+        st.integers(min_value=1 << 24, max_value=(1 << SPREAD_WIDTH) - 1),
+    ),
+    st.lists(SETS, min_size=SPREAD_WIDTH, max_size=SPREAD_WIDTH),
+)
+@example(0, list(range(1, SPREAD_WIDTH + 1)))
+@example((1 << 24) - 1, [1 << i for i in range(SPREAD_WIDTH)])
+@example(1 << 24, [1 << i for i in range(SPREAD_WIDTH)])
+@example((1 << SPREAD_WIDTH) - 1, [1 << i for i in range(SPREAD_WIDTH)])
 def test_spread_ors_the_table_over_the_set_bits(bits, table):
+    # sets below 2^24 walk the byte tables, wider ones the lowest-bit loop
     expected = 0
-    for i in range(N):
+    for i in range(SPREAD_WIDTH):
         if bits >> i & 1:
             expected |= table[i]
     assert spread(bits, table) == expected

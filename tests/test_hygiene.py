@@ -384,9 +384,11 @@ def test_the_cli_imports_no_private_name_of_the_closure_layer():
     assert not private, f"cli.py imports {private} from closure"
 
 
+#: The timed kernels of ``closure.py``, one per algorithm.
+KERNELS = {"_classic", "_lin", "_wild", "_sweep", "_lin_once", "_wild_once"}
 #: What the innermost loop of a timed closure kernel may update in place:
 #: the algorithm's own state and the one firing counter.
-KERNEL_LOOP_TARGETS = {"deps", "bits", "add", "update", "count[...]"}
+KERNEL_LOOP_TARGETS = {"deps", "bits", "add", "update"}
 
 
 def loops(node: ast.AST) -> list[ast.For | ast.While]:
@@ -428,7 +430,7 @@ def test_timed_closure_kernels_keep_counters_out_of_their_inner_loops():
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     looping = {name for name, func in funcs.items() if loops(func)}
     kernels = {name: func for name, func in funcs.items() if reads_the_clock(func)}
-    assert set(kernels) == {"_classic", "_lin", "_wild", "_sweep", "_lin_once", "_wild_once"}
+    assert set(kernels) == KERNELS
     checked = set()
     for name, func in kernels.items():
         for loop in loops(func):
@@ -443,3 +445,53 @@ def test_timed_closure_kernels_keep_counters_out_of_their_inner_loops():
                 f"{name} updates {sorted(targets - KERNEL_LOOP_TARGETS)} in its innermost loop"
             )
     assert checked == {"_classic", "_lin", "_sweep", "_lin_once"}
+
+
+def is_clock_call(node: ast.AST) -> bool:
+    """Is ``node`` a call of ``time.perf_counter_ns()``?"""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "perf_counter_ns"
+    )
+
+
+def clocked_statements(func: ast.FunctionDef) -> list[ast.stmt]:
+    """The statements of ``func`` from the one after ``start =
+    time.perf_counter_ns()`` to the one that reads the clock again."""
+    body = func.body
+    first = next(
+        i
+        for i, node in enumerate(body)
+        if isinstance(node, ast.Assign)
+        and is_clock_call(node.value)
+        and [ast.unparse(t) for t in node.targets] == ["start"]
+    )
+    last = next(
+        i
+        for i in range(first + 1, len(body))
+        if any(is_clock_call(sub) for sub in ast.walk(body[i]))
+    )
+    return body[first + 1 : last + 1]
+
+
+def test_timed_closure_kernels_read_no_basis_index_on_the_clock():
+    # elapsed_ns covers the algorithm and its firings only: the pairs,
+    # occurrence lists, lhs sizes, lhs and rhs masks and the binary-prefix
+    # seed are read before the clock starts, so no basis method, and no
+    # helper handed the basis, runs between start and stop
+    tree = ast.parse((Path(implbase.__file__).parent / "closure.py").read_text(encoding="utf-8"))
+    kernels = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and reads_the_clock(node)
+    ]
+    assert {func.name for func in kernels} == KERNELS
+    for func in kernels:
+        clocked = clocked_statements(func)
+        assert clocked, f"{func.name} has nothing between its clock reads"
+        lines = [
+            sub.lineno
+            for node in clocked
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and sub.id == "basis"
+        ]
+        assert not lines, f"{func.name} reads the basis on the clock, at lines {lines}"

@@ -288,10 +288,12 @@ def test_basis_derived_structures():
     assert basis.pairs() == ((0b1010, 0b0001), (0b1000, 0b0100))
     assert basis.attr_lists() == ((), (0,), (), (0, 1))
     assert basis.attr_masks() == (0, 0b01, 0, 0b11)
+    assert basis.rhs_masks() == (0b01, 0, 0b10, 0)
     assert basis.lhs_sizes() == (2, 1)
     empty = Basis([], universe=U4)
     assert empty.attr_lists() == ((),) * 4
     assert empty.attr_masks() == (0,) * 4
+    assert empty.rhs_masks() == (0,) * 4
     assert empty.lhs_sizes() == ()
 
 
@@ -327,6 +329,26 @@ def test_indexes_match_the_scalar_scan_in_any_order(order, size, count):
     if order == "masks only":
         assert "attr_lists" not in basis._cache
     assert basis.attr_masks() is basis.attr_masks()
+
+
+@pytest.mark.parametrize(
+    "size, count",
+    [(1, 3), (9, 64), (24, 65), (64, 64), (64, 130), (65, 0), (65, 64), (130, 65), (200, 130)],
+    ids=lambda v: str(v),
+)
+def test_rhs_masks_hold_each_implication_under_its_rhs_attributes(size, count):
+    # widths on both sides of 64 attributes, with at most 64 implications
+    # and more, so every transpose path builds the columns
+    rng = random.Random(size * 1000 + count)
+    u = Universe(size=size)
+    pairs = [(rng.randrange(1, 1 << size), rng.getrandbits(size)) for _ in range(count)]
+    basis = Basis._from_pairs(pairs, BasisKind.RAW, universe=u)
+    columns = basis.rhs_masks()
+    assert type(columns) is tuple and len(columns) == size
+    for b, column in enumerate(columns):
+        assert column == sum(1 << j for j, (_, rhs) in enumerate(pairs) if rhs >> b & 1)
+    assert basis.rhs_masks() is columns
+    assert Basis._from_pairs([], BasisKind.RAW, universe=u).rhs_masks() == (0,) * size
 
 
 def test_the_check_path_builds_no_occurrence_lists(ex51):
@@ -513,11 +535,6 @@ def test_parse_basis_infers_universe_in_first_appearance_order():
     assert str(basis.implications[0].lhs) == "c"
 
 
-def test_parse_basis_ignores_sigma0_for_other_kinds():
-    basis = parse_basis("# kind: raw\n# sigma0_len: 3\nuniverse: a b\na -> b\n")
-    assert basis.sigma0_len == 0
-
-
 def test_parse_basis_errors():
     with pytest.raises(ImplicationSyntaxError):
         parse_basis("# kind: fancy\nuniverse: a b\na -> b\n")
@@ -536,6 +553,12 @@ def test_parse_basis_errors():
         parse_basis("# kind: dbasis\n# kind: dg\nuniverse: a b\na b -> b\n")
     with pytest.raises(ImplicationSyntaxError, match="repeated '# sigma0_len:' header"):
         parse_basis("# kind: dbasis\n# sigma0_len: 0\n# sigma0_len: 1\nuniverse: a b\na -> b\n")
+    # a prefix length under any kind but dbasis is the Basis refusal, with
+    # or without a kind header; a zero length states no prefix
+    for header in ("# kind: raw\n", "# kind: cdub\n", "# kind: dg\n", ""):
+        with pytest.raises(InvalidBasis, match="sigma0_len is only meaningful for a dbasis"):
+            parse_basis(f"{header}# sigma0_len: 3\nuniverse: a b c\na -> b\nb -> c\n")
+        assert parse_basis(f"{header}# sigma0_len: 0\nuniverse: a b\na -> b\n").sigma0_len == 0
 
 
 WIDE = " ".join(f"x{i}" for i in range(MAX_UNIVERSE_SIZE + 1))
@@ -677,8 +700,6 @@ def reference_parse_basis(text: str, universe: Universe | None = None) -> Basis:
             raise ImplicationSyntaxError("cannot infer a universe from an empty basis")
         universe = Universe(names=seen)
     impls = [parse_implication(line, universe) for line in body]
-    if kind is not BasisKind.DBASIS:
-        sigma0_len = 0
     return Basis(impls, kind=kind, sigma0_len=sigma0_len, universe=universe)
 
 
@@ -801,8 +822,6 @@ def two_loop_parse_basis(text: str, universe: Universe | None = None) -> Basis:
             lhs = universe.subset(lhs_tokens).bits
             rhs = universe.subset(rhs_tokens).bits
         pairs.append((lhs, rhs))
-    if kind is not BasisKind.DBASIS:
-        sigma0_len = 0
     return Basis._from_pairs(pairs, kind, sigma0_len, universe=universe)
 
 
