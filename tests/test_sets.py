@@ -553,6 +553,9 @@ def test_parse_basis_errors():
         parse_basis("# kind: dbasis\n# kind: dg\nuniverse: a b\na b -> b\n")
     with pytest.raises(ImplicationSyntaxError, match="repeated '# sigma0_len:' header"):
         parse_basis("# kind: dbasis\n# sigma0_len: 0\n# sigma0_len: 1\nuniverse: a b\na -> b\n")
+
+
+def test_parse_basis_refuses_sigma0_for_other_kinds():
     # a prefix length under any kind but dbasis is the Basis refusal, with
     # or without a kind header; a zero length states no prefix
     for header in ("# kind: raw\n", "# kind: cdub\n", "# kind: dg\n", ""):
