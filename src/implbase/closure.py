@@ -164,8 +164,9 @@ def _closed(
     raw bits, its ``args`` passed on.
 
     The universes are compared by identity first, and the kernel's bits are
-    wrapped unmasked: they are the input's masked bits ORed with stored
-    sides, which :class:`Basis` checks against its universe.
+    wrapped without a second range check: they are the input's bits, which
+    :class:`AttributeSet` checks, ORed with stored sides, which
+    :class:`Basis` checks against its universe.
     """
     universe = x.universe
     if universe is not basis.universe and universe != basis.universe:
@@ -357,12 +358,9 @@ def _lin_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
     deps = 0
     start = time.perf_counter_ns()
     count = list(sizes)
-    update = seed
     add = 0
-    while update:
-        low = update & -update
-        update ^= low
-        for idx in lists[low.bit_length() - 1]:
+    for a in bit_indices(seed):
+        for idx in lists[a]:
             left = count[idx] - 1
             count[idx] = left
             if not left:
@@ -414,9 +412,16 @@ ALGORITHMS: dict[str, Callable[[AttributeSet, Basis], ClosureResult]] = {
 def implies(basis: Basis, query: Implication) -> bool:
     """Does the basis entail ``query``?  True iff the query rhs is contained
     in the closure of the query lhs, computed with the cheapest algorithm
-    valid for the basis kind."""
+    valid for the basis kind: Wild's single round on a ``cdub`` or
+    ``dbasis``, Wild's passes on any other kind.  The first call on a fresh
+    basis builds its lhs and rhs columns (:meth:`Basis.attr_masks` and
+    :meth:`Basis.rhs_masks`), which later calls share."""
     universe = query.universe
     if universe is not basis.universe and universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")
-    kernel = _sweep if basis.kind in _DIRECT_KINDS else _classic
-    return query.rhs.bits & ~kernel(query.lhs.bits, basis)[0] == 0
+    bits = query.lhs.bits
+    if basis.kind in _DIRECT_KINDS:
+        closed = _wild_once(bits, basis, True)[0]
+    else:
+        closed = _wild(bits, basis)[0]
+    return query.rhs.bits & ~closed == 0

@@ -45,6 +45,20 @@ def _is_decimal(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+def _out_of_range(index: int) -> UnknownAttribute:
+    """The refusal of an attribute position outside its universe, worded once
+    for :meth:`Universe.subset`, :class:`AttributeSet` and :class:`Basis`."""
+    return UnknownAttribute(f"attribute index {index} out of range")
+
+
+def _check_range(bits: int, size: int) -> None:
+    """Refuse ``bits`` that hold a position at or above ``size``, as a
+    negative int does, naming the lowest such position."""
+    high = bits >> size
+    if high:
+        raise _out_of_range(size + (high & -high).bit_length() - 1)
+
+
 class Universe:
     """A fixed, ordered alphabet of at most ``MAX_UNIVERSE_SIZE`` attributes.
 
@@ -105,9 +119,6 @@ class Universe:
                 return index
         raise UnknownAttribute(f"unknown attribute {token!r}")
 
-    def empty(self) -> AttributeSet:
-        return AttributeSet(self, 0)
-
     def full(self) -> AttributeSet:
         return AttributeSet(self, self.mask)
 
@@ -117,7 +128,7 @@ class Universe:
         for item in items:
             index = item if isinstance(item, int) else self.resolve(item)
             if not 0 <= index < self.size:
-                raise UnknownAttribute(f"attribute index {index} out of range")
+                raise _out_of_range(index)
             bits |= 1 << index
         return AttributeSet(self, bits)
 
@@ -126,46 +137,17 @@ class Universe:
 class AttributeSet:
     """An immutable subset of a universe, stored as an int bit vector.
 
-    Bit ``i`` corresponds to attribute position ``i``; bits beyond the
-    universe size are masked off at construction, so every operation is total.
+    Bit ``i`` corresponds to attribute position ``i``.  A bit at or above
+    the universe size, or a negative ``bits``, is refused with
+    :class:`UnknownAttribute`, as :meth:`Universe.subset` and :class:`Basis`
+    refuse one; set algebra is done on ``bits``.
     """
 
     universe: Universe
     bits: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", self.bits & self.universe.mask)
-
-    def _check(self, other: AttributeSet) -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatch("operands belong to different universes")
-
-    def union(self, other: AttributeSet) -> AttributeSet:
-        self._check(other)
-        return AttributeSet(self.universe, self.bits | other.bits)
-
-    def intersection(self, other: AttributeSet) -> AttributeSet:
-        self._check(other)
-        return AttributeSet(self.universe, self.bits & other.bits)
-
-    def difference(self, other: AttributeSet) -> AttributeSet:
-        self._check(other)
-        return AttributeSet(self.universe, self.bits & ~other.bits)
-
-    def issubset(self, other: AttributeSet) -> bool:
-        self._check(other)
-        return self.bits & other.bits == self.bits
-
-    def complement(self) -> AttributeSet:
-        return AttributeSet(self.universe, ~self.bits)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-    __le__ = issubset
-
-    def __lt__(self, other: AttributeSet) -> bool:
-        return self.issubset(other) and self.bits != other.bits
+        _check_range(self.bits, self.universe.size)
 
     def __contains__(self, index: int) -> bool:
         return 0 <= index < self.universe.size and bool(self.bits >> index & 1)
@@ -178,9 +160,6 @@ class AttributeSet:
 
     def __bool__(self) -> bool:
         return self.bits != 0
-
-    def indices(self) -> tuple[int, ...]:
-        return bit_indices(self.bits)
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.universe.label(i) for i in self)
@@ -199,7 +178,7 @@ _put_bits = AttributeSet.__dict__["bits"].__set__
 
 def _trusted_set(universe: Universe, bits: int) -> AttributeSet:
     """The :class:`AttributeSet` of ``bits``, which the caller guarantees lie
-    inside ``universe``, built without the masking of the constructor.
+    inside ``universe``, built without the constructor's range check.
 
     Equal to, and hashing like, ``AttributeSet(universe, bits)``.
     """
@@ -312,10 +291,8 @@ class Basis:
         # passes; the loop only finds the first faulty pair and names it.
         if pairs and (min(pairs)[0] < 1 or reduce(or_, chain.from_iterable(pairs)) >> size):
             for lhs, rhs in pairs:
-                if (lhs | rhs) >> size:
-                    high = (lhs if lhs >> size else rhs) >> size
-                    index = size + (high & -high).bit_length() - 1
-                    raise UnknownAttribute(f"attribute index {index} out of range")
+                _check_range(lhs, size)
+                _check_range(rhs, size)
                 if not lhs:
                     raise EmptyLhs("implication left-hand side must be non-empty")
         basis = cls.__new__(cls)

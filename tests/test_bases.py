@@ -322,7 +322,7 @@ def test_is_pseudo_closed_predicates(ex51):
     assert aset(u, "a c d") in family
     assert aset(u, "b d") not in family  # {d} closes outside of it
     assert aset(u, "c") not in family  # already closed
-    assert u.empty() not in family
+    assert AttributeSet(u, 0) not in family
     assert u.full() not in family
 
 

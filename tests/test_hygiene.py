@@ -110,6 +110,48 @@ def test_every_shared_kernel_is_used_by_another_package_module():
     assert not exported - used, f"bits.py exports unused kernels: {sorted(exported - used)}"
 
 
+def public_methods(tree: ast.Module) -> list[tuple[str, ast.FunctionDef]]:
+    """Each method or property of a class in the module whose name has no
+    leading underscore, with its class name."""
+    return [
+        (cls.name, node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def attribute_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """Each attribute the module reads, with its line."""
+    return [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+
+
+def test_every_public_method_has_a_reader():
+    # ROADMAP item 9's rule for public names, applied to methods: one that
+    # no other package code, perfbench or the acceptance suite reads is a
+    # second path to a result the kept ones already give
+    root = Path(__file__).parent.parent
+    outside = [*sorted((root / "perfbench").glob("*.py")), root / "tests" / "test_acceptance.py"]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE + outside}
+    reads = {path: attribute_reads(tree) for path, tree in trees.items()}
+    unread = []
+    for path in PACKAGE:
+        for cls, method in public_methods(trees[path]):
+            own = range(method.lineno, method.end_lineno + 1)
+            if not any(
+                name == method.name and not (where == path and line in own)
+                for where, found in reads.items()
+                for name, line in found
+            ):
+                unread.append(f"{path.name}:{cls}.{method.name}")
+    assert not unread, f"public methods that nothing else reads: {unread}"
+
+
 def global_statements(tree: ast.Module) -> list[tuple[str | None, tuple[str, ...]]]:
     """Each ``global`` statement as the innermost function holding it, or
     ``None`` at module level, and the names it declares."""
