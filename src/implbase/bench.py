@@ -290,6 +290,9 @@ def write_reports_csv(reports: Iterable[ComboReport], target: str | Path | TextI
 
 #: The CSV columns that do not hold a count in ASCII digits.
 _NON_COUNT_COLUMNS = ("dataset", "basis_kind", "algorithm", "time_ms")
+#: The columns whose cells every row of one dataset shares: one run over
+#: one context writes them all.
+_DATASET_COLUMNS = ("universe", "queries", "reps")
 
 
 def _time_ns(cell: str) -> int:
@@ -312,6 +315,7 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
             raise MalformedReport("unexpected CSV header")
         reports = []
         seen: set[tuple[str, BasisKind, str]] = set()
+        shared: dict[str, tuple[int, int, int]] = {}
         for row in reader:
             if len(row) != len(header):
                 raise MalformedReport(f"expected {len(header)} CSV cells, found {len(row)}")
@@ -335,6 +339,15 @@ def read_reports_csv(source: str | Path | TextIO) -> list[ComboReport]:
                     f"CSV repeats the row of dataset {dataset!r}, pairing {kind}:{algorithm}"
                 )
             seen.add(key)
+            cells = (int(universe_size), int(queries), int(reps))
+            first = shared.setdefault(dataset, cells)
+            if first != cells:
+                name, was, now = next(
+                    diff for diff in zip(_DATASET_COLUMNS, first, cells) if diff[1] != diff[2]
+                )
+                raise MalformedReport(
+                    f"CSV rows of dataset {dataset!r} disagree on {name}: {was} and {now}"
+                )
             totals = Metrics(*map(int, counters), elapsed_ns=_time_ns(time_ms))
             reports.append(
                 ComboReport(

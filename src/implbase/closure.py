@@ -21,21 +21,21 @@ Every algorithm fills a :class:`Metrics` record:
   and of the enclosing loop (single-round algorithms report one outer tick
   per call),
 * ``elapsed_ns`` - monotonic wall time of the computation phase only: the
-  algorithm and its firings, nothing else.  Per-attribute occurrence lists,
-  left-hand-side sizes, the lhs and rhs columns over the implication indices
-  and binary-prefix reachability are reusable precomputation and are
-  excluded; the per-call counter initialisation of the counting variants (a
-  copy of the memoised lhs sizes) is included.
+  algorithm and its firings, nothing else.  The lhs sizes in bit planes,
+  the lhs and rhs columns over the implication indices and binary-prefix
+  reachability are reusable precomputation and are excluded; the per-call
+  counter initialisation of the counting variants (a copy of the memoised
+  planes) is included.
 
 Each public algorithm is one call to a shared checked entry, which checks
 the universe, refuses a non-direct kind for the single-round three, runs
 the algorithm's private kernel on ``x.bits`` and wraps what it returns.  A
 kernel has the signature ``(bits, basis[, pre_close])`` and returns the
 tuple ``(closure_bits, deps, attribute_ops, inner_loops, outer_loops,
-elapsed_ns)``.  It reads the basis's pairs, occurrence lists, lhs sizes or
-lhs and rhs masks and the pre-closed seed before starting its clock.
+elapsed_ns)``.  It reads the basis's pairs or its lhs and rhs masks, the lhs
+size planes and the pre-closed seed before starting its clock.
 
-Inside the clock a kernel runs its loop with one ``deps`` tick per firing;
+Inside the clock a kernel runs its loop and counts its firings (``deps``);
 the other counters are closed forms of the loop's end state, computed after
 the clock stops, and equal what a tick per step would count.  With ``m``
 implications and ``|L(a)|`` the length of attribute ``a``'s occurrence list:
@@ -46,6 +46,10 @@ implications and ``|L(a)|`` the length of attribute ``a``'s occurrence list:
 * lin: ``outer = |closure|``, ``inner = sum of |L(a)|`` over the closure,
   ``ops = 3 deps`` (every closure attribute passes through the worklist
   exactly once);
+* both lin kernels keep their counters as bit planes over the implication
+  indices and lower every count of ``L(a)`` in one borrow chain; ``inner``
+  is the counters' total fall, read off the planes, which is the sum of
+  ``|L(a)|`` because each occurrence lowers its count once;
 * classic: ``inner`` grows by the number of implications left once per
   pass, and ``ops = inner + deps``;
 * wild and wild-direct count once per pass, which their loops do anyway:
@@ -58,6 +62,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Sequence
 
 from .bits import bit_indices, fixpoint_bits, round_bits, spread
@@ -220,66 +226,75 @@ def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     attributes are still missing and fires exactly when the count hits zero.
 
     A worklist holds attributes not yet propagated; each attribute enters it
-    at most once.  The per-attribute occurrence lists are precomputed outside
-    the measured phase; the per-call counters are initialised inside it.
+    at most once.  The counters are kept as bit planes over the implication
+    indices (:meth:`Basis.lhs_planes`), so taking an attribute lowers the
+    count of every implication whose lhs holds it in one borrow chain over
+    the planes, started from the attribute's lhs column.  The worklist is
+    consumed in waves: every attribute of the current wave lowers its
+    counts, then the implications whose count reached zero fire, and their
+    new rhs attributes form the next wave.  The planes are precomputed
+    outside the measured phase; the per-call copy of them is made inside it.
     """
     return _closed(_lin, x, basis)
 
 
 def _lin(bits: int, basis: Basis) -> _Run:
-    pairs = basis.pairs()
-    lists = basis.attr_lists()
-    sizes = basis.lhs_sizes()
+    """LinClosure's worklist in waves.  Every closure attribute enters the
+    worklist once, and every implication whose lhs lies inside the closure
+    fires once, at its last lhs attribute.  So the closure and all four
+    counters do not depend on the order in which the worklist is taken: a
+    wave is first-in first-out order with the firings detected once per
+    wave.  No count falls below zero, so the zero lanes of the planes are
+    the implications whose count reached zero."""
+    masks = basis.attr_masks()
+    rhs_masks = basis.rhs_masks()
+    planes = basis.lhs_planes()
+    full = basis.universe.mask
+    alive = (1 << len(basis)) - 1
     deps = 0
     start = time.perf_counter_ns()
-    count = list(sizes)
+    count = list(planes)
     update = bits
     while update:
-        low = update & -update
-        update ^= low
-        for idx in lists[low.bit_length() - 1]:
-            left = count[idx] - 1
-            count[idx] = left
-            if not left:
-                deps += 1
-                add = pairs[idx][1] & ~bits
-                bits |= add
-                update |= add
+        for a in bit_indices(update):
+            borrow = masks[a]
+            j = 0
+            while borrow:
+                plane = count[j]
+                count[j] = plane ^ borrow
+                borrow &= ~plane
+                j += 1
+        fired = alive & ~reduce(or_, count, 0)
+        alive ^= fired
+        deps += fired.bit_count()
+        update = _rhs_union(full & ~bits, fired, rhs_masks)
+        bits |= update
     elapsed = time.perf_counter_ns() - start
     # only new attributes enter the worklist, so each closure attribute
     # leaves it once; a difference and two unions per firing
-    return bits, deps, 3 * deps, _occurrences(bits, lists), bits.bit_count(), elapsed
+    return bits, deps, 3 * deps, _fall(planes, count), bits.bit_count(), elapsed
 
 
-def _occurrences(bits: int, lists: Sequence[Sequence[int]]) -> int:
-    """Inner-loop ticks of a worklist that takes each attribute of ``bits``
-    once: the summed lengths of their occurrence lists."""
-    return sum(map(len, map(lists.__getitem__, bit_indices(bits))))
+def _fall(planes: Sequence[int], count: Sequence[int]) -> int:
+    """Inner-loop ticks of a counting run: the counters' total fall from
+    ``planes`` to ``count``.  Each attribute taken from the worklist lowers
+    the count of each implication in its occurrence list by one, so this is
+    the summed lengths of the occurrence lists of the attributes taken."""
+    falls = [(p.bit_count() - c.bit_count()) << j for j, (p, c) in enumerate(zip(planes, count))]
+    return sum(falls)
 
 
-def _wild_round(
-    bits: int,
-    alive: int,
-    masks: Sequence[int],
-    rhs_masks: Sequence[int],
-    full: int,
-) -> tuple[int, int]:
-    """One Wild pass: every ``alive`` implication whose lhs avoids the
-    complement of ``bits`` fires.  Returns the grown bits and the fire mask;
-    the caller charges the paper's one difference plus one union per fired
-    implication.
-
-    Both steps read columns over the implication indices.  The selection
-    ORs the lhs columns of the missing attributes; the union adds each
-    missing attribute whose rhs column meets the fire mask, which is the OR
-    of the fired right-hand sides without taking each one out of ``fire``."""
-    missing = full & ~bits
-    fire = alive & ~spread(missing, masks)
+def _rhs_union(missing: int, fire: int, rhs_masks: Sequence[int]) -> int:
+    """The attributes of ``missing`` that the rhs of some implication in the
+    fire mask holds.  Each missing attribute's rhs column is tested once
+    against ``fire``, which gives the OR of the fired right-hand sides
+    without taking each one out of ``fire``."""
+    add = 0
     if fire:
         for b in bit_indices(missing):
             if fire & rhs_masks[b]:
-                bits |= 1 << b
-    return bits, fire
+                add |= 1 << b
+    return add
 
 
 def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
@@ -290,6 +305,11 @@ def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
 
 
 def _wild(bits: int, basis: Basis) -> _Run:
+    """Wild's passes over columns of the implication indices.  A pass's
+    selection ORs the lhs columns of the missing attributes: the ``alive``
+    implications outside that OR fire.  Its union reads the rhs columns
+    (:func:`_rhs_union`).  The paper's one difference plus one union per
+    fired implication is charged per pass."""
     masks = basis.attr_masks()
     rhs_masks = basis.rhs_masks()
     full = basis.universe.mask
@@ -298,7 +318,9 @@ def _wild(bits: int, basis: Basis) -> _Run:
     start = time.perf_counter_ns()
     while True:
         outer += 1
-        bits, fire = _wild_round(bits, alive, masks, rhs_masks, full)
+        missing = full & ~bits
+        fire = alive & ~spread(missing, masks)
+        bits |= _rhs_union(missing, fire, rhs_masks)
         fired = fire.bit_count()
         deps += fired
         inner += fired
@@ -342,8 +364,14 @@ def lin_closure_direct(
 
     For a ``dbasis`` the worklist starts from the binary-prefix closure of
     the input (precomputed, hence uncounted); for a ``cdub`` from the input
-    itself.  Fired right-hand sides accumulate separately and never re-enter
-    the worklist.  ``pre_close=False`` skips the seeding; on a ``dbasis``
+    itself.  The counters are bit planes over the implication indices, as in
+    :func:`lin_closure`: each seed attribute lowers the counts of its
+    implications in one borrow chain, and once the seed is taken the
+    implications whose count reached zero fire together, the union of their
+    right-hand sides read by rhs columns.  Fired right-hand sides never
+    re-enter the worklist, and every implication whose lhs lies inside the
+    seed fires once, whatever the order the seed is taken in.
+    ``pre_close=False`` skips the seeding; on a ``dbasis``
     whose tail actually matters the result is then too small, which is
     exactly the behaviour the seeding exists to repair.
     """
@@ -351,26 +379,30 @@ def lin_closure_direct(
 
 
 def _lin_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
-    pairs = basis.pairs()
-    lists = basis.attr_lists()
-    sizes = basis.lhs_sizes()
+    masks = basis.attr_masks()
+    rhs_masks = basis.rhs_masks()
+    planes = basis.lhs_planes()
+    full = basis.universe.mask
+    alive = (1 << len(basis)) - 1
     seed = _seed_bits(bits, basis, pre_close)
-    deps = 0
     start = time.perf_counter_ns()
-    count = list(sizes)
-    add = 0
+    count = list(planes)
     for a in bit_indices(seed):
-        for idx in lists[a]:
-            left = count[idx] - 1
-            count[idx] = left
-            if not left:
-                deps += 1
-                add |= pairs[idx][1]
-    bits |= add
+        borrow = masks[a]
+        j = 0
+        while borrow:
+            plane = count[j]
+            count[j] = plane ^ borrow
+            borrow &= ~plane
+            j += 1
+    # no count falls below zero, so the zero lanes are the fired ones
+    fired = alive & ~reduce(or_, count, 0)
+    bits |= _rhs_union(full & ~bits, fired, rhs_masks)
+    deps = fired.bit_count()
     elapsed = time.perf_counter_ns() - start
     # the worklist is the seed, taken once; one union per firing plus the
     # final union
-    return bits, deps, deps + 1, _occurrences(seed, lists), seed.bit_count(), elapsed
+    return bits, deps, deps + 1, _fall(planes, count), seed.bit_count(), elapsed
 
 
 def wild_closure_direct(
@@ -393,7 +425,9 @@ def _wild_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
     alive = (1 << len(basis)) - 1
     seed = _seed_bits(bits, basis, pre_close)
     start = time.perf_counter_ns()
-    bits, fire = _wild_round(seed, alive, masks, rhs_masks, full)
+    missing = full & ~seed
+    fire = alive & ~spread(missing, masks)
+    bits = seed | _rhs_union(missing, fire, rhs_masks)
     fired = fire.bit_count()
     return bits, fired, 1 + fired, fired, 1, time.perf_counter_ns() - start
 

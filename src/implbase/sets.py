@@ -248,7 +248,7 @@ class Basis:
 
     Derived read-only structures (the implications, per-attribute occurrence
     lists and masks of the left-hand sides, per-attribute masks of the
-    right-hand sides, left-hand-side sizes,
+    right-hand sides, the left-hand-side sizes in bit planes,
     reachability over the binary prefix, the hash) are built lazily once,
     each by its own method, and then shared; they never mutate the logical
     value.
@@ -385,12 +385,6 @@ class Basis:
         return tuple(map(tuple, lists))
 
     @memo
-    def lhs_sizes(self) -> tuple[int, ...]:
-        """Per implication: the size of its lhs, where the per-call counters
-        of the counting closure algorithms start."""
-        return tuple([lhs.bit_count() for lhs, _ in self._pairs])
-
-    @memo
     def attr_masks(self) -> tuple[int, ...]:
         """Per attribute: bit mask over implication indices, same content as
         :meth:`attr_lists` but usable with int arithmetic; one
@@ -405,6 +399,26 @@ class Basis:
         as :meth:`attr_masks` is of the left."""
         rhs_bits = [rhs for _, rhs in self.pairs()]
         return tuple(transpose_bits(rhs_bits, self.universe.size))
+
+    @memo
+    def lhs_planes(self) -> tuple[int, ...]:
+        """The lhs sizes as bit planes over the implication indices: bit
+        ``i`` of plane ``j`` is bit ``j`` of the size of implication ``i``'s
+        lhs, and the last plane is nonzero.  The per-call counters of the
+        counting closure algorithms start here.  Built as the lane-wise sum
+        of the :meth:`attr_masks` columns, one ripple-carry add per
+        column."""
+        planes: list[int] = []
+        for carry in self.attr_masks():
+            j = 0
+            while carry:
+                if j == len(planes):
+                    planes.append(0)
+                plane = planes[j]
+                planes[j] = plane ^ carry
+                carry &= plane
+                j += 1
+        return tuple(planes)
 
     @memo
     def binary_reach(self) -> tuple[int, ...]:

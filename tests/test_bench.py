@@ -405,6 +405,27 @@ def test_csv_refuses_a_repeated_pairing_row(ex51):
     assert [r.dataset for r in copied[-2:]] == ["gen", "copy"]
 
 
+
+def test_csv_refuses_a_dataset_whose_rows_disagree(ex51):
+    # rows of one dataset from two runs would be ranked against each other
+    buffer = io.StringIO()
+    write_reports_csv(run_workload(ex51, SPEC, dataset_id="ex51"), buffer)
+    header, first, second, *rest = buffer.getvalue().splitlines()
+    names = header.split(",")
+    for column, cell in (("universe", "5"), ("queries", "7"), ("reps", "9")):
+        cells = second.split(",")
+        was = cells[names.index(column)]
+        cells[names.index(column)] = cell
+        text = "\n".join([header, first, ",".join(cells), *rest]) + "\n"
+        with pytest.raises(
+            MalformedReport,
+            match=f"^CSV rows of dataset 'ex51' disagree on {column}: {was} and {cell}$",
+        ):
+            read_reports_csv(io.StringIO(text))
+        # the same cells under another dataset name agree with their own rows
+        moved = "\n".join([header, first, "other" + ",".join(cells)[4:], *rest]) + "\n"
+        assert len(read_reports_csv(io.StringIO(moved))) == 9
+
 # -- aggregation ------------------------------------------------------------------------
 
 

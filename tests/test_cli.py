@@ -463,6 +463,33 @@ def test_report_refuses_a_time_the_writer_cannot_write(capsys, bench_dir, tmp_pa
     assert err.startswith("error: MalformedReport: CSV cell time_ms ")
 
 
+def test_report_refuses_rows_of_one_dataset_from_two_runs(capsys, tmp_path):
+    # the cdub rows of one run and the dg rows of a run with other query
+    # counts would give dg every win
+    ctxdir = tmp_path / "ctx"
+    ctxdir.mkdir()
+    shutil.copy(EX51_CXT, ctxdir)
+    rows = {}
+    for queries in ("1000", "10"):
+        target = tmp_path / f"q{queries}.csv"
+        argv = ["bench", "--in", str(ctxdir), "--queries", queries, "-o", str(target)]
+        assert run(capsys, *argv)[0] == 0
+        rows[queries] = target.read_text().splitlines()
+    header = rows["1000"][0]
+    cdub = [row for row in rows["1000"] if ",cdub," in row]
+    dg = [row for row in rows["10"] if ",dg," in row]
+    assert len(cdub) == len(dg) == 3
+    mixed = tmp_path / "mixed.csv"
+    mixed.write_text("\n".join([header, *cdub, *dg]) + "\n")
+    for kind in ("ranking", "ratio", "totals"):
+        code, out, err = run(capsys, "report", "--in", str(mixed), "--kind", kind)
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: MalformedReport: CSV rows of dataset 'ex51' disagree on queries: 1000 and 10\n"
+        )
+
+
 def test_report_names_a_malformed_csv_as_a_domain_error(capsys, tmp_path):
     csv_path = tmp_path / "r.csv"
     csv_path.write_text("dataset,universe\n")

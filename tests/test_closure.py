@@ -404,8 +404,14 @@ def ref_lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     attributes are still missing and fires exactly when the count hits zero.
 
     A worklist holds attributes not yet propagated; each attribute enters it
-    at most once.  The per-attribute occurrence lists are precomputed outside
-    the measured phase; the per-call counters are initialised inside it.
+    at most once.  The counters are kept as bit planes over the implication
+    indices (:meth:`Basis.lhs_planes`), so taking an attribute lowers the
+    count of every implication whose lhs holds it in one borrow chain over
+    the planes, started from the attribute's lhs column.  The worklist is
+    consumed in waves: every attribute of the current wave lowers its
+    counts, then the implications whose count reached zero fire, and their
+    new rhs attributes form the next wave.  The planes are precomputed
+    outside the measured phase; the per-call copy of them is made inside it.
     """
     ref_check(x, basis)
     pairs = basis.pairs()
@@ -498,8 +504,14 @@ def ref_lin_closure_direct(
 
     For a ``dbasis`` the worklist starts from the binary-prefix closure of
     the input (precomputed, hence uncounted); for a ``cdub`` from the input
-    itself.  Fired right-hand sides accumulate separately and never re-enter
-    the worklist.  ``pre_close=False`` skips the seeding; on a ``dbasis``
+    itself.  The counters are bit planes over the implication indices, as in
+    :func:`lin_closure`: each seed attribute lowers the counts of its
+    implications in one borrow chain, and once the seed is taken the
+    implications whose count reached zero fire together, the union of their
+    right-hand sides read by rhs columns.  Fired right-hand sides never
+    re-enter the worklist, and every implication whose lhs lies inside the
+    seed fires once, whatever the order the seed is taken in.
+    ``pre_close=False`` skips the seeding; on a ``dbasis``
     whose tail actually matters the result is then too small, which is
     exactly the behaviour the seeding exists to repair.
     """
@@ -771,36 +783,44 @@ def test_counters_follow_their_closed_forms(kind, seed, attributes, pre_close):
 
 
 @pytest.mark.parametrize("algo", [lin_closure, lin_closure_direct], ids=lambda f: f.__name__)
-def test_lhs_sizes_are_built_once_and_never_mutated(monkeypatch, algo):
+def test_lhs_planes_are_built_once_and_never_mutated(monkeypatch, algo):
     basis = read_basis(EX51_IMP)
     builds: list[Basis] = []
-    build = Basis.lhs_sizes.__wrapped__
+    build = Basis.lhs_planes.__wrapped__
 
-    def lhs_sizes(self: Basis) -> tuple[int, ...]:
+    def lhs_planes(self: Basis) -> tuple[int, ...]:
         builds.append(self)
         return build(self)
 
-    monkeypatch.setattr(Basis, "lhs_sizes", memo(lhs_sizes))
+    monkeypatch.setattr(Basis, "lhs_planes", memo(lhs_planes))
     queries = [AttributeSet(basis.universe, bits) for bits in range(16)]
     first = [algo(x, basis).metrics.counters() for x in queries]
     assert builds == [basis]  # by the first call
-    sizes = basis.lhs_sizes()
+    planes = basis.lhs_planes()
     assert [algo(x, basis).metrics.counters() for x in queries] == first
     assert builds == [basis]
-    assert type(sizes) is tuple and basis.lhs_sizes() is sizes
-    assert sizes == tuple(lhs.bit_count() for lhs, _ in basis.pairs())
+    assert type(planes) is tuple and basis.lhs_planes() is planes
+    assert planes == build(read_basis(EX51_IMP))
+
+
+def planes_of(sizes: Sequence[int]) -> tuple[int, ...]:
+    """Per-lane ``sizes`` as bit planes over the lanes, one bit per lane
+    and plane: the layout of :meth:`Basis.lhs_planes`."""
+    width = max(sizes, default=0).bit_length()
+    return tuple(
+        sum(1 << i for i, size in enumerate(sizes) if size >> j & 1) for j in range(width)
+    )
 
 
 @pytest.mark.parametrize("algo", [lin_closure, lin_closure_direct], ids=lambda f: f.__name__)
-def test_counting_starts_from_the_memoised_lhs_sizes(monkeypatch, algo):
+def test_counting_starts_from_the_memoised_lhs_planes(monkeypatch, algo):
     basis = read_basis(EX51_IMP)
     full = AttributeSet(basis.universe, basis.universe.mask)
     assert algo(full, basis).metrics.deps == len(basis)
-    build = Basis.lhs_sizes.__wrapped__
 
-    def lhs_sizes(self: Basis) -> tuple[int, ...]:
+    def lhs_planes(self: Basis) -> tuple[int, ...]:
         # one more than each lhs holds, so no count can reach zero
-        return tuple(size + 1 for size in build(self))
+        return planes_of([lhs.bit_count() + 1 for lhs, _ in self.pairs()])
 
-    monkeypatch.setattr(Basis, "lhs_sizes", memo(lhs_sizes))
+    monkeypatch.setattr(Basis, "lhs_planes", memo(lhs_planes))
     assert algo(full, read_basis(EX51_IMP)).metrics.deps == 0

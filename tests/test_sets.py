@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import EX51_IMP, aset, lectic_key, random_standard_context
 from implbase.bases import BUILDERS, check_equiv, direct_witness
 from implbase.bench import ALGORITHMS, TABLE_COMBOS
-from implbase.bits import lectic_keys
+from implbase.bits import lectic_keys, random_bits
 from implbase.closure import implies, oracle_closure
 from implbase.errors import (
     EmptyLhs,
@@ -279,25 +279,29 @@ def test_basis_derived_structures():
     assert basis.attr_lists() == ((), (0,), (), (0, 1))
     assert basis.attr_masks() == (0, 0b01, 0, 0b11)
     assert basis.rhs_masks() == (0b01, 0, 0b10, 0)
-    assert basis.lhs_sizes() == (2, 1)
+    assert basis.lhs_planes() == (0b10, 0b01)
     empty = Basis([], universe=U4)
     assert empty.attr_lists() == ((),) * 4
     assert empty.attr_masks() == (0,) * 4
     assert empty.rhs_masks() == (0,) * 4
-    assert empty.lhs_sizes() == ()
+    assert empty.lhs_planes() == ()
 
 
 def scalar_indexes(basis: Basis) -> tuple[tuple, tuple, tuple]:
-    """Occurrence lists, lhs masks and lhs sizes, one attribute and one
-    implication at a time."""
+    """Occurrence lists, lhs masks and lhs size planes, one attribute and
+    one implication at a time."""
     pairs = basis.pairs()
     lists = tuple(
         tuple(i for i, (lhs, _) in enumerate(pairs) if lhs >> a & 1)
         for a in range(basis.universe.size)
     )
     masks = tuple(sum(1 << i for i in found) for found in lists)
-    sizes = tuple(bin(lhs).count("1") for lhs, _ in pairs)
-    return lists, masks, sizes
+    sizes = [bin(lhs).count("1") for lhs, _ in pairs]
+    width = max(sizes, default=0).bit_length()
+    planes = tuple(
+        sum(1 << i for i, size in enumerate(sizes) if size >> j & 1) for j in range(width)
+    )
+    return lists, masks, planes
 
 
 @pytest.mark.parametrize("order", ["lists first", "masks first", "masks only"])
@@ -309,16 +313,39 @@ def test_indexes_match_the_scalar_scan_in_any_order(order, size, count):
     u = Universe(size=size)
     pairs = [(rng.randrange(1, 1 << size), rng.getrandbits(size)) for _ in range(count)]
     basis = Basis._from_pairs(pairs, BasisKind.RAW, universe=u)
-    lists, masks, sizes = scalar_indexes(basis)
+    lists, masks, planes = scalar_indexes(basis)
     if order == "lists first":
         assert basis.attr_lists() == lists
     assert basis.attr_masks() == masks
-    assert basis.lhs_sizes() == sizes
+    assert basis.lhs_planes() == planes
     if order == "masks first":
         assert basis.attr_lists() == lists
     if order == "masks only":
         assert "attr_lists" not in basis._cache
     assert basis.attr_masks() is basis.attr_masks()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    size=st.sampled_from([1, 3, 24, 64, 65, 130]),
+    count=st.sampled_from([0, 1, 7, 64, 65, 140]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lhs_planes_decode_to_the_lhs_sizes(size, count, seed):
+    # the empty basis, more than 64 implications and universes past 64
+    # attributes; sparse and dense left-hand sides, so sizes need from one
+    # to eight planes
+    rng = random.Random(seed)
+    u = Universe(size=size)
+    p = rng.choice([0.05, 0.5, 0.95])
+    pairs = [(random_bits(rng, size, p) or 1 << rng.randrange(size), 0) for _ in range(count)]
+    basis = Basis._from_pairs(pairs, BasisKind.RAW, universe=u)
+    planes = basis.lhs_planes()
+    assert type(planes) is tuple and basis.lhs_planes() is planes
+    assert not planes or planes[-1]
+    for i, (lhs, _) in enumerate(pairs):
+        assert sum((plane >> i & 1) << j for j, plane in enumerate(planes)) == lhs.bit_count()
+    assert not any(plane >> count for plane in planes)
 
 
 @pytest.mark.parametrize(
