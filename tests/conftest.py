@@ -78,6 +78,15 @@ def lectic_key(bits: int, n: int) -> int:
     return int(format(bits, f"0{n}b")[::-1], 2)
 
 
+def planes_of(sizes: list[int]) -> tuple[int, ...]:
+    """Per-lane ``sizes`` as bit planes over the lanes, one bit per lane and
+    plane: the layout of ``Basis.lhs_planes``, built one lane at a time."""
+    width = max(sizes, default=0).bit_length()
+    return tuple(
+        sum(1 << i for i, size in enumerate(sizes) if size >> j & 1) for j in range(width)
+    )
+
+
 def closed_family(ctx: Context) -> frozenset[int]:
     """All closed attribute sets of a small context, as raw bit masks."""
     n = ctx.universe.size

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EX51_IMP, aset, random_standard_context
+from conftest import EX51_IMP, aset, planes_of, random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
 from implbase.bits import memo, random_bits
 from implbase.closure import (
@@ -801,15 +801,6 @@ def test_lhs_planes_are_built_once_and_never_mutated(monkeypatch, algo):
     assert builds == [basis]
     assert type(planes) is tuple and basis.lhs_planes() is planes
     assert planes == build(read_basis(EX51_IMP))
-
-
-def planes_of(sizes: Sequence[int]) -> tuple[int, ...]:
-    """Per-lane ``sizes`` as bit planes over the lanes, one bit per lane
-    and plane: the layout of :meth:`Basis.lhs_planes`."""
-    width = max(sizes, default=0).bit_length()
-    return tuple(
-        sum(1 << i for i, size in enumerate(sizes) if size >> j & 1) for j in range(width)
-    )
 
 
 @pytest.mark.parametrize("algo", [lin_closure, lin_closure_direct], ids=lambda f: f.__name__)

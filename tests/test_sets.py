@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX51_IMP, aset, lectic_key, random_standard_context
+from conftest import EX51_IMP, aset, lectic_key, planes_of, random_standard_context
 from implbase.bases import BUILDERS, check_equiv, direct_witness
 from implbase.bench import ALGORITHMS, TABLE_COMBOS
 from implbase.bits import lectic_keys, random_bits
@@ -296,11 +296,7 @@ def scalar_indexes(basis: Basis) -> tuple[tuple, tuple, tuple]:
         for a in range(basis.universe.size)
     )
     masks = tuple(sum(1 << i for i in found) for found in lists)
-    sizes = [bin(lhs).count("1") for lhs, _ in pairs]
-    width = max(sizes, default=0).bit_length()
-    planes = tuple(
-        sum(1 << i for i, size in enumerate(sizes) if size >> j & 1) for j in range(width)
-    )
+    planes = planes_of([bin(lhs).count("1") for lhs, _ in pairs])
     return lists, masks, planes
 
 
