@@ -247,9 +247,19 @@ def cmd_report(args: argparse.Namespace) -> int:
             cells = " ".join(f"{label}={wins}" for label, wins in ordered)
             print(f"{metric}: {cells}")
         return 0
-    print("bucket datasets", *(f"{kind.value}:{algo}" for kind, algo in RATIO_COMBOS))
-    for row in size_ratio_report(reports):
+    combos = [f"{kind.value}:{algo}" for kind, algo in RATIO_COMBOS]
+    print("bucket datasets", *combos)
+    rows = size_ratio_report(reports)
+    for row in rows:
         print(f"{row.bucket:.1f} {row.datasets} {row.wins_a} {row.wins_b}")
+    datasets = len({r.dataset for r in reports})
+    skipped = datasets - sum(row.datasets for row in rows)
+    if skipped:
+        print(
+            f"note: {skipped} of {datasets} datasets not bucketed: each lacks a "
+            f"{combos[0]} or {combos[1]} row, or has an empty cdub or dg",
+            file=sys.stderr,
+        )
     return 0
 
 

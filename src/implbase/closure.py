@@ -18,8 +18,8 @@ Every algorithm fills a :class:`Metrics` record:
   intersections, differences, and subset tests, one tick each regardless of
   universe width,
 * ``inner_loops`` / ``outer_loops`` - iterations of the per-implication loop
-  and of the enclosing loop (single-round algorithms report one outer tick
-  per call),
+  and of the enclosing loop (classic-direct and wild-direct report one
+  outer tick per call, lin-direct one per seed attribute),
 * ``elapsed_ns`` - monotonic wall time of the computation phase only: the
   algorithm and its firings, nothing else.  The lhs sizes in bit planes,
   the lhs and rhs columns over the implication indices and binary-prefix
@@ -29,8 +29,12 @@ Every algorithm fills a :class:`Metrics` record:
 
 Each public algorithm is one call to a shared checked entry, which checks
 the universe, refuses a non-direct kind for the single-round three, runs
-the algorithm's private kernel on ``x.bits`` and wraps what it returns.  A
-kernel has the signature ``(bits, basis[, pre_close])`` and returns the
+the algorithm's private kernel on ``x.bits`` and wraps what it returns.
+There are four timed kernels: ``_classic``, ``_lin``, ``_wild`` and
+``_sweep``, classic-direct's in-order sweep.  A single-round algorithm is
+the first round of its kernel: lin-direct is ``_lin``'s first wave and
+wild-direct is ``_wild``'s first pass, each taken from the seed.  A kernel
+has the signature ``(bits, basis[, once, pre_close])`` and returns the
 tuple ``(closure_bits, deps, attribute_ops, inner_loops, outer_loops,
 elapsed_ns)``.  It reads the basis's pairs or its lhs and rhs masks, the lhs
 size planes and the pre-closed seed before starting its clock.
@@ -46,7 +50,7 @@ implications and ``|L(a)|`` the length of attribute ``a``'s occurrence list:
 * lin: ``outer = |closure|``, ``inner = sum of |L(a)|`` over the closure,
   ``ops = 3 deps`` (every closure attribute passes through the worklist
   exactly once);
-* both lin kernels keep their counters as bit planes over the implication
+* lin and lin-direct keep their counters as bit planes over the implication
   indices and lower every count of ``L(a)`` in one borrow chain; ``inner``
   is the counters' total fall, read off the planes, which is the sum of
   ``|L(a)|`` because each occurrence lowers its count once;
@@ -238,23 +242,30 @@ def lin_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     return _closed(_lin, x, basis)
 
 
-def _lin(bits: int, basis: Basis) -> _Run:
+def _lin(bits: int, basis: Basis, once: bool = False, pre_close: bool = False) -> _Run:
     """LinClosure's worklist in waves.  Every closure attribute enters the
     worklist once, and every implication whose lhs lies inside the closure
     fires once, at its last lhs attribute.  So the closure and all four
     counters do not depend on the order in which the worklist is taken: a
     wave is first-in first-out order with the firings detected once per
     wave.  No count falls below zero, so the zero lanes of the planes are
-    the implications whose count reached zero."""
+    the implications whose count reached zero.
+
+    With ``once`` the run stops after the first wave, which takes the seed
+    (:func:`_seed_bits`): that is lin-direct.  The fired right-hand sides
+    then never enter the worklist, so the worklist is the seed, taken once
+    (``outer = |seed|``), and the cost model charges one union per firing
+    plus one final union (``ops = deps + 1``) where lin charges a
+    difference and two unions per firing."""
     masks = basis.attr_masks()
     rhs_masks = basis.rhs_masks()
     planes = basis.lhs_planes()
     full = basis.universe.mask
     alive = (1 << len(basis)) - 1
+    seed = update = _seed_bits(bits, basis, pre_close)
     deps = 0
     start = time.perf_counter_ns()
     count = list(planes)
-    update = bits
     while update:
         for a in bit_indices(update):
             borrow = masks[a]
@@ -269,7 +280,12 @@ def _lin(bits: int, basis: Basis) -> _Run:
         deps += fired.bit_count()
         update = _rhs_union(full & ~bits, fired, rhs_masks)
         bits |= update
+        if once:
+            break
     elapsed = time.perf_counter_ns() - start
+    if once:
+        # one union per firing plus the final union
+        return bits, deps, deps + 1, _fall(planes, count), seed.bit_count(), elapsed
     # only new attributes enter the worklist, so each closure attribute
     # leaves it once; a difference and two unions per firing
     return bits, deps, 3 * deps, _fall(planes, count), bits.bit_count(), elapsed
@@ -304,16 +320,22 @@ def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
     return _closed(_wild, x, basis)
 
 
-def _wild(bits: int, basis: Basis) -> _Run:
+def _wild(bits: int, basis: Basis, once: bool = False, pre_close: bool = False) -> _Run:
     """Wild's passes over columns of the implication indices.  A pass's
     selection ORs the lhs columns of the missing attributes: the ``alive``
     implications outside that OR fire.  Its union reads the rhs columns
     (:func:`_rhs_union`).  The paper's one difference plus one union per
-    fired implication is charged per pass."""
+    fired implication is charged per pass.
+
+    With ``once`` the run stops after the first pass, over the seed
+    (:func:`_seed_bits`): that is wild-direct, whose selection is never
+    re-evaluated against the grown set.  One pass charges one outer tick
+    and one difference, and one inner tick and one union per firing."""
     masks = basis.attr_masks()
     rhs_masks = basis.rhs_masks()
     full = basis.universe.mask
     alive = (1 << len(basis)) - 1
+    bits = _seed_bits(bits, basis, pre_close)
     deps = ops = inner = outer = 0
     start = time.perf_counter_ns()
     while True:
@@ -325,7 +347,7 @@ def _wild(bits: int, basis: Basis) -> _Run:
         deps += fired
         inner += fired
         ops += 1 + fired
-        if not fire:
+        if once or not fire:
             break
         alive ^= fire
     return bits, deps, ops, inner, outer, time.perf_counter_ns() - start
@@ -375,34 +397,7 @@ def lin_closure_direct(
     whose tail actually matters the result is then too small, which is
     exactly the behaviour the seeding exists to repair.
     """
-    return _closed(_lin_once, x, basis, pre_close, direct=True)
-
-
-def _lin_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
-    masks = basis.attr_masks()
-    rhs_masks = basis.rhs_masks()
-    planes = basis.lhs_planes()
-    full = basis.universe.mask
-    alive = (1 << len(basis)) - 1
-    seed = _seed_bits(bits, basis, pre_close)
-    start = time.perf_counter_ns()
-    count = list(planes)
-    for a in bit_indices(seed):
-        borrow = masks[a]
-        j = 0
-        while borrow:
-            plane = count[j]
-            count[j] = plane ^ borrow
-            borrow &= ~plane
-            j += 1
-    # no count falls below zero, so the zero lanes are the fired ones
-    fired = alive & ~reduce(or_, count, 0)
-    bits |= _rhs_union(full & ~bits, fired, rhs_masks)
-    deps = fired.bit_count()
-    elapsed = time.perf_counter_ns() - start
-    # the worklist is the seed, taken once; one union per firing plus the
-    # final union
-    return bits, deps, deps + 1, _fall(planes, count), seed.bit_count(), elapsed
+    return _closed(_lin, x, basis, True, pre_close, direct=True)
 
 
 def wild_closure_direct(
@@ -415,21 +410,7 @@ def wild_closure_direct(
     complement of that seed fires unconditionally; the selection is never
     re-evaluated against the grown set.
     """
-    return _closed(_wild_once, x, basis, pre_close, direct=True)
-
-
-def _wild_once(bits: int, basis: Basis, pre_close: bool) -> _Run:
-    masks = basis.attr_masks()
-    rhs_masks = basis.rhs_masks()
-    full = basis.universe.mask
-    alive = (1 << len(basis)) - 1
-    seed = _seed_bits(bits, basis, pre_close)
-    start = time.perf_counter_ns()
-    missing = full & ~seed
-    fire = alive & ~spread(missing, masks)
-    bits = seed | _rhs_union(missing, fire, rhs_masks)
-    fired = fire.bit_count()
-    return bits, fired, 1 + fired, fired, 1, time.perf_counter_ns() - start
+    return _closed(_wild, x, basis, True, pre_close, direct=True)
 
 
 #: The six instrumented algorithms by their command-line and CSV names.
@@ -453,9 +434,6 @@ def implies(basis: Basis, query: Implication) -> bool:
     universe = query.universe
     if universe is not basis.universe and universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")
-    bits = query.lhs.bits
-    if basis.kind in _DIRECT_KINDS:
-        closed = _wild_once(bits, basis, True)[0]
-    else:
-        closed = _wild(bits, basis)[0]
+    direct = basis.kind in _DIRECT_KINDS
+    closed = _wild(query.lhs.bits, basis, direct, direct)[0]
     return query.rhs.bits & ~closed == 0

@@ -490,6 +490,31 @@ def test_report_refuses_rows_of_one_dataset_from_two_runs(capsys, tmp_path):
         )
 
 
+def test_report_ratio_names_the_datasets_it_cannot_bucket(capsys, bench_dir, tmp_path):
+    code, out, _ = run(capsys, "bench", "--in", str(bench_dir), "--queries", "5", "--reps", "1")
+    assert code == 0
+    header, *rows = out.splitlines()
+    datasets = sorted({row.split(",", 1)[0] for row in rows})
+    assert len(datasets) >= 2
+    bucketed = tmp_path / "all.csv"
+    bucketed.write_text(out)
+    code, whole, err = run(capsys, "report", "--in", str(bucketed), "--kind", "ratio")
+    assert (code, err) == (0, "")
+    # the first dataset loses its dg rows, so dg:classic and |dg| with them
+    lost = [row for row in rows if row.startswith(f"{datasets[0]},") and ",dg," in row]
+    assert len(lost) == 3
+    kept = [row for row in rows if row not in lost]
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join([header, *kept]) + "\n")
+    code, ratio_out, err = run(capsys, "report", "--in", str(partial), "--kind", "ratio")
+    assert code == 0
+    assert ratio_out.splitlines()[0] == whole.splitlines()[0]
+    assert err == (
+        f"note: 1 of {len(datasets)} datasets not bucketed: each lacks a dg:classic or "
+        "cdub:wild-direct row, or has an empty cdub or dg\n"
+    )
+
+
 def test_report_names_a_malformed_csv_as_a_domain_error(capsys, tmp_path):
     csv_path = tmp_path / "r.csv"
     csv_path.write_text("dataset,universe\n")

@@ -35,6 +35,7 @@ from implbase.sets import (
     BasisKind,
     Implication,
     Universe,
+    _merge_pairs,
     parse_basis,
     parse_implication,
     read_basis,
@@ -656,19 +657,40 @@ def test_the_algorithms_match_their_references_on_wide_raw_bases(attributes, cou
     # past 24 attributes the missing sets leave the byte tables; the lhs and
     # rhs columns take the packed transpose up to 64 attributes, then the
     # one-set-per-call path for more than 64 implications and the word
-    # read-back for fewer
+    # read-back for fewer.  The raw pairs, merged and labelled cdub or with
+    # their units first as a dbasis prefix, take the direct kernels there too.
     rng = random.Random(attributes * 1000 + count)
     basis = sparse_raw_basis(rng, attributes, count)
     u = basis.universe
+    pairs = basis.pairs()
+    units = [pair for pair in pairs if pair[0].bit_count() == 1]
+    tail = [pair for pair in pairs if pair[0].bit_count() > 1]
+    labelled = [
+        Basis._from_pairs(_merge_pairs(pairs).items(), BasisKind.CDUB, universe=u),
+        Basis._from_pairs(units + tail, BasisKind.DBASIS, len(units), universe=u),
+    ]
     queries = [AttributeSet(u, random_bits(rng, attributes, p)) for p in (0.1, 0.3, 0.6, 0.9)]
     queries += [AttributeSet(u, 0), u.full()]
-    fired = 0
+    fired = direct_fired = 0
     for x in queries:
         for public in CLASSIC_TRIO + DIRECT_TRIO:
             reference = REFERENCES[public]
             assert outcome(lambda: public(x, basis)) == outcome(lambda: reference(x, basis))
         fired += wild_closure(x, basis).metrics.deps
-    assert fired > count
+        for direct in labelled:
+            assert outcome(lambda: closure_direct(x, direct)) == outcome(
+                lambda: ref_closure_direct(x, direct)
+            )
+            for public in DIRECT_TRIO[1:]:
+                reference = REFERENCES[public]
+                for pre_close in (True, False):
+                    got = outcome(lambda: public(x, direct, pre_close=pre_close))
+                    assert got == outcome(lambda: reference(x, direct, pre_close=pre_close))
+                    direct_fired += got[2][0]
+            if x.bits:
+                query = Implication(x, AttributeSet(u, random_bits(rng, attributes, 0.5)))
+                assert implies(direct, query) == ref_implies(direct, query)
+    assert fired > count and direct_fired > count
 
 
 @pytest.mark.parametrize("public", list(REFERENCES), ids=lambda func: func.__name__)

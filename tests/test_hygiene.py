@@ -426,8 +426,9 @@ def test_the_cli_imports_no_private_name_of_the_closure_layer():
     assert not private, f"cli.py imports {private} from closure"
 
 
-#: The timed kernels of ``closure.py``, one per algorithm.
-KERNELS = {"_classic", "_lin", "_wild", "_sweep", "_lin_once", "_wild_once"}
+#: The timed kernels of ``closure.py``: lin-direct and wild-direct run the
+#: first round of ``_lin`` and ``_wild``.
+KERNELS = {"_classic", "_lin", "_wild", "_sweep"}
 #: What the innermost loop of a timed closure kernel may update in place:
 #: the algorithm's own state (the closure, and the borrow chain that lowers
 #: the counting kernels' counter planes) and the one firing counter.
@@ -487,7 +488,7 @@ def test_timed_closure_kernels_keep_counters_out_of_their_inner_loops():
             assert targets <= KERNEL_LOOP_TARGETS, (
                 f"{name} updates {sorted(targets - KERNEL_LOOP_TARGETS)} in its innermost loop"
             )
-    assert checked == {"_classic", "_lin", "_sweep", "_lin_once"}
+    assert checked == {"_classic", "_lin", "_sweep"}
 
 
 def is_clock_call(node: ast.AST) -> bool:
