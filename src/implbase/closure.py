@@ -30,21 +30,23 @@ Every algorithm fills a :class:`Metrics` record:
 Each public algorithm is one call to a shared checked entry, which checks
 the universe, refuses a non-direct kind for the single-round three, runs
 the algorithm's private kernel on ``x.bits`` and wraps what it returns.
-There are four timed kernels: ``_classic``, ``_lin``, ``_wild`` and
-``_sweep``, classic-direct's in-order sweep.  A single-round algorithm is
-the first round of its kernel: lin-direct is ``_lin``'s first wave and
-wild-direct is ``_wild``'s first pass, each taken from the seed.  A kernel
-has the signature ``(bits, basis[, once, pre_close])`` and returns the
-tuple ``(closure_bits, deps, attribute_ops, inner_loops, outer_loops,
-elapsed_ns)``.  It reads the basis's pairs or its lhs and rhs masks, the lhs
-size planes and the pre-closed seed before starting its clock.
+There are three timed kernels: ``_classic``, ``_lin`` and ``_wild``, each
+with its single round.  A single-round algorithm is the first round of its
+kernel: classic-direct is ``_classic``'s first in-order pass, lin-direct is
+``_lin``'s first wave and wild-direct is ``_wild``'s first pass, the last
+two taken from the seed.  A kernel has the signature ``(bits, basis[, once,
+pre_close])`` and returns the tuple ``(closure_bits, deps, attribute_ops,
+inner_loops, outer_loops, elapsed_ns)``.  It reads the basis's pairs, its
+lhs and rhs columns (apart, or joined as :meth:`Basis.joint_masks`), the
+lhs size planes and the pre-closed seed before starting its clock.
 
 Inside the clock a kernel runs its loop and counts its firings (``deps``);
 the other counters are closed forms of the loop's end state, computed after
 the clock stops, and equal what a tick per step would count.  With ``m``
 implications and ``|L(a)|`` the length of attribute ``a``'s occurrence list:
 
-* classic-direct: ``inner = m``, ``outer = 1``, ``ops = m + deps``;
+* classic-direct: ``inner = m``, ``outer = 1``, ``ops = m + deps``, which is
+  classic's first pass;
 * lin-direct: ``outer = |seed|``, ``inner = sum of |L(a)|`` over the seed,
   ``ops = deps + 1`` (every seed attribute leaves the worklist once);
 * lin: ``outer = |closure|``, ``inner = sum of |L(a)|`` over the closure,
@@ -200,26 +202,60 @@ def closure_classic(x: AttributeSet, basis: Basis) -> ClosureResult:
     return _closed(_classic, x, basis)
 
 
-def _classic(bits: int, basis: Basis) -> _Run:
+def _classic(bits: int, basis: Basis, once: bool = False) -> _Run:
+    """Classic's in-order passes over the joint lhs|rhs columns
+    (:meth:`Basis.joint_masks`).  ``remaining`` holds the implications not
+    yet fired, and a pass scans them in index order; ``alive`` is the part
+    of the pass still ahead of the scan.
+
+    A pass runs in epochs.  An epoch ORs the joint columns of the missing
+    attributes into ``acc``.  An alive implication whose bit is clear in
+    the low ``m`` bits of ``acc`` has its lhs inside the set (``fire``);
+    one of those whose bit is set in the high bits has a missing attribute
+    in its rhs, so it grows the set (``grow``).  This is exact: a scan of
+    one implication at a time adds nothing to the set before it reaches the
+    lowest grower ``i``, so every implication of ``fire`` up to ``i`` fires
+    against the set the epoch saw; then ``i``'s rhs joins the set and the
+    scan goes on past ``i``.  With no grower the set stays fixed to the end
+    of the pass, so all of ``fire`` fires.  Every epoch of a pass but the
+    last adds an attribute, so a pass takes at most one epoch per added
+    attribute plus one, and the firings, the closure and the passes are
+    those of the one-at-a-time scan.
+
+    The next pass follows any pass that fired.  With ``once`` the run stops
+    after the first pass: that is classic-direct, one in-order sweep of all
+    ``m`` implications.  A pass charges one inner tick and one subset test
+    per implication it scans, and a firing one union."""
     pairs = basis.pairs()
+    joint = basis.joint_masks()
+    m = len(pairs)
+    full = basis.universe.mask
+    remaining = (1 << m) - 1
     deps = inner = outer = 0
     start = time.perf_counter_ns()
-    remaining: Sequence[tuple[int, int]] = pairs
-    stable = False
-    while not stable:
+    while True:
         outer += 1
-        inner += len(remaining)
-        stable = True
-        still: list[tuple[int, int]] = []
-        for pair in remaining:
-            lhs = pair[0]
-            if lhs & bits == lhs:
-                deps += 1
-                bits |= pair[1]
-                stable = False
-            else:
-                still.append(pair)
-        remaining = still
+        inner += remaining.bit_count()
+        alive = scanned = remaining
+        while alive:
+            acc = 0
+            for a in bit_indices(full & ~bits):
+                acc |= joint[a]
+            fire = alive & ~acc
+            grow = fire & acc >> m
+            if not grow:
+                deps += fire.bit_count()
+                remaining ^= fire
+                break
+            low = grow & -grow
+            done = (low << 1) - 1
+            fired = fire & done
+            deps += fired.bit_count()
+            remaining ^= fired
+            alive &= ~done
+            bits |= pairs[low.bit_length() - 1][1]
+        if once or remaining == scanned:
+            break
     elapsed = time.perf_counter_ns() - start
     # one subset test per scanned implication, one union per firing
     return bits, deps, inner + deps, inner, outer, elapsed
@@ -362,21 +398,7 @@ def closure_direct(x: AttributeSet, basis: Basis) -> ClosureResult:
     Correct on a ``cdub`` (direct) and on a ``dbasis`` (ordered direct, the
     binary prefix comes first); no pre-closure is needed for either.
     """
-    return _closed(_sweep, x, basis, direct=True)
-
-
-def _sweep(bits: int, basis: Basis) -> _Run:
-    pairs = basis.pairs()
-    deps = 0
-    start = time.perf_counter_ns()
-    for lhs, rhs in pairs:
-        if lhs & bits == lhs:
-            deps += 1
-            bits |= rhs
-    elapsed = time.perf_counter_ns() - start
-    # one subset test per implication, one union per firing
-    m = len(pairs)
-    return bits, deps, m + deps, m, 1, elapsed
+    return _closed(_classic, x, basis, True, direct=True)
 
 
 def lin_closure_direct(
@@ -429,8 +451,10 @@ def implies(basis: Basis, query: Implication) -> bool:
     in the closure of the query lhs, computed with the cheapest algorithm
     valid for the basis kind: Wild's single round on a ``cdub`` or
     ``dbasis``, Wild's passes on any other kind.  The first call on a fresh
-    basis builds its lhs and rhs columns (:meth:`Basis.attr_masks` and
-    :meth:`Basis.rhs_masks`), which later calls share."""
+    basis builds its lhs and rhs columns in one transpose
+    (:meth:`Basis.joint_masks`) and splits them into their halves
+    (:meth:`Basis.attr_masks` and :meth:`Basis.rhs_masks`), which later
+    calls share."""
     universe = query.universe
     if universe is not basis.universe and universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")

@@ -247,8 +247,8 @@ class Basis:
       left-hand sides of at least two attributes.
 
     Derived read-only structures (the implications, per-attribute occurrence
-    lists and masks of the left-hand sides, per-attribute masks of the
-    right-hand sides, the left-hand-side sizes in bit planes,
+    lists, the joint lhs and rhs columns and their two halves, the
+    left-hand-side sizes in bit planes,
     reachability over the binary prefix, the hash) are built lazily once,
     each by its own method, and then shared; they never mutate the logical
     value.
@@ -385,20 +385,31 @@ class Basis:
         return tuple(map(tuple, lists))
 
     @memo
+    def joint_masks(self) -> tuple[int, ...]:
+        """Per attribute: its lhs column and its rhs column over the
+        implication indices in one int.  With ``m`` implications, bit ``i``
+        of column ``a`` is set iff implication ``i``'s lhs holds ``a``, and
+        bit ``m + i`` iff its rhs does.  One :func:`transpose_bits` of the
+        ``m`` left-hand sides followed by the ``m`` right-hand sides builds
+        the lhs and rhs columns together."""
+        sides = [lhs for lhs, _ in self._pairs] + [rhs for _, rhs in self._pairs]
+        return tuple(transpose_bits(sides, self.universe.size))
+
+    @memo
     def attr_masks(self) -> tuple[int, ...]:
-        """Per attribute: bit mask over implication indices, same content as
-        :meth:`attr_lists` but usable with int arithmetic; one
-        :func:`transpose_bits` of the left-hand sides."""
-        lhs_bits = [lhs for lhs, _ in self.pairs()]
-        return tuple(transpose_bits(lhs_bits, self.universe.size))
+        """Per attribute: bit mask over the indices of the implications whose
+        lhs contains it, same content as :meth:`attr_lists` but usable with
+        int arithmetic; the low ``m`` bits of :meth:`joint_masks`."""
+        low = (1 << len(self._pairs)) - 1
+        return tuple([column & low for column in self.joint_masks()])
 
     @memo
     def rhs_masks(self) -> tuple[int, ...]:
         """Per attribute: bit mask over the indices of the implications whose
-        rhs contains it; one :func:`transpose_bits` of the right-hand sides,
-        as :meth:`attr_masks` is of the left."""
-        rhs_bits = [rhs for _, rhs in self.pairs()]
-        return tuple(transpose_bits(rhs_bits, self.universe.size))
+        rhs contains it; the bits of :meth:`joint_masks` above the low
+        ``m``."""
+        m = len(self._pairs)
+        return tuple([column >> m for column in self.joint_masks()])
 
     @memo
     def lhs_planes(self) -> tuple[int, ...]:

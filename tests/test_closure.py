@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import EX51_IMP, aset, planes_of, random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
-from implbase.bits import memo, random_bits
+from implbase.bits import bit_indices, memo, random_bits
 from implbase.closure import (
     ClosureResult,
     Metrics,
@@ -575,8 +575,10 @@ def ref_implies(basis: Basis, query: Implication) -> bool:
     in the closure of the query lhs, computed with the cheapest algorithm
     valid for the basis kind: Wild's single round on a ``cdub`` or
     ``dbasis``, Wild's passes on any other kind.  The first call on a fresh
-    basis builds its lhs and rhs columns (:meth:`Basis.attr_masks` and
-    :meth:`Basis.rhs_masks`), which later calls share."""
+    basis builds its lhs and rhs columns in one transpose
+    (:meth:`Basis.joint_masks`) and splits them into their halves
+    (:meth:`Basis.attr_masks` and :meth:`Basis.rhs_masks`), which later
+    calls share."""
     if query.universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")
     if basis.kind in (BasisKind.CDUB, BasisKind.DBASIS):
@@ -691,6 +693,112 @@ def test_the_algorithms_match_their_references_on_wide_raw_bases(attributes, cou
                 query = Implication(x, AttributeSet(u, random_bits(rng, attributes, 0.5)))
                 assert implies(direct, query) == ref_implies(direct, query)
     assert fired > count and direct_fired > count
+
+
+# -- the classic kernel's epochs -----------------------------------------------------
+
+
+def chain_pairs(rng: random.Random, links: list[int]) -> list[tuple[int, int]]:
+    """One implication per link of the attribute chain ``links``: link ``i``
+    needs ``links[i]`` and gives ``links[i + 1]``, its lhs padded with
+    earlier links and its rhs with links up to its own target."""
+    pairs = []
+    for i in range(len(links) - 1):
+        lhs = 1 << links[i] | sum(1 << a for a in links[:i] if rng.random() < 0.3)
+        rhs = 1 << links[i + 1] | sum(1 << a for a in links[: i + 1] if rng.random() < 0.3)
+        pairs.append((lhs, rhs))
+    return pairs
+
+
+def classic_runs(x: AttributeSet, basis: Basis) -> dict:
+    """Each classic entry's outcome with the epochs its kernel ran: one
+    ``bit_indices`` call of the missing attributes per epoch."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        for public in (closure_classic, closure_direct):
+            epochs = []
+
+            def counted(bits: int, calls: list = epochs) -> tuple[int, ...]:
+                calls.append(bits)
+                return bit_indices(bits)
+
+            patch.setattr("implbase.closure.bit_indices", counted)
+            runs[public] = outcome(lambda: public(x, basis)), len(epochs)
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    attributes=st.integers(2, 130),
+    seed=st.integers(0, 2**32 - 1),
+    descending=st.booleans(),
+)
+def test_classic_takes_a_chain_one_epoch_per_link(attributes, seed, descending):
+    # listed in ascending order the links all fire in the first pass, one
+    # growing epoch each; listed in descending order each pass fires only
+    # its last link, in one epoch, and the sweep of classic-direct stops
+    # after the first link
+    rng = random.Random(seed)
+    u = Universe(size=attributes)
+    order = rng.sample(range(attributes), attributes)
+    k = rng.randint(1, attributes - 1)
+    links, rest = order[: k + 1], order[k + 1 :]
+    pairs = chain_pairs(rng, links)
+    if descending:
+        pairs.reverse()
+    basis = Basis._from_pairs(pairs, BasisKind.CDUB, universe=u)
+    x = AttributeSet(u, 1 << links[0] | sum(1 << a for a in rest if rng.random() < 0.5))
+    closed = x.bits | sum(1 << a for a in links)
+    runs = classic_runs(x, basis)
+    assert runs[closure_classic][0] == outcome(lambda: ref_closure_classic(x, basis))
+    assert runs[closure_direct][0] == outcome(lambda: ref_closure_direct(x, basis))
+    if descending:
+        inner = k * (k + 1) // 2
+        assert runs[closure_classic] == ((u, closed, (k, inner + k, inner, k + 1)), k)
+        first = x.bits | pairs[-1][1]
+        assert runs[closure_direct] == ((u, first, (1, k + 1, k, 1)), 1)
+    else:
+        assert runs[closure_classic] == ((u, closed, (k, 2 * k, k, 2)), k)
+        assert runs[closure_direct] == ((u, closed, (k, 2 * k, k, 1)), k)
+
+
+def unchecked_basis(pairs: list[tuple[int, int]], kind: BasisKind, universe: Universe) -> Basis:
+    """A basis of ``pairs`` stored past the constructors' empty-lhs check."""
+    basis = Basis.__new__(Basis)
+    basis._store(tuple(pairs), kind, 0, universe)
+    return basis
+
+
+@pytest.mark.parametrize("attributes", [3, 24, 65])
+def test_classic_fires_rhs_inside_lhs_and_empty_lhs_without_growing(attributes):
+    # an implication whose rhs lies inside its lhs fires and adds nothing,
+    # and an empty lhs fires on any set; the kernel relies on neither rule
+    # of the constructors
+    rng = random.Random(attributes)
+    u = Universe(size=attributes)
+    inside = []
+    for _ in range(40):
+        lhs = random_bits(rng, attributes, 0.2) or 1
+        inside.append((lhs, lhs & random_bits(rng, attributes, 0.5)))
+    inside = list(_merge_pairs(inside).items())
+    empty = (0, 1 << rng.randrange(attributes))
+    queries = [AttributeSet(u, random_bits(rng, attributes, p)) for p in (0.2, 0.6, 0.9)]
+    queries += [AttributeSet(u, 0), u.full()]
+    half = len(inside) // 2
+    middle = inside[:half] + [empty] + inside[half:]
+    for pairs in (inside, [empty] + inside, middle, inside + [empty]):
+        basis = unchecked_basis(pairs, BasisKind.CDUB, u)
+        for x in queries:
+            runs = classic_runs(x, basis)
+            assert runs[closure_classic][0] == outcome(lambda: ref_closure_classic(x, basis))
+            assert runs[closure_direct][0] == outcome(lambda: ref_closure_direct(x, basis))
+            closed = x.bits | (empty[1] if empty in pairs else 0)
+            assert runs[closure_classic][0][1] == closed
+            assert runs[closure_classic][0][2][0] == sum(lhs & ~closed == 0 for lhs, _ in pairs)
+            # a pass without a grower is one epoch; the empty lhs grows at
+            # most once, and an epoch follows it while implications remain
+            grows = closed != x.bits
+            assert runs[closure_direct][1] == 1 + (grows and pairs[-1] != empty)
 
 
 @pytest.mark.parametrize("public", list(REFERENCES), ids=lambda func: func.__name__)

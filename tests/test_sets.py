@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import EX51_IMP, aset, lectic_key, planes_of, random_standard_context
 from implbase.bases import BUILDERS, check_equiv, direct_witness
 from implbase.bench import ALGORITHMS, TABLE_COMBOS
-from implbase.bits import lectic_keys, random_bits
+from implbase.bits import lectic_keys, random_bits, transpose_bits
 from implbase.closure import implies, oracle_closure
 from implbase.errors import (
     EmptyLhs,
@@ -362,6 +362,40 @@ def test_rhs_masks_hold_each_implication_under_its_rhs_attributes(size, count):
         assert column == sum(1 << j for j, (_, rhs) in enumerate(pairs) if rhs >> b & 1)
     assert basis.rhs_masks() is columns
     assert Basis._from_pairs([], BasisKind.RAW, universe=u).rhs_masks() == (0,) * size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.one_of(st.integers(1, 200), st.sampled_from([1, 24, 64, 65, 200])),
+    count=st.one_of(st.integers(0, 130), st.sampled_from([0, 31, 32, 33, 63, 64, 65, 130])),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_joint_masks_are_the_lhs_columns_below_the_rhs_columns(size, count, seed):
+    # 2m sides cross the 64-set boundary of the transpose at 32 and 33
+    # implications, the lhs and rhs columns on their own at 64 and 65
+    rng = random.Random(seed)
+    u = Universe(size=size)
+    pairs = [(rng.randrange(1, 1 << size), rng.getrandbits(size)) for _ in range(count)]
+    basis = Basis._from_pairs(pairs, BasisKind.RAW, universe=u)
+    lhs, rhs = (
+        tuple(sum(1 << i for i, p in enumerate(pairs) if p[side] >> a & 1) for a in range(size))
+        for side in (0, 1)
+    )
+    transposes = []
+
+    def counted(sides: list[int], n: int) -> list[int]:
+        transposes.append(len(sides))
+        return transpose_bits(sides, n)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("implbase.sets.transpose_bits", counted)
+        halves = basis.attr_masks(), basis.rhs_masks()
+        joint = basis.joint_masks()
+    assert transposes == [2 * count]  # one transpose builds both halves
+    assert type(joint) is tuple
+    assert joint == tuple(low | high << count for low, high in zip(lhs, rhs))
+    assert halves == (lhs, rhs)
+    assert basis.joint_masks() is joint and basis.rhs_masks() is halves[1]
 
 
 def test_the_check_path_builds_no_occurrence_lists(ex51):
