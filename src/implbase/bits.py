@@ -81,20 +81,11 @@ def bit_indices(bits: int) -> tuple[int, ...]:
 
 
 def spread(bits: int, table: Sequence[int]) -> int:
-    """OR of ``table[i]`` over the set bits ``i``; 0 for no bits.
-
-    Below ``1 << 24`` the positions come from the byte tables of
-    :func:`bit_indices`; wider sets peel off their lowest bit in a loop.
-    """
+    """OR of ``table[i]`` over the set bits ``i``, as :func:`bit_indices`
+    lists them; 0 for no bits."""
     acc = 0
-    if bits < 1 << 24:
-        for i in _LOW[bits & 255] + _MID[bits >> 8 & 255] + _HIGH[bits >> 16]:
-            acc |= table[i]
-        return acc
-    while bits:
-        low = bits & -bits
-        acc |= table[low.bit_length() - 1]
-        bits ^= low
+    for i in bit_indices(bits):
+        acc |= table[i]
     return acc
 
 

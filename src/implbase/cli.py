@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .closure import ALGORITHMS
-from .errors import ImplbaseError, IoError
+from .errors import ImplbaseError, InvalidBasis, IoError
 from .sets import BasisKind
 
 # Each command imports what it runs, so ``closure`` loads no builder, no
@@ -119,10 +119,19 @@ def cmd_closure(args: argparse.Namespace) -> int:
     kernel's clock starts) and the answer time (the kernel's own clock, or
     the whole call for the uncounted oracle).  A direct algorithm's
     refusal of a kind is the closure layer's :class:`WrongBasisKind`, which
-    :func:`main` reports as raised."""
+    :func:`main` reports as raised.
+
+    The answer ``Y`` is certified after the clock, by one simultaneous round
+    of the basis on it (:func:`pass_once`).  Every algorithm adds only the
+    rhs of implications whose lhs lies in its set or its prefix-closed
+    seed, so ``X <= Y <= clo(X)``, and a closed ``Y`` is ``clo(X)``, the
+    least closed superset.  A ``Y`` that the round grows comes from a
+    single-round algorithm on a basis that is not the direct basis its
+    ``# kind:`` header says, and is refused with :class:`InvalidBasis`
+    naming an implication it leaves unfired."""
     from time import perf_counter_ns
 
-    from .closure import oracle_closure
+    from .closure import oracle_closure, pass_once
     from .sets import read_basis
 
     algorithm = args.algorithm
@@ -141,6 +150,13 @@ def cmd_closure(args: argparse.Namespace) -> int:
         answer_ns = result.metrics.elapsed_ns
         load_ns = perf_counter_ns() - start - answer_ns
         closure = result.closure
+    if pass_once(closure, basis) != closure:
+        y = closure.bits
+        unfired = next(imp for imp in basis if imp.lhs.bits & ~y == 0 and imp.rhs.bits & ~y)
+        raise InvalidBasis(
+            f"the basis is not the {basis.kind.value} its header says: {algorithm} "
+            f"closes {{{x}}} to {{{closure}}}, which leaves {unfired} unfired"
+        )
     _note(
         args,
         f"basis kind {basis.kind.value}, {len(basis)} implications, "

@@ -36,9 +36,13 @@ kernel: classic-direct is ``_classic``'s first in-order pass, lin-direct is
 ``_lin``'s first wave and wild-direct is ``_wild``'s first pass, the last
 two taken from the seed.  A kernel has the signature ``(bits, basis[, once,
 pre_close])`` and returns the tuple ``(closure_bits, deps, attribute_ops,
-inner_loops, outer_loops, elapsed_ns)``.  It reads the basis's pairs, its
-lhs and rhs columns (apart, or joined as :meth:`Basis.joint_masks`), the
-lhs size planes and the pre-closed seed before starting its clock.
+inner_loops, outer_loops, elapsed_ns)``.  It reads what it needs of the
+basis before starting its clock: the pairs, the one column table
+:meth:`Basis.joint_masks` (each attribute's lhs column over the
+implication indices below its rhs column), the lhs size planes and the
+pre-closed seed.  ``_classic`` and ``_wild`` read the joint columns alone;
+``_lin`` reads their rhs half for its unions and their low half,
+:meth:`Basis.attr_masks`, to start its borrow chains.
 
 Inside the clock a kernel runs its loop and counts its firings (``deps``);
 the other counters are closed forms of the loop's end state, computed after
@@ -62,6 +66,9 @@ implications and ``|L(a)|`` the length of attribute ``a``'s occurrence list:
   ``ops`` keeps the paper's cost model of one difference per pass plus one
   union per fired implication, while the union itself is taken by rhs
   columns, each missing attribute tested once against the fire mask.
+
+:func:`implies` runs Wild's passes on every kind, so its verdict is exact
+whatever a file's ``# kind:`` header claims.
 """
 
 from __future__ import annotations
@@ -91,8 +98,6 @@ __all__ = [
     "implies",
     "ALGORITHMS",
 ]
-
-_DIRECT_KINDS = (BasisKind.CDUB, BasisKind.DBASIS)
 
 #: What a kernel returns: the closure bits, the four counters in
 #: ``Metrics.counters()`` order, then the wall time.
@@ -183,7 +188,7 @@ def _closed(
     universe = x.universe
     if universe is not basis.universe and universe != basis.universe:
         raise UniverseMismatch("set universe differs from basis universe")
-    if direct and basis.kind not in _DIRECT_KINDS:
+    if direct and basis.kind not in (BasisKind.CDUB, BasisKind.DBASIS):
         raise WrongBasisKind(f"direct algorithms require a cdub or dbasis, not {basis.kind.value}")
     bits, deps, ops, inner, outer, elapsed = kernel(x.bits, basis, *args)
     return ClosureResult(_trusted_set(universe, bits), Metrics(deps, ops, inner, outer, elapsed))
@@ -294,10 +299,11 @@ def _lin(bits: int, basis: Basis, once: bool = False, pre_close: bool = False) -
     plus one final union (``ops = deps + 1``) where lin charges a
     difference and two unions per firing."""
     masks = basis.attr_masks()
-    rhs_masks = basis.rhs_masks()
+    joint = basis.joint_masks()
     planes = basis.lhs_planes()
     full = basis.universe.mask
-    alive = (1 << len(basis)) - 1
+    m = len(basis)
+    alive = (1 << m) - 1
     seed = update = _seed_bits(bits, basis, pre_close)
     deps = 0
     start = time.perf_counter_ns()
@@ -314,7 +320,7 @@ def _lin(bits: int, basis: Basis, once: bool = False, pre_close: bool = False) -
         fired = alive & ~reduce(or_, count, 0)
         alive ^= fired
         deps += fired.bit_count()
-        update = _rhs_union(full & ~bits, fired, rhs_masks)
+        update = _rhs_union(full & ~bits, fired, joint, m)
         bits |= update
         if once:
             break
@@ -336,15 +342,18 @@ def _fall(planes: Sequence[int], count: Sequence[int]) -> int:
     return sum(falls)
 
 
-def _rhs_union(missing: int, fire: int, rhs_masks: Sequence[int]) -> int:
+def _rhs_union(missing: int, fire: int, joint: Sequence[int], m: int) -> int:
     """The attributes of ``missing`` that the rhs of some implication in the
-    fire mask holds.  Each missing attribute's rhs column is tested once
-    against ``fire``, which gives the OR of the fired right-hand sides
-    without taking each one out of ``fire``."""
+    fire mask holds.  ``fire`` is shifted once onto the rhs half of the
+    ``m``-implication joint columns (:meth:`Basis.joint_masks`), then each
+    missing attribute's column is tested once against it, which gives the
+    OR of the fired right-hand sides without taking each one out of
+    ``fire``."""
     add = 0
     if fire:
+        fire <<= m
         for b in bit_indices(missing):
-            if fire & rhs_masks[b]:
+            if fire & joint[b]:
                 add |= 1 << b
     return add
 
@@ -357,28 +366,29 @@ def wild_closure(x: AttributeSet, basis: Basis) -> ClosureResult:
 
 
 def _wild(bits: int, basis: Basis, once: bool = False, pre_close: bool = False) -> _Run:
-    """Wild's passes over columns of the implication indices.  A pass's
-    selection ORs the lhs columns of the missing attributes: the ``alive``
-    implications outside that OR fire.  Its union reads the rhs columns
-    (:func:`_rhs_union`).  The paper's one difference plus one union per
-    fired implication is charged per pass.
+    """Wild's passes over the joint lhs|rhs columns of the implication
+    indices (:meth:`Basis.joint_masks`).  A pass's selection ORs the joint
+    columns of the missing attributes: the ``alive`` implications outside
+    that OR fire, ``alive`` holding no bit of the rhs half.  Its union reads
+    the rhs half (:func:`_rhs_union`).  The paper's one difference plus one
+    union per fired implication is charged per pass.
 
     With ``once`` the run stops after the first pass, over the seed
     (:func:`_seed_bits`): that is wild-direct, whose selection is never
     re-evaluated against the grown set.  One pass charges one outer tick
     and one difference, and one inner tick and one union per firing."""
-    masks = basis.attr_masks()
-    rhs_masks = basis.rhs_masks()
+    joint = basis.joint_masks()
     full = basis.universe.mask
-    alive = (1 << len(basis)) - 1
+    m = len(basis)
+    alive = (1 << m) - 1
     bits = _seed_bits(bits, basis, pre_close)
     deps = ops = inner = outer = 0
     start = time.perf_counter_ns()
     while True:
         outer += 1
         missing = full & ~bits
-        fire = alive & ~spread(missing, masks)
-        bits |= _rhs_union(missing, fire, rhs_masks)
+        fire = alive & ~spread(missing, joint)
+        bits |= _rhs_union(missing, fire, joint, m)
         fired = fire.bit_count()
         deps += fired
         inner += fired
@@ -448,16 +458,11 @@ ALGORITHMS: dict[str, Callable[[AttributeSet, Basis], ClosureResult]] = {
 
 def implies(basis: Basis, query: Implication) -> bool:
     """Does the basis entail ``query``?  True iff the query rhs is contained
-    in the closure of the query lhs, computed with the cheapest algorithm
-    valid for the basis kind: Wild's single round on a ``cdub`` or
-    ``dbasis``, Wild's passes on any other kind.  The first call on a fresh
-    basis builds its lhs and rhs columns in one transpose
-    (:meth:`Basis.joint_masks`) and splits them into their halves
-    (:meth:`Basis.attr_masks` and :meth:`Basis.rhs_masks`), which later
-    calls share."""
+    in the closure of the query lhs, computed with Wild's passes, which are
+    exact on any basis whatever its kind says.  The first call on a fresh
+    basis builds its joint lhs|rhs columns in one transpose
+    (:meth:`Basis.joint_masks`), which later calls share."""
     universe = query.universe
     if universe is not basis.universe and universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")
-    direct = basis.kind in _DIRECT_KINDS
-    closed = _wild(query.lhs.bits, basis, direct, direct)[0]
-    return query.rhs.bits & ~closed == 0
+    return query.rhs.bits & ~_wild(query.lhs.bits, basis)[0] == 0

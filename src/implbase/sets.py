@@ -247,11 +247,10 @@ class Basis:
       left-hand sides of at least two attributes.
 
     Derived read-only structures (the implications, per-attribute occurrence
-    lists, the joint lhs and rhs columns and their two halves, the
-    left-hand-side sizes in bit planes,
-    reachability over the binary prefix, the hash) are built lazily once,
-    each by its own method, and then shared; they never mutate the logical
-    value.
+    lists, the joint lhs|rhs columns and their lhs half, the left-hand-side
+    sizes in bit planes, reachability over the binary prefix, the hash) are
+    built lazily once, each by its own method, and then shared; they never
+    mutate the logical value.
     """
 
     __slots__ = ("_pairs", "kind", "sigma0_len", "universe", "_cache")
@@ -402,14 +401,6 @@ class Basis:
         int arithmetic; the low ``m`` bits of :meth:`joint_masks`."""
         low = (1 << len(self._pairs)) - 1
         return tuple([column & low for column in self.joint_masks()])
-
-    @memo
-    def rhs_masks(self) -> tuple[int, ...]:
-        """Per attribute: bit mask over the indices of the implications whose
-        rhs contains it; the bits of :meth:`joint_masks` above the low
-        ``m``."""
-        m = len(self._pairs)
-        return tuple([column >> m for column in self.joint_masks()])
 
     @memo
     def lhs_planes(self) -> tuple[int, ...]:

@@ -21,6 +21,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 EX51_CXT = FIXTURES / "ex51.cxt"
 EX51_IMP = FIXTURES / "ex51.imp"
 
+#: Basis files whose ``# kind:`` header is false, by that kind: one round
+#: from ``a`` (cdub) or ``a b`` (dbasis) stops short of the closure.
+MISLABELLED = {
+    "cdub": "# kind: cdub\nuniverse: a b c\nb -> c\na -> b\n",
+    "dbasis": "# kind: dbasis\n# sigma0_len: 0\nuniverse: a b c d\nb c -> d\na b -> c\n",
+}
+
 
 def aset(universe: Universe, tokens: str) -> AttributeSet:
     """Attribute set from a token string like ``"b d"``."""

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import implbase
-from conftest import EX51_CXT, EX51_IMP, FIXTURES
+from conftest import EX51_CXT, EX51_IMP, FIXTURES, MISLABELLED
 from implbase import cli
 from implbase.bases import BUILDERS, EXHAUSTIVE_LIMIT, SAMPLES
 from implbase.cli import main
@@ -250,6 +250,36 @@ def test_closure_rejects_direct_algorithm_on_wrong_kind(capsys, tmp_path):
     assert code == 1
     assert err == "error: WrongBasisKind: direct algorithms require a cdub or dbasis, not raw\n"
     assert basis.kind is BasisKind.DBASIS  # the original file stays typed
+
+
+#: Per mislabelled file: the set one round leaves open, classic-direct's
+#: refusal and the closure.
+REFUSED = {
+    "cdub": (
+        "a",
+        "error: InvalidBasis: the basis is not the cdub its header says: "
+        "classic-direct closes {a} to {a b}, which leaves b -> c unfired\n",
+        "a b c\n",
+    ),
+    "dbasis": (
+        "a b",
+        "error: InvalidBasis: the basis is not the dbasis its header says: "
+        "classic-direct closes {a b} to {a b c}, which leaves b c -> d unfired\n",
+        "a b c d\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("algo", ["classic-direct", "lin-direct", "wild-direct"])
+@pytest.mark.parametrize("kind", REFUSED)
+def test_closure_refuses_a_direct_answer_that_the_basis_grows(capsys, tmp_path, kind, algo):
+    attrs, refusal, closure = REFUSED[kind]
+    basis = tmp_path / f"{kind}.imp"
+    basis.write_text(MISLABELLED[kind], encoding="utf-8")
+    argv = ["closure", "--basis", str(basis), "--set", attrs, "--algo"]
+    assert run(capsys, *argv, algo) == (1, "", refusal.replace("classic-direct", algo))
+    # an iterating algorithm answers the same file with the closure
+    assert run(capsys, *argv, "classic") == (0, closure, "")
 
 
 def test_closure_unknown_attribute(capsys):

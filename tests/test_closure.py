@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EX51_IMP, aset, planes_of, random_standard_context
+from conftest import EX51_IMP, MISLABELLED, aset, planes_of, random_standard_context
 from implbase.bases import build_cdub, build_dbasis, build_dg
 from implbase.bits import bit_indices, memo, random_bits
 from implbase.closure import (
@@ -314,6 +314,17 @@ def test_implies_on_worked_example(ex51_bases):
         assert not implies(basis, parse_implication("c -> d", u))
 
 
+@pytest.mark.parametrize(
+    "kind, query", [("cdub", "a -> c"), ("dbasis", "a b -> d")], ids=["cdub", "dbasis"]
+)
+def test_implies_is_exact_whatever_the_kind_header_says(kind, query):
+    # each query is entailed, but one round from its lhs does not reach it
+    basis = parse_basis(MISLABELLED[kind])
+    probe = parse_implication(query, basis.universe)
+    assert implies(basis, probe)
+    assert probe.rhs.bits & ~oracle_closure(probe.lhs, basis).bits == 0
+
+
 def test_implies_rejects_foreign_queries(ex51_dbasis):
     query = parse_implication("0 -> 1", Universe(size=4))
     with pytest.raises(UniverseMismatch):
@@ -572,19 +583,13 @@ def ref_wild_closure_direct(
 
 def ref_implies(basis: Basis, query: Implication) -> bool:
     """Does the basis entail ``query``?  True iff the query rhs is contained
-    in the closure of the query lhs, computed with the cheapest algorithm
-    valid for the basis kind: Wild's single round on a ``cdub`` or
-    ``dbasis``, Wild's passes on any other kind.  The first call on a fresh
-    basis builds its lhs and rhs columns in one transpose
-    (:meth:`Basis.joint_masks`) and splits them into their halves
-    (:meth:`Basis.attr_masks` and :meth:`Basis.rhs_masks`), which later
-    calls share."""
+    in the closure of the query lhs, computed with Wild's passes, which are
+    exact on any basis whatever its kind says.  The first call on a fresh
+    basis builds its joint lhs|rhs columns in one transpose
+    (:meth:`Basis.joint_masks`), which later calls share."""
     if query.universe != basis.universe:
         raise UniverseMismatch("query universe differs from basis universe")
-    if basis.kind in (BasisKind.CDUB, BasisKind.DBASIS):
-        closed = ref_wild_closure_direct(query.lhs, basis).closure
-    else:
-        closed = ref_wild_closure(query.lhs, basis).closure
+    closed = ref_wild_closure(query.lhs, basis).closure
     return query.rhs.bits & ~closed.bits == 0
 
 
