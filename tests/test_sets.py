@@ -344,26 +344,35 @@ def test_lhs_planes_decode_to_the_lhs_sizes(size, count, seed):
     assert not any(plane >> count for plane in planes)
 
 
+@pytest.mark.parametrize(
+    "size, count",
+    [(1, 3), (9, 64), (24, 65), (64, 64), (64, 130), (65, 0), (65, 64), (130, 65), (200, 130)],
+    ids=lambda v: str(v),
+)
+def test_rhs_masks_hold_each_implication_under_its_rhs_attributes(size, count):
+    # widths on both sides of 64 attributes, with at most 64 implications
+    # and more, so every transpose path builds the columns; the rhs columns
+    # are the high half of joint_masks(), above the m lhs bits
+    rng = random.Random(size * 1000 + count)
+    u = Universe(size=size)
+    pairs = [(rng.randrange(1, 1 << size), rng.getrandbits(size)) for _ in range(count)]
+    basis = Basis._from_pairs(pairs, BasisKind.RAW, universe=u)
+    columns = tuple(column >> count for column in basis.joint_masks())
+    assert len(columns) == size
+    for b, column in enumerate(columns):
+        assert column == sum(1 << j for j, (_, rhs) in enumerate(pairs) if rhs >> b & 1)
+    assert Basis._from_pairs([], BasisKind.RAW, universe=u).joint_masks() == (0,) * size
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     size=st.one_of(st.integers(1, 200), st.sampled_from([1, 24, 64, 65, 200])),
     count=st.one_of(st.integers(0, 130), st.sampled_from([0, 31, 32, 33, 63, 64, 65, 130])),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(size=1, count=3, seed=1003)
-@example(size=9, count=64, seed=9064)
-@example(size=24, count=65, seed=24065)
-@example(size=64, count=64, seed=64064)
-@example(size=64, count=130, seed=64130)
-@example(size=65, count=0, seed=65000)
-@example(size=65, count=64, seed=65064)
-@example(size=130, count=65, seed=130065)
-@example(size=200, count=130, seed=200130)
 def test_joint_masks_are_the_lhs_columns_below_the_rhs_columns(size, count, seed):
     # 2m sides cross the 64-set boundary of the transpose at 32 and 33
-    # implications, the lhs and rhs columns on their own at 64 and 65; the
-    # examples put widths on both sides of 64 attributes, with at most 64
-    # implications and more, so every transpose path builds the columns
+    # implications, the lhs and rhs columns on their own at 64 and 65
     rng = random.Random(seed)
     u = Universe(size=size)
     pairs = [(rng.randrange(1, 1 << size), rng.getrandbits(size)) for _ in range(count)]
